@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
 from . import golden, tracetools
 from .cosim import Program, cpi, format_verdict, lockstep
 from .elf import ElfFormatError, load_elf
-from .golden import HaltCause, HaltKind
+from .golden import DEFAULT_RESET_PC, HaltCause, HaltKind
 from .memory import MalformedHexLine, MemoryImage, load_hex
 from .pipeline import CoreState, PipelineConfig, run_core
 from .tracetools import (CsvTable, MalformedTraceLine, MalformedVcd,
@@ -31,36 +31,15 @@ EXIT_INPUT = 3
 EXIT_SIM = 4
 
 
-@dataclass
-class RunConfig:
-    """Knobs shared by the simulation subcommands."""
-
-    reset_pc: int = 0x2000
-    max_steps: int = 1_000_000
-    max_cycles: int = 2_000_000
-    mul_latency: int = 4
-    tohost: Optional[int] = None
-    vcd_out: Optional[str] = None
-    strict_pc_compare: bool = False
-    compare_loads: bool = True
-    cpi_bound: Optional[float] = None
-    inject: Optional[str] = None
-
-    def __post_init__(self):
-        if self.max_steps <= 0 or self.max_cycles <= 0:
-            raise ValueError("step/cycle caps must be positive")
-        if self.mul_latency < 1:
-            raise ValueError("mul latency must be >= 1")
-
-    def pipeline_config(self, entry: int) -> PipelineConfig:
-        return PipelineConfig(
-            reset_pc=entry, mul_latency=self.mul_latency,
-            inject_no_flush=self.inject == "no-flush",
-            inject_no_store_fwd=self.inject == "no-store-fwd")
-
-
 def _parse_int(text: str) -> int:
     return int(text, 0)
+
+
+def _positive_int(text: str) -> int:
+    value = _parse_int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def load_program(path: str, fmt: str = "auto", base: Optional[int] = None,
@@ -80,7 +59,7 @@ def load_program(path: str, fmt: str = "auto", base: Optional[int] = None,
         image, summary = load_elf(data, tohost_addr=tohost)
         entry = reset_pc if reset_pc is not None else summary.entry
         return Program(image, entry, p.name)
-    entry = reset_pc if reset_pc is not None else 0x2000
+    entry = reset_pc if reset_pc is not None else DEFAULT_RESET_PC
     origin = base if base is not None else entry
     if fmt == "bin":
         image = MemoryImage(tohost)
@@ -90,23 +69,16 @@ def load_program(path: str, fmt: str = "auto", base: Optional[int] = None,
     return Program(image, entry, p.name)
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        reset_pc=args.reset_pc if args.reset_pc is not None else 0x2000,
-        max_steps=getattr(args, "max_steps", 1_000_000),
-        max_cycles=getattr(args, "max_cycles", 2_000_000),
-        mul_latency=getattr(args, "mul_latency", 4),
-        tohost=args.tohost,
-        vcd_out=getattr(args, "vcd", None),
-        strict_pc_compare=getattr(args, "strict_pc", False),
-        compare_loads=not getattr(args, "ignore_load_txns", False),
-        cpi_bound=getattr(args, "cpi_bound", None),
-        inject=getattr(args, "inject", None))
-
-
-def _load_from_args(args) -> Program:
-    return load_program(args.program, fmt=args.fmt, base=args.base,
+def _load_from_args(args, path: str) -> Program:
+    return load_program(path, fmt=args.fmt, base=args.base,
                         reset_pc=args.reset_pc, tohost=args.tohost)
+
+
+def _pipeline_config(args, entry: int) -> PipelineConfig:
+    inject = getattr(args, "inject", None)  # only cosim has --inject
+    return PipelineConfig(reset_pc=entry, mul_latency=args.mul_latency,
+                          inject_no_flush=inject == "no-flush",
+                          inject_no_store_fwd=inject == "no-store-fwd")
 
 
 def _halt_exit(halt: HaltCause) -> int:
@@ -127,8 +99,13 @@ def _write_trace_files(args, trace, reg_lines) -> None:
         Path(args.reg_trace).write_text("\n".join(reg_lines) + "\n")
 
 
+def _write_vcd(path: str, signals: list[dict]) -> None:
+    with open(path, "w") as sink:
+        vcd_write(signals, pipeline_decls(), sink)
+
+
 def cmd_run(args) -> int:
-    program = _load_from_args(args)
+    program = _load_from_args(args, args.program)
     state = golden.ArchState(pc=program.entry, mem=program.image)
     trace, halt = golden.run(state, args.max_steps)
     _write_trace_files(args, trace, golden.export_reg_trace(trace))
@@ -137,16 +114,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    program = _load_from_args(args)
-    config = _config_from_args(args)
-    core = CoreState.reset(config.pipeline_config(program.entry))
+    program = _load_from_args(args, args.program)
+    core = CoreState.reset(_pipeline_config(args, program.entry))
     result = run_core(core, program.image, args.max_cycles,
                       record_signals=args.vcd is not None)
     _write_trace_files(args, result.commits,
                        golden.export_reg_trace(result.commits))
     if args.vcd is not None:
-        with open(args.vcd, "w") as sink:
-            vcd_write(result.signals, pipeline_decls(), sink)
+        _write_vcd(args.vcd, result.signals)
     if result.commits:
         report = cpi(len(result.commits), result.cycles, result.pc_trace)
         print(f"CPI: cycles={report.cycles} retired={report.retired} "
@@ -155,19 +130,16 @@ def cmd_sim(args) -> int:
 
 
 def cmd_cosim(args) -> int:
-    program = _load_from_args(args)
-    config = _config_from_args(args)
-    pipe_cfg = config.pipeline_config(program.entry)
-    verdict = lockstep(program, args.max_cycles, pipe_cfg,
-                       strict_pc=config.strict_pc_compare,
-                       compare_loads=config.compare_loads,
-                       max_steps=args.max_steps)
+    program = _load_from_args(args, args.program)
+    verdict = lockstep(program, args.max_cycles,
+                       _pipeline_config(args, program.entry),
+                       strict_pc=args.strict_pc,
+                       compare_loads=not args.ignore_load_txns,
+                       max_steps=args.max_steps,
+                       record_signals=args.vcd is not None)
     print(format_verdict(verdict))
     if args.vcd is not None:
-        rerun = run_core(CoreState.reset(pipe_cfg), program.image.clone(),
-                         args.max_cycles, record_signals=True)
-        with open(args.vcd, "w") as sink:
-            vcd_write(rerun.signals, pipeline_decls(), sink)
+        _write_vcd(args.vcd, verdict.signals)
     if not verdict.passed:
         return EXIT_SIM if (verdict.mismatch is None and verdict.note)  \
             else EXIT_MISMATCH
@@ -202,28 +174,23 @@ def cmd_diff_trace(args) -> int:
     return 0 if diff.clean else EXIT_MISMATCH
 
 
-def _bench_one(payload) -> tuple[str, int, int, float, bool]:
-    path, fmt, base, reset_pc, tohost, max_cycles, max_steps, mul_latency = payload
-    program = load_program(path, fmt=fmt, base=base, reset_pc=reset_pc,
-                           tohost=tohost)
-    verdict = lockstep(program, max_cycles,
-                       PipelineConfig(reset_pc=program.entry,
-                                      mul_latency=mul_latency),
-                       max_steps=max_steps)
+def _bench_one(args, path: str) -> tuple[str, int, int, float, bool]:
+    program = _load_from_args(args, path)
+    verdict = lockstep(program, args.max_cycles,
+                       _pipeline_config(args, program.entry),
+                       max_steps=args.max_steps)
     cpi_value = verdict.cpi_report.cpi if verdict.cpi_report else float("nan")
     return (program.name, verdict.retired, verdict.cycles, cpi_value,
             verdict.passed)
 
 
 def cmd_bench(args) -> int:
-    payloads = [(p, args.fmt, args.base, args.reset_pc, args.tohost,
-                 args.max_cycles, args.max_steps, args.mul_latency)
-                for p in args.programs]
+    bench_one = partial(_bench_one, args)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bench_one, payloads))
+            rows = list(pool.map(bench_one, args.programs))
     else:
-        rows = [_bench_one(p) for p in payloads]
+        rows = [bench_one(p) for p in args.programs]
 
     ok = True
     width = max(len(r[0]) for r in rows)
@@ -241,20 +208,24 @@ def cmd_bench(args) -> int:
     return 0 if ok else EXIT_MISMATCH
 
 
+PROGRAM_HELP = "ELF32, readmemh hex, or raw binary"
+
+
 def _add_common(sub, cycles: bool) -> None:
-    sub.add_argument("program", help="ELF32, readmemh hex, or raw binary")
     sub.add_argument("--fmt", choices=("auto", "elf", "hex", "bin"),
                      default="auto")
     sub.add_argument("--base", type=_parse_int, default=None,
                      help="load address for hex/bin (default: reset pc)")
     sub.add_argument("--reset-pc", type=_parse_int, default=None,
-                     help="start pc (default: ELF entry, else 0x2000)")
+                     help="start pc (default: ELF entry, else "
+                          f"{DEFAULT_RESET_PC:#x})")
     sub.add_argument("--tohost", type=_parse_int, default=None,
                      help="halt-on-store address (default: ELF symbol)")
-    sub.add_argument("--max-steps", type=_parse_int, default=1_000_000)
+    sub.add_argument("--max-steps", type=_positive_int, default=1_000_000)
     if cycles:
-        sub.add_argument("--max-cycles", type=_parse_int, default=2_000_000)
-        sub.add_argument("--mul-latency", type=_parse_int, default=4)
+        sub.add_argument("--max-cycles", type=_positive_int,
+                         default=2_000_000)
+        sub.add_argument("--mul-latency", type=_positive_int, default=4)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,12 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     run = subs.add_parser("run", help="execute on the golden model only")
+    run.add_argument("program", help=PROGRAM_HELP)
     _add_common(run, cycles=False)
     run.add_argument("--trace", help="write commit trace text file")
     run.add_argument("--reg-trace", help="write reg_trace.hex file")
     run.set_defaults(fn=cmd_run)
 
     sim = subs.add_parser("sim", help="execute on the pipeline model only")
+    sim.add_argument("program", help=PROGRAM_HELP)
     _add_common(sim, cycles=True)
     sim.add_argument("--trace", help="write commit trace text file")
     sim.add_argument("--reg-trace", help="write reg_trace.hex file")
@@ -278,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(fn=cmd_sim)
 
     co = subs.add_parser("cosim", help="lockstep pipeline vs golden model")
+    co.add_argument("program", help=PROGRAM_HELP)
     _add_common(co, cycles=True)
     co.add_argument("--cpi-bound", type=float, default=None,
                     help="fail unless measured CPI <= bound")
@@ -307,15 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = subs.add_parser("bench",
                             help="cosim + CPI table over a program list")
-    bench.add_argument("programs", nargs="+")
-    bench.add_argument("--fmt", choices=("auto", "elf", "hex", "bin"),
-                       default="auto")
-    bench.add_argument("--base", type=_parse_int, default=None)
-    bench.add_argument("--reset-pc", type=_parse_int, default=None)
-    bench.add_argument("--tohost", type=_parse_int, default=None)
-    bench.add_argument("--max-steps", type=_parse_int, default=1_000_000)
-    bench.add_argument("--max-cycles", type=_parse_int, default=2_000_000)
-    bench.add_argument("--mul-latency", type=_parse_int, default=4)
+    bench.add_argument("programs", nargs="+", help=PROGRAM_HELP)
+    _add_common(bench, cycles=True)
     bench.add_argument("--cpi-bound", type=float, default=None)
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--machine", action="store_true",

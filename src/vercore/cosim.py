@@ -3,8 +3,8 @@
 Both simulators run the same program on independent memory copies; their
 commit traces are compared in retirement order.  Register writes compare on
 (rd, value) -- pc only in strict mode -- and memory transactions on
-(kind, addr, data, width).  The first divergence is reported with commit
-context and the pipeline's signal activity near the failing cycle.
+(kind, addr, data, width).  The first divergence is reported with the
+commits around it on both sides, taken from the one pipeline run.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import golden
 from .golden import CommitRecord, HaltCause, HaltKind
 from .isa import decode, disassemble
 from .memory import MemoryImage
-from .pipeline import CoreState, PipelineConfig, RunResult, run_core
+from .pipeline import CoreState, PipelineConfig, run_core
 
 
 class ZeroRetired(ValueError):
@@ -116,7 +116,6 @@ def compare_traces(expected: list[CommitRecord], actual: list[CommitRecord],
 class MismatchContext:
     expected_window: list[CommitRecord]
     actual_window: list[CommitRecord]
-    signals: list[dict]
 
 
 @dataclass
@@ -131,10 +130,10 @@ class Verdict:
     mismatch: Optional[Mismatch] = None
     context: Optional[MismatchContext] = None
     note: str = ""
+    signals: Optional[list[dict]] = None  # the pipeline run's, if recorded
 
 
 CONTEXT_COMMITS = 5
-CONTEXT_CYCLES = 8
 
 
 def _halts_agree(g: HaltCause, p: HaltCause) -> bool:
@@ -147,16 +146,21 @@ def _halts_agree(g: HaltCause, p: HaltCause) -> bool:
 def lockstep(program: Program, max_cycles: int,
              pipe_config: Optional[PipelineConfig] = None,
              strict_pc: bool = False, compare_loads: bool = True,
-             max_steps: Optional[int] = None) -> Verdict:
+             max_steps: Optional[int] = None,
+             record_signals: bool = False) -> Verdict:
     """Run golden and pipeline on separate copies of the program memory and
-    compare their commit traces; error halts on either side are failures."""
+    compare their commit traces; error halts on either side are failures.
+
+    The pipeline runs once.  With record_signals, the Verdict carries that
+    run's per-cycle signals (see run_core).
+    """
     pipe_config = pipe_config or PipelineConfig(reset_pc=program.entry)
     gstate = golden.ArchState(pc=program.entry, mem=program.image.clone())
     gtrace, ghalt = golden.run(gstate, max_steps or max_cycles)
 
     core = CoreState.reset(pipe_config)
     pmem = program.image.clone()
-    result = run_core(core, pmem, max_cycles)
+    result = run_core(core, pmem, max_cycles, record_signals=record_signals)
 
     retired = len(result.commits)
     report = cpi(retired, result.cycles, result.pc_trace) if retired else None
@@ -178,25 +182,12 @@ def lockstep(program: Program, max_cycles: int,
 
     context = None
     if mismatch is not None:
-        context = _gather_context(program, pipe_config, max_cycles, gtrace,
-                                  result, mismatch)
+        lo = max(0, mismatch.index - CONTEXT_COMMITS)
+        hi = mismatch.index + CONTEXT_COMMITS + 1
+        context = MismatchContext(gtrace[lo:hi], result.commits[lo:hi])
     return Verdict(passed, program.name, ghalt, result.halt, retired,
-                   result.cycles, report, mismatch, context, note)
-
-
-def _gather_context(program: Program, pipe_config: PipelineConfig,
-                    max_cycles: int, gtrace: list[CommitRecord],
-                    result: RunResult, mm: Mismatch) -> MismatchContext:
-    lo = max(0, mm.index - CONTEXT_COMMITS)
-    hi = mm.index + CONTEXT_COMMITS + 1
-    # Deterministic rerun with signal recording to capture waveform context
-    # around the failing cycle.
-    rerun = run_core(CoreState.reset(pipe_config), program.image.clone(),
-                     min(max_cycles, mm.cycle + CONTEXT_CYCLES + 1),
-                     record_signals=True)
-    sig_lo = max(0, mm.cycle - CONTEXT_CYCLES)
-    signals = (rerun.signals or [])[sig_lo:mm.cycle + CONTEXT_CYCLES + 1]
-    return MismatchContext(gtrace[lo:hi], result.commits[lo:hi], signals)
+                   result.cycles, report, mismatch, context, note,
+                   result.signals)
 
 
 def _describe(c: Optional[CommitRecord]) -> str:

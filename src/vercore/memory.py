@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .isa import MASK32
+
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
-MASK32 = 0xFFFFFFFF
 
 
 class MisalignedAccess(ValueError):

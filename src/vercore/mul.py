@@ -13,7 +13,8 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Optional
 
-MASK32 = 0xFFFFFFFF
+from .isa import MASK32
+
 MASK33 = (1 << 33) - 1
 MASK64 = (1 << 64) - 1
 MASK66 = (1 << 66) - 1
@@ -101,10 +102,14 @@ def gen_partial_products(multiplicand: int, digits: BoothDigits) -> list[int]:
             for i, d in enumerate(digits.digits)]
 
 
+def _csa3(a, b, c, m=MASK66):
+    t = a ^ b
+    return t ^ c, (((a & b) | (t & c)) << 1) & m
+
+
 def csa(a: int, b: int, c: int) -> CsaPair:
     """3:2 compressor: sum = a^b^c, carry = majority(a,b,c) << 1, mod 2**66."""
-    t = a ^ b
-    return CsaPair(t ^ c, (((a & b) | (t & c)) << 1) & MASK66)
+    return CsaPair(*_csa3(a, b, c))
 
 
 def wallace_layers(pps):
@@ -122,51 +127,31 @@ def wallace_layers(pps):
         yield vals
 
 
-def _csa3(a, b, c, m=MASK66):
-    t = a ^ b
-    return t ^ c, (((a & b) | (t & c)) << 1) & m
-
-
 def wallace_reduce(pps) -> CsaPair:
-    """Compress the partial products to two addends, value-preserving mod 2**66."""
-    vals = list(pps)
-    if len(vals) == 17:
-        # The 17-input tree is a fixed datapath; unrolled with exactly the
-        # wallace_layers 3:2 grouping (17->12->8->6->4->3->2).
-        p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, \
-            p15, p16 = vals
-        s1, c1 = _csa3(p0, p1, p2)
-        s2, c2 = _csa3(p3, p4, p5)
-        s3, c3 = _csa3(p6, p7, p8)
-        s4, c4 = _csa3(p9, p10, p11)
-        s5, c5 = _csa3(p12, p13, p14)
-        t1, d1 = _csa3(s1, c1, s2)
-        t2, d2 = _csa3(c2, s3, c3)
-        t3, d3 = _csa3(s4, c4, s5)
-        t4, d4 = _csa3(c5, p15, p16)
-        u1, e1 = _csa3(t1, d1, t2)
-        u2, e2 = _csa3(d2, t3, d3)
-        v1, f1 = _csa3(u1, e1, u2)
-        v2, f2 = _csa3(e2, t4, d4)
-        w1, g1 = _csa3(v1, f1, v2)
-        x1, h1 = _csa3(w1, g1, f2)
-        return CsaPair(x1, h1)
-    m = MASK66
-    while len(vals) > 2:  # same 3:2 schedule as wallace_layers
-        n3 = len(vals) - len(vals) % 3
-        nxt = []
-        append = nxt.append
-        for i in range(0, n3, 3):
-            s, c = _csa3(vals[i], vals[i + 1], vals[i + 2])
-            append(s)
-            append(c)
-        nxt.extend(vals[n3:])
-        vals = nxt
-    if not vals:
-        return CsaPair(0, 0)
-    if len(vals) == 1:
-        return CsaPair(vals[0] & m, 0)
-    return CsaPair(vals[0], vals[1])
+    """Compress the 17 partial products to two addends, value-preserving
+    mod 2**66.
+
+    The 17-input tree is a fixed datapath, unrolled with exactly the
+    wallace_layers 3:2 grouping (17->12->8->6->4->3->2).
+    """
+    p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, \
+        p15, p16 = pps
+    s1, c1 = _csa3(p0, p1, p2)
+    s2, c2 = _csa3(p3, p4, p5)
+    s3, c3 = _csa3(p6, p7, p8)
+    s4, c4 = _csa3(p9, p10, p11)
+    s5, c5 = _csa3(p12, p13, p14)
+    t1, d1 = _csa3(s1, c1, s2)
+    t2, d2 = _csa3(c2, s3, c3)
+    t3, d3 = _csa3(s4, c4, s5)
+    t4, d4 = _csa3(c5, p15, p16)
+    u1, e1 = _csa3(t1, d1, t2)
+    u2, e2 = _csa3(d2, t3, d3)
+    v1, f1 = _csa3(u1, e1, u2)
+    v2, f2 = _csa3(e2, t4, d4)
+    w1, g1 = _csa3(v1, f1, v2)
+    x1, h1 = _csa3(w1, g1, f2)
+    return CsaPair(x1, h1)
 
 
 def mul_result(req: MulRequest) -> int:

@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import mul as mulunit
-from .golden import CommitRecord, HaltCause, HaltKind, MemTxn, branch_taken
+from .golden import (DEFAULT_RESET_PC, CommitRecord, HaltCause, HaltKind,
+                     MemTxn, branch_taken)
 from .isa import (DecodedInstr, Format, IllegalInstruction, MASK32, Mnemonic,
                   decode, to_signed)
 from .memory import MemoryImage, MisalignedAccess
 from .mul import MulOp, MulRequest, MulUnitState
-
-DEFAULT_RESET_PC = 0x2000
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,6 @@ class IdExReg:
     rs2: int = 0
     rd: int = 0
     funct3: int = 0
-    funct7: int = 0
     ctrl: ExCtrl = _NOP_EX
     instr: int = 0
     retire: bool = False  # real instruction (commits at WB); False for bubbles
@@ -183,20 +181,6 @@ class MemWbReg:
     mem_txn: Optional[MemTxn] = None
     tohost: Optional[int] = None
     committed: bool = False
-
-
-@dataclass(frozen=True)
-class CacheBus:
-    """Per-cycle cache interface activity (always-hit, same-cycle data)."""
-
-    ic_va: int = 0
-    ic_valid: bool = False
-    ic_d_in: int = 0
-    dc_va: int = 0
-    dc_valid: bool = False
-    dc_byte_en: int = 0
-    dc_d_out: int = 0
-    dc_d_in: int = 0
 
 
 @dataclass(frozen=True)
@@ -243,17 +227,6 @@ class CoreState:
         assert config.reset_pc % 4 == 0
         return CoreState(config=config, pc_f=config.reset_pc,
                          mul=MulUnitState.idle(config.mul_latency))
-
-
-@dataclass(frozen=True)
-class CycleEvents:
-    commit: Optional[CommitRecord]
-    bus: CacheBus
-    hazard: HazardDecision
-    halt: Optional[HaltCause]
-    branch_taken: bool
-    branch_target: int
-    snapshot: dict
 
 
 def next_pc(cur: CoreState, branch_taken: bool, target: int, stall: bool) -> int:
@@ -389,8 +362,9 @@ def _alu_compute(op: int, a: int, b: int) -> int:
 _HALT_MNEMONICS = {Mnemonic.ECALL: HaltKind.ECALL,
                    Mnemonic.EBREAK: HaltKind.EBREAK}
 
-# Snapshot field names follow the testbench hierarchy used by the trace
-# tooling; widths drive the VCD declarations.
+# The per-cycle signals, in the order step_cycle returns their values.
+# Names follow the testbench hierarchy used by the trace tooling; widths
+# drive the VCD declarations.
 SIGNAL_SCHEMA: tuple[tuple[str, int], ...] = (
     ("vercore_tb.cycle[31:0]", 32),
     ("vercore_tb.u_vercore.u_stage_if.pc[31:0]", 32),
@@ -417,14 +391,17 @@ SIGNAL_SCHEMA: tuple[tuple[str, int], ...] = (
     ("vercore_tb.u_vercore.valid_mem", 1),
     ("vercore_tb.u_vercore.valid_wb", 1),
 )
+SIGNAL_NAMES: tuple[str, ...] = tuple(name for name, _ in SIGNAL_SCHEMA)
 
 
-def step_cycle(core: CoreState, mem: MemoryImage) -> CycleEvents:
+def step_cycle(core: CoreState, mem: MemoryImage
+               ) -> tuple[Optional[CommitRecord], Optional[HaltCause], tuple]:
     """Evaluate one clock cycle and latch all pipeline registers.
 
-    Returns the cycle's events: at most one commit, the cache bus activity,
-    the hazard decision and (on fatal decode/access problems) a halt cause.
-    The core is advanced in place.
+    Returns (commit, halt, values): at most one commit, a halt cause (on
+    ecall/ebreak/tohost or a fatal decode/access problem) and the cycle's
+    signal values in SIGNAL_SCHEMA order, 1-bit signals as 0/1, sampled
+    before the latch.  The core is advanced in place.
     """
     cfg = core.config
     halt: Optional[HaltCause] = None
@@ -436,11 +413,11 @@ def step_cycle(core: CoreState, mem: MemoryImage) -> CycleEvents:
         core.exmem = ExMemReg()
         core.memwb = MemWbReg()
         core.halt_fetch = False
-        bus = CacheBus(ic_va=cfg.reset_pc)
-        hz = HazardDecision()
-        snap = _snapshot(core, bus, hz, False, 0, False, 0, 0)
+        # Cycle, IF pc and ic_va carry the reset pc; every other signal is 0.
+        values = (core.cycle, cfg.reset_pc, cfg.reset_pc) \
+            + (0,) * (len(SIGNAL_SCHEMA) - 3)
         core.cycle += 1
-        return CycleEvents(None, bus, hz, None, False, 0, snap)
+        return None, None, values
 
     # ---------------- WB: commit exactly once per retiring instruction ----
     wb = core.memwb
@@ -457,7 +434,7 @@ def step_cycle(core: CoreState, mem: MemoryImage) -> CycleEvents:
             halt = HaltCause(HaltKind.EBREAK)
         elif wb.tohost is not None:
             halt = HaltCause(HaltKind.TOHOST, code=wb.tohost)
-    wb_reg_write_sig = wb_fire and wb.reg_write
+    wb_write = wb_fire and wb.reg_write
 
     # ---------------- EX: forwarded operands, ALU, multiplier handshake ---
     ex = core.idex
@@ -596,16 +573,16 @@ def step_cycle(core: CoreState, mem: MemoryImage) -> CycleEvents:
     if not fetch_ok and not fetch_off:
         core.uninit_fetches += 1
 
-    bus = CacheBus(ic_va=ic_va, ic_valid=True, ic_d_in=ic_d_in, dc_va=dc_va,
-                   dc_valid=dc_valid, dc_byte_en=dc_byte_en,
-                   dc_d_out=dc_d_out, dc_d_in=dc_d_in)
-    snap = _snapshot(core, bus, hz, redirect, id_target, wb_reg_write_sig,
-                     wb.rd if wb_reg_write_sig else 0,
-                     wb.wb_data if wb_reg_write_sig else 0)
+    values = (core.cycle, ic_va, ic_va, 1, ic_d_in, dc_va, int(dc_valid),
+              dc_byte_en, dc_d_out, dc_d_in, wb.rd if wb_write else 0,
+              int(wb_write), wb.wb_data if wb_write else 0, int(redirect),
+              id_target, int(hz.stall_pc), int(hz.stall_ifid),
+              int(hz.flush_ifid), int(hz.bubble_idex), int(hz.global_stall),
+              int(f.valid), int(ex.valid), int(m.valid), int(wb.valid))
 
     if halt is not None:
         core.cycle += 1
-        return CycleEvents(commit, bus, hz, halt, redirect, id_target, snap)
+        return commit, halt, values
 
     # ---------------- latch at the cycle boundary -------------------------
     if wb_fire and wb.reg_write:
@@ -629,9 +606,8 @@ def step_cycle(core: CoreState, mem: MemoryImage) -> CycleEvents:
             core.idex = IdExReg(
                 valid=True, pc=f.pc, pc_plus4=f.pc_plus4, rs1_val=rs1_cap,
                 rs2_val=rs2_cap, imm=id_d.imm, rs1=id_d.rs1, rs2=id_d.rs2,
-                rd=id_d.rd, funct3=id_d.funct3, funct7=id_d.funct7,
-                ctrl=gen_ex_ctrl(id_d), instr=f.instr, retire=True,
-                halt=id_halt)
+                rd=id_d.rd, funct3=id_d.funct3, ctrl=gen_ex_ctrl(id_d),
+                instr=f.instr, retire=True, halt=id_halt)
             if id_halt is not None:
                 core.halt_fetch = True
         if hz.stall_ifid:
@@ -647,38 +623,7 @@ def step_cycle(core: CoreState, mem: MemoryImage) -> CycleEvents:
                             hz.stall_pc or core.halt_fetch)
 
     core.cycle += 1
-    return CycleEvents(commit, bus, hz, None, redirect, id_target, snap)
-
-
-def _snapshot(core: CoreState, bus: CacheBus, hz: HazardDecision,
-              taken: bool, target: int, wb_write: bool, wb_rd: int,
-              wb_data: int) -> dict:
-    return {
-        "vercore_tb.cycle[31:0]": core.cycle,
-        "vercore_tb.u_vercore.u_stage_if.pc[31:0]": core.pc_f,
-        "vercore_tb.u_vercore.ic_va[31:0]": bus.ic_va,
-        "vercore_tb.u_vercore.ic_valid": int(bus.ic_valid),
-        "vercore_tb.u_vercore.ic_d_in[31:0]": bus.ic_d_in,
-        "vercore_tb.u_vercore.dc_va[31:0]": bus.dc_va,
-        "vercore_tb.u_vercore.dc_valid": int(bus.dc_valid),
-        "vercore_tb.u_vercore.dc_byte_en[3:0]": bus.dc_byte_en,
-        "vercore_tb.u_vercore.dc_d_out[31:0]": bus.dc_d_out,
-        "vercore_tb.u_vercore.dc_d_in[31:0]": bus.dc_d_in,
-        "vercore_tb.u_vercore.wb_rd[4:0]": wb_rd,
-        "vercore_tb.u_vercore.wb_reg_write": int(wb_write),
-        "vercore_tb.u_vercore.wb_data[31:0]": wb_data,
-        "vercore_tb.u_vercore.branch_taken": int(taken),
-        "vercore_tb.u_vercore.branch_target[31:0]": target,
-        "vercore_tb.u_vercore.stall_pc": int(hz.stall_pc),
-        "vercore_tb.u_vercore.stall_ifid": int(hz.stall_ifid),
-        "vercore_tb.u_vercore.flush_ifid": int(hz.flush_ifid),
-        "vercore_tb.u_vercore.bubble_idex": int(hz.bubble_idex),
-        "vercore_tb.u_vercore.global_stall": int(hz.global_stall),
-        "vercore_tb.u_vercore.valid_id": int(core.ifid.valid),
-        "vercore_tb.u_vercore.valid_ex": int(core.idex.valid),
-        "vercore_tb.u_vercore.valid_mem": int(core.exmem.valid),
-        "vercore_tb.u_vercore.valid_wb": int(core.memwb.valid),
-    }
+    return commit, None, values
 
 
 @dataclass
@@ -695,8 +640,10 @@ def run_core(core: CoreState, mem: MemoryImage, max_cycles: int,
              record_signals: bool = False) -> RunResult:
     """Step the pipeline until it halts or the cycle cap is reached.
 
-    pc_trace records the pc occupying IF each cycle (CPI attribution);
-    signals, when requested, records the full per-cycle snapshot schema.
+    pc_trace records the pc occupying IF each cycle (CPI attribution).  With
+    record_signals, signals holds one dict per cycle that maps every
+    SIGNAL_SCHEMA name, in schema order, to its value; without it, signals
+    is None and no per-cycle dict is built.
     """
     assert max_cycles > 0
     commits: list[CommitRecord] = []
@@ -705,14 +652,15 @@ def run_core(core: CoreState, mem: MemoryImage, max_cycles: int,
     pc_trace: list[int] = []
     for _ in range(max_cycles):
         pc_trace.append(core.pc_f)
-        ev = step_cycle(core, mem)
+        commit, halt, values = step_cycle(core, mem)
         if signals is not None:
-            signals.append(ev.snapshot)
-        if ev.commit is not None:
-            commits.append(ev.commit)
+            signals.append(dict(zip(SIGNAL_NAMES, values)))
+        if commit is not None:
+            commits.append(commit)
             commit_cycles.append(core.cycle - 1)
-        if ev.halt is not None:
-            return RunResult(commits, commit_cycles, core.cycle, ev.halt,
-                             signals, pc_trace)
-    return RunResult(commits, commit_cycles, core.cycle,
-                     HaltCause(HaltKind.MAX_CYCLES), signals, pc_trace)
+        if halt is not None:
+            break
+    else:
+        halt = HaltCause(HaltKind.MAX_CYCLES)
+    return RunResult(commits, commit_cycles, core.cycle, halt, signals,
+                     pc_trace)

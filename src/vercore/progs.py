@@ -11,10 +11,11 @@ import random
 from typing import Optional
 
 from .cosim import Program
+from .golden import DEFAULT_RESET_PC
 from .isa import Mnemonic as M, encode
 from .memory import MemoryImage
 
-BASE = 0x2000
+BASE = DEFAULT_RESET_PC
 SCRATCH = 0x3000
 
 

@@ -1,0 +1,119 @@
+"""The CLI's exit-code and line-format contract, and its trace round trip."""
+
+import pytest
+
+from vercore import cli, cosim, progs
+from vercore.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_USAGE
+
+FLUSH_BUG_REPORT = """\
+RESULT: FAIL flush_bug.hex
+MISMATCH: index=3 kind=reg pc=0x00002020 cycle=7 expected x2=0x00003224 got x5=0x0000300c
+MISMATCH-CONTEXT: expected commits:
+  E0: pc=0x00002000 [lui x2, 0x3] x2=0x00003000
+  E1: pc=0x00002004 [addi x3, x0, 7] x3=0x00000007
+  E2: pc=0x00002008 [jal x1, 24] x1=0x0000200c
+  E3: pc=0x00002020 [addi x2, x2, 548] x2=0x00003224
+  E4: pc=0x00002024 [addi x10, x0, 0] x10=0x00000000
+  E5: pc=0x00002028 [ecall] (no effects)
+MISMATCH-CONTEXT: actual commits:
+  A0: pc=0x00002000 [lui x2, 0x3] x2=0x00003000
+  A1: pc=0x00002004 [addi x3, x0, 7] x3=0x00000007
+  A2: pc=0x00002008 [jal x1, 24] x1=0x0000200c
+  A3: pc=0x0000200c [auipc x5, 0x1] x5=0x0000300c
+  A4: pc=0x00002020 [addi x2, x2, 548] x2=0x00003224
+  A5: pc=0x00002024 [addi x10, x0, 0] x10=0x00000000
+  A6: pc=0x00002028 [ecall] (no effects)
+CPI: cycles=11 retired=7 cpi=1.5714
+"""
+FIB_EXIT = 89  # a0 at the ecall of fib_program()
+
+
+def vercore(*argv) -> int:
+    """cli.main's exit code, including argparse's SystemExit."""
+    try:
+        return cli.main([str(a) for a in argv])
+    except SystemExit as exc:
+        return exc.code
+
+
+def write_hex(path, program):
+    words = []
+    addr = program.entry
+    while program.image.is_initialized(addr, 4):
+        words.append(program.image.read_word(addr))
+        addr += 4
+    path.write_text(progs.to_hex(words, program.entry))
+    return path
+
+
+@pytest.fixture
+def flush_bug_hex(tmp_path):
+    return write_hex(tmp_path / "flush_bug.hex", progs.flush_bug_program())
+
+
+@pytest.fixture
+def fib_hex(tmp_path):
+    return write_hex(tmp_path / "fib.hex", progs.fib_program())
+
+
+class TestCosim:
+    def test_injected_flush_bug_is_a_mismatch(self, flush_bug_hex, capsys):
+        assert vercore("cosim", flush_bug_hex, "--inject", "no-flush") \
+            == EXIT_MISMATCH
+        assert capsys.readouterr().out == FLUSH_BUG_REPORT
+
+    def test_vcd_matches_sim(self, fib_hex, tmp_path, capsys):
+        co, sim = tmp_path / "cosim.vcd", tmp_path / "sim.vcd"
+        assert vercore("cosim", fib_hex, "--vcd", co) == 0
+        assert vercore("sim", fib_hex, "--vcd", sim) == FIB_EXIT
+        assert co.read_text() == sim.read_text()
+
+    def test_vcd_runs_the_pipeline_once(self, flush_bug_hex, tmp_path,
+                                        monkeypatch, capsys):
+        calls = []
+        real = cosim.run_core
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cosim, "run_core", counting)
+        monkeypatch.setattr(cli, "run_core", counting)
+        vcd = tmp_path / "fail.vcd"
+        assert vercore("cosim", flush_bug_hex, "--inject", "no-flush",
+                       "--vcd", vcd) == EXIT_MISMATCH
+        assert len(calls) == 1
+        assert vcd.read_text().startswith("$date")
+
+
+class TestTraceRoundTrip:
+    def test_sim_vcd_to_csv_to_diff_trace(self, fib_hex, tmp_path, capsys):
+        reg, vcd, csv = (tmp_path / n for n in
+                         ("reg_trace.hex", "wave.vcd", "wave.csv"))
+        assert vercore("run", fib_hex, "--reg-trace", reg) == FIB_EXIT
+        assert vercore("sim", fib_hex, "--vcd", vcd) == FIB_EXIT
+        cycles = int(capsys.readouterr().out.split("cycles=")[1].split()[0])
+        assert vercore("vcd2csv", vcd, csv) == 0
+        assert len(csv.read_text().splitlines()) == 1 + cycles
+        assert vercore("diff-trace", csv, reg) == 0
+        assert "no mismatch" in capsys.readouterr().out
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        assert vercore("vcd2csv", tmp_path / "absent.vcd",
+                       tmp_path / "out.csv") == EXIT_INPUT
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("run", "--max-steps", "0"),
+        ("sim", "--mul-latency", "0"),
+        ("sim", "--max-cycles", "0"),
+        ("cosim", "--max-steps", "0"),
+        ("cosim", "--mul-latency", "-3"),
+        ("bench", "--max-cycles", "0"),
+        ("bench", "--mul-latency", "0"),
+    ])
+    def test_out_of_range_option_is_a_usage_error(self, argv, fib_hex,
+                                                   capsys):
+        assert vercore(*argv[:1], fib_hex, *argv[1:]) == EXIT_USAGE
+        assert "must be positive" in capsys.readouterr().err

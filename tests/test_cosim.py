@@ -1,0 +1,62 @@
+"""Lockstep co-simulation: one pipeline run per call, mismatch reporting."""
+
+import pytest
+
+from vercore import cosim, progs
+from vercore.cosim import format_verdict, lockstep
+from vercore.pipeline import PipelineConfig
+
+
+@pytest.fixture
+def run_core_calls(monkeypatch):
+    """Count the pipeline runs made through cosim.run_core."""
+    calls = []
+    real = cosim.run_core
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("record_signals", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cosim, "run_core", counting)
+    return calls
+
+
+def flush_bug_verdict(**kwargs):
+    program = progs.flush_bug_program()
+    return lockstep(program, 1000, PipelineConfig(reset_pc=program.entry,
+                                                  inject_no_flush=True),
+                    **kwargs)
+
+
+class TestOneRun:
+    def test_passing_program_runs_the_pipeline_once(self, run_core_calls):
+        assert lockstep(progs.fib_program(), 10_000).passed
+        assert len(run_core_calls) == 1
+
+    def test_mismatch_runs_the_pipeline_once(self, run_core_calls):
+        v = flush_bug_verdict()
+        assert not v.passed and v.mismatch is not None
+        assert len(run_core_calls) == 1
+
+    def test_signals_only_when_asked(self, run_core_calls):
+        assert flush_bug_verdict().signals is None
+        v = flush_bug_verdict(record_signals=True)
+        assert len(v.signals) == v.cycles
+        assert run_core_calls == [False, True]
+
+
+class TestMismatchReport:
+    def test_context_windows_come_from_the_failing_run(self):
+        v = flush_bug_verdict()
+        mm = v.mismatch
+        assert (mm.index, mm.kind, mm.pc, mm.cycle) == (3, "reg", 0x2020, 7)
+        assert len(v.context.expected_window) == 6
+        assert len(v.context.actual_window) == 7
+        assert v.context.actual_window[3].pc == 0x200C  # the leaked auipc
+
+    def test_report_lines(self):
+        lines = format_verdict(flush_bug_verdict()).splitlines()
+        assert lines[0] == "RESULT: FAIL flush_bug_scenario"
+        assert lines[1] == ("MISMATCH: index=3 kind=reg pc=0x00002020 "
+                            "cycle=7 expected x2=0x00003224 got x5=0x0000300c")
+        assert lines[-1] == "CPI: cycles=11 retired=7 cpi=1.5714"

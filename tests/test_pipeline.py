@@ -9,14 +9,22 @@ from vercore.isa import decode
 from vercore.memory import MisalignedAccess
 from vercore.mul import MulUnitState
 from vercore.pipeline import (CoreState, ExMemReg, HazardDecision, IdExReg,
-                              MemWbReg, PipelineConfig, forward_ex,
-                              forward_id, FwdSource, hazard_detect,
-                              load_extract, next_pc, run_core, step_cycle,
-                              store_align)
+                              MemWbReg, PipelineConfig, SIGNAL_NAMES,
+                              SIGNAL_SCHEMA, forward_ex, forward_id,
+                              FwdSource, hazard_detect, load_extract,
+                              next_pc, run_core, step_cycle, store_align)
 from vercore.progs import (ADD, ADDI, ECALL, JAL, LUI, LW, MUL, NOP, SB, SW,
                            assemble)
 
 SIG = "vercore_tb.u_vercore."
+
+
+def step(core, mem):
+    """One step_cycle: its commit and its signals by short name."""
+    commit, _, values = step_cycle(core, mem)
+    return commit, {name.removeprefix(SIG): v
+                          for name, v in zip(SIGNAL_NAMES, values,
+                                             strict=True)}
 
 
 def run_words(words, name="t", mul_latency=4, max_cycles=10_000,
@@ -282,10 +290,11 @@ class TestRedirectAndFetch:
         core = CoreState.reset(PipelineConfig(reset_pc=program.entry))
         events = []
         for _ in range(5):
-            events.append(step_cycle(core, program.image))
+            events.append(step(core, program.image)[1])
         # cycle 3: jal (fetched at cycle 2) is in ID and redirects
-        assert events[3].branch_taken and events[3].branch_target == 0x2020
-        assert events[4].bus.ic_va == 0x2020
+        assert events[3]["branch_taken"] \
+            and events[3]["branch_target[31:0]"] == 0x2020
+        assert events[4]["ic_va[31:0]"] == 0x2020
         assert not core.ifid.valid or core.ifid.pc != 0x200C
 
     def test_flush_disabled_executes_shadow(self):
@@ -373,6 +382,17 @@ class TestBusAndStallSignals:
         result, _ = run_words(words, record_signals=True)
         assert all(s[SIG + "ic_valid"] for s in result.signals)
 
+    def test_recorded_signals_follow_the_schema(self):
+        words = [LUI(15, 3), SW(0, 0, 15), MUL(2, 1, 1), ECALL()]
+        result, _ = run_words(words, record_signals=True)
+        assert len(result.signals) == result.cycles
+        names = [name for name, _ in SIGNAL_SCHEMA]
+        assert all(list(s) == names for s in result.signals)
+
+    def test_signals_are_none_unless_recorded(self):
+        result, _ = run_words([ADDI(1, 0, 7), ECALL()])
+        assert result.signals is None
+
 
 class TestHaltBehavior:
     def test_ecall_commits_then_halts(self):
@@ -439,8 +459,8 @@ class TestReset:
         core = CoreState.reset(PipelineConfig(reset_pc=program.entry))
         core.reset_n = False
         for _ in range(3):
-            ev = step_cycle(core, program.image)
-            assert not ev.bus.ic_valid and ev.commit is None
+            commit, sig = step(core, program.image)
+            assert not sig["ic_valid"] and commit is None
             assert core.pc_f == program.entry
             assert not core.ifid.valid
         core.reset_n = True
