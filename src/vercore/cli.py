@@ -21,9 +21,9 @@ from .elf import ElfFormatError, load_elf
 from .golden import DEFAULT_RESET_PC, HaltCause, HaltKind
 from .memory import MalformedHexLine, MemoryImage, load_hex
 from .pipeline import CoreState, PipelineConfig, run_core
-from .tracetools import (CsvTable, MalformedTraceLine, MalformedVcd,
-                         MissingColumn, diff_reg_trace, pipeline_decls,
-                         vcd_parse, vcd_to_csv, vcd_write)
+from .tracetools import (CsvTable, MalformedCsv, MalformedTraceLine,
+                         MalformedVcd, MissingColumn, diff_reg_trace,
+                         pipeline_decls, vcd_parse, vcd_to_csv, vcd_write)
 
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
@@ -295,11 +295,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ElfFormatError, MalformedHexLine, MalformedVcd, MissingColumn,
-            MalformedTraceLine, UnicodeDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (ElfFormatError, MalformedHexLine, MalformedVcd, MalformedCsv,
+            MissingColumn, MalformedTraceLine, UnicodeDecodeError,
+            FileNotFoundError, IsADirectoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

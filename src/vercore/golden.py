@@ -11,15 +11,11 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .isa import (DecodedInstr, IllegalInstruction, MASK32, Mnemonic, decode,
-                  to_signed)
+from .isa import (DecodedInstr, IllegalInstruction, MASK32, MEM_WIDTH,
+                  Mnemonic, decode, to_signed)
 from .memory import MemoryImage, MisalignedAccess
 
 DEFAULT_RESET_PC = 0x2000
-
-
-class FetchFromUninitializedMemory(ValueError):
-    """Raised when the pc points at memory no loader or store ever touched."""
 
 
 class HaltKind(enum.Enum):
@@ -70,11 +66,6 @@ class ArchState:
     mem: MemoryImage = field(default_factory=MemoryImage)
     retired: int = 0
     halted: Optional[HaltCause] = None
-
-
-_LOAD_WIDTH = {Mnemonic.LB: 1, Mnemonic.LBU: 1, Mnemonic.LH: 2,
-               Mnemonic.LHU: 2, Mnemonic.LW: 4}
-_STORE_WIDTH = {Mnemonic.SB: 1, Mnemonic.SH: 2, Mnemonic.SW: 4}
 
 
 def _alu_value(d: DecodedInstr, a: int, b: int) -> int:
@@ -135,7 +126,7 @@ def branch_taken(mn: Mnemonic, a: int, b: int) -> bool:
 
 def _load(mem: MemoryImage, mn: Mnemonic, addr: int) -> tuple[int, int]:
     """Read a naturally aligned value; returns (raw width-masked, extended)."""
-    width = _LOAD_WIDTH[mn]
+    width = MEM_WIDTH[mn]
     if addr % width:
         raise MisalignedAccess(
             f"{mn.value} from 0x{addr:08x} (width {width})")
@@ -200,10 +191,10 @@ def step(state: ArchState) -> Union[CommitRecord, HaltCause]:
         elif d.ctrl.mem_read:
             addr = (a + d.imm) & MASK32
             raw, wb = _load(state.mem, mn, addr)
-            txn = MemTxn("load", addr, raw, _LOAD_WIDTH[mn])
+            txn = MemTxn("load", addr, raw, MEM_WIDTH[mn])
         elif d.ctrl.mem_write:
             addr = (a + d.imm) & MASK32
-            width = _STORE_WIDTH[mn]
+            width = MEM_WIDTH[mn]
             if addr % width:
                 raise MisalignedAccess(
                     f"{mn.value} to 0x{addr:08x} (width {width})")

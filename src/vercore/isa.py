@@ -192,25 +192,26 @@ ENCODINGS: dict[Mnemonic, Encoding] = {
     Mnemonic.MULHU: Encoding(OP_REG, Format.R, funct3=0b011, funct7=0b0000001),
 }
 
-_LOADS = {Mnemonic.LB, Mnemonic.LH, Mnemonic.LW, Mnemonic.LBU, Mnemonic.LHU}
-_STORES = {Mnemonic.SB, Mnemonic.SH, Mnemonic.SW}
-_BRANCHES = {Mnemonic.BEQ, Mnemonic.BNE, Mnemonic.BLT, Mnemonic.BGE,
-             Mnemonic.BLTU, Mnemonic.BGEU}
+# Access width in bytes of every load and store.
+MEM_WIDTH: dict[Mnemonic, int] = {
+    Mnemonic.LB: 1, Mnemonic.LBU: 1, Mnemonic.LH: 2, Mnemonic.LHU: 2,
+    Mnemonic.LW: 4, Mnemonic.SB: 1, Mnemonic.SH: 2, Mnemonic.SW: 4}
 _MULS = {Mnemonic.MUL, Mnemonic.MULH, Mnemonic.MULHSU, Mnemonic.MULHU}
 _SHIFTS_IMM = {Mnemonic.SLLI, Mnemonic.SRLI, Mnemonic.SRAI}
 _NO_EFFECT = {Mnemonic.FENCE, Mnemonic.FENCE_I, Mnemonic.ECALL, Mnemonic.EBREAK}
 
 
-def _control_for(mn: Mnemonic, fmt: Format) -> Control:
+def _control_for(mn: Mnemonic, enc: Encoding) -> Control:
     if mn in _NO_EFFECT:
         return Control()
+    fmt = enc.fmt
     uses_rs1 = fmt in (Format.R, Format.I, Format.S, Format.B)
     uses_rs2 = fmt in (Format.R, Format.S, Format.B)
     return Control(
         reg_write=fmt not in (Format.S, Format.B),
-        mem_read=mn in _LOADS,
-        mem_write=mn in _STORES,
-        is_branch=mn in _BRANCHES,
+        mem_read=enc.opcode == OP_LOAD,
+        mem_write=enc.opcode == OP_STORE,
+        is_branch=enc.opcode == OP_BRANCH,
         is_jump=mn in (Mnemonic.JAL, Mnemonic.JALR),
         mul_en=mn in _MULS,
         uses_rs1=uses_rs1,
@@ -219,7 +220,7 @@ def _control_for(mn: Mnemonic, fmt: Format) -> Control:
 
 
 _CONTROL: dict[Mnemonic, Control] = {
-    mn: _control_for(mn, enc.fmt) for mn, enc in ENCODINGS.items()
+    mn: _control_for(mn, enc) for mn, enc in ENCODINGS.items()
 }
 
 # Decode lookup tables, derived from ENCODINGS so the two directions cannot
@@ -385,7 +386,7 @@ def disassemble(d: DecodedInstr) -> str:
         return f"{name} x{d.rd}, x{d.rs1}, x{d.rs2}"
     if mn in _SHIFTS_IMM:
         return f"{name} x{d.rd}, x{d.rs1}, {d.imm}"
-    if mn in _LOADS or mn == Mnemonic.JALR:
+    if d.ctrl.mem_read or mn == Mnemonic.JALR:
         return f"{name} x{d.rd}, {d.imm}(x{d.rs1})"
     if d.fmt == Format.I:
         return f"{name} x{d.rd}, x{d.rs1}, {d.imm}"

@@ -9,6 +9,7 @@ from .isa import MASK32
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
+_WORD_INIT = b"\x01" * 4  # init flags of a fully written word
 
 
 class MisalignedAccess(ValueError):
@@ -71,16 +72,20 @@ class MemoryImage:
         """Assemble 4 bytes little-endian; addr must be word-aligned.
 
         Words touching uninitialized bytes read those bytes as 0 and count
-        one uninitialized read.
+        one uninitialized read.  An aligned word never crosses a page.
         """
         if addr & 0x3:
             raise MisalignedAccess(f"word read from 0x{addr & MASK32:08x}")
-        if not self.is_initialized(addr, 4):
+        addr &= MASK32
+        page = addr >> PAGE_SHIFT
+        data = self._data.get(page)
+        if data is None:
             self.uninit_reads += 1
-        return (self.read_byte(addr)
-                | (self.read_byte(addr + 1) << 8)
-                | (self.read_byte(addr + 2) << 16)
-                | (self.read_byte(addr + 3) << 24))
+            return 0
+        off = addr & PAGE_MASK
+        if self._init[page][off:off + 4] != _WORD_INIT:
+            self.uninit_reads += 1
+        return int.from_bytes(data[off:off + 4], "little")
 
     def write_bytes(self, addr: int, data: int, byte_en: int) -> Optional[int]:
         """Write the enabled bytes of a 32-bit lane to word address `addr`.

@@ -179,7 +179,6 @@ class MulUnitState:
     stage: int = 0
     pending: Optional[MulRequest] = None
     out_valid: bool = False
-    out_ready: bool = False
     result: int = 0
 
     @staticmethod
@@ -198,7 +197,6 @@ def tick(unit: MulUnitState, issue: Optional[MulRequest] = None,
     """
     if unit.out_valid and consumer_ready:
         unit = MulUnitState.idle(unit.latency)
-    unit = replace(unit, out_ready=consumer_ready)
 
     if issue is not None:
         if unit.busy or unit.out_valid:

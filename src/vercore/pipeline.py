@@ -8,18 +8,25 @@ the register file has flip-flop write timing (a WB write is readable the
 next cycle, with an explicit same-cycle WB->ID bypass); a pending multiply
 holds the whole pipeline via a global stall.  Instruction fetch stops from
 the cycle an ecall/ebreak is decoded in ID, so nothing past a halt is read.
+
+Control is decoded once, in ID.  IF/ID carries the fetched word and its pc.
+ID/EX, EX/MEM and MEM/WB each carry the instruction as `isa.decode` returned
+it, in field `d`, with its pc and raw word; `d is None` is a bubble.  Later
+stages read the register indices, immediate, funct3, mnemonic and
+`isa.Control` flags from `d` instead of from per-register copies.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import mul as mulunit
 from .golden import (DEFAULT_RESET_PC, CommitRecord, HaltCause, HaltKind,
                      MemTxn, branch_taken)
-from .isa import (DecodedInstr, Format, IllegalInstruction, MASK32, Mnemonic,
-                  decode, to_signed)
+from .isa import (DecodedInstr, Format, IllegalInstruction, MASK32, MEM_WIDTH,
+                  Mnemonic, decode, to_signed)
 from .memory import MemoryImage, MisalignedAccess
 from .mul import MulOp, MulRequest, MulUnitState
 
@@ -34,132 +41,79 @@ class PipelineConfig:
     inject_no_store_fwd: bool = False
 
 
-class AluOp:
-    ADD = 0
-    SUB = 1
-    SLL = 2
-    SLT = 3
-    SLTU = 4
-    XOR = 5
-    SRL = 6
-    SRA = 7
-    OR = 8
-    AND = 9
+def _add(a: int, b: int) -> int:
+    return (a + b) & MASK32
 
 
-class WbSel:
-    ALU = 0
-    PC4 = 1
+def _sub(a: int, b: int) -> int:
+    return (a - b) & MASK32
 
 
-@dataclass(frozen=True)
-class ExCtrl:
-    reg_write: bool = False
-    mem_read: bool = False
-    mem_write: bool = False
-    mem_to_reg: bool = False
-    alu_op: int = AluOp.ADD
-    alu_src_imm: bool = False
-    use_pc: bool = False
-    wb_sel: int = WbSel.ALU
-    mul_en: bool = False
-    mul_op: Optional[MulOp] = None
+def _sll(a: int, b: int) -> int:
+    return (a << (b & 0x1F)) & MASK32
 
 
-@dataclass(frozen=True)
-class MemCtrl:
-    reg_write: bool = False
-    mem_read: bool = False
-    mem_write: bool = False
-    mem_to_reg: bool = False
-    wb_sel: int = WbSel.ALU
+def _slt(a: int, b: int) -> int:
+    return 1 if to_signed(a) < to_signed(b) else 0
 
 
-_NOP_EX = ExCtrl()
-_NOP_MEM = MemCtrl()
+def _sltu(a: int, b: int) -> int:
+    return 1 if a < b else 0
 
+
+def _srl(a: int, b: int) -> int:
+    return a >> (b & 0x1F)
+
+
+def _sra(a: int, b: int) -> int:
+    return (to_signed(a) >> (b & 0x1F)) & MASK32
+
+
+# The ALU operation by mnemonic, on 32-bit patterns.  Every other
+# instruction that reaches the ALU (lui, auipc, loads, stores) adds.
 _ALU_OP = {
-    Mnemonic.ADD: AluOp.ADD, Mnemonic.ADDI: AluOp.ADD,
-    Mnemonic.SUB: AluOp.SUB,
-    Mnemonic.SLL: AluOp.SLL, Mnemonic.SLLI: AluOp.SLL,
-    Mnemonic.SLT: AluOp.SLT, Mnemonic.SLTI: AluOp.SLT,
-    Mnemonic.SLTU: AluOp.SLTU, Mnemonic.SLTIU: AluOp.SLTU,
-    Mnemonic.XOR: AluOp.XOR, Mnemonic.XORI: AluOp.XOR,
-    Mnemonic.SRL: AluOp.SRL, Mnemonic.SRLI: AluOp.SRL,
-    Mnemonic.SRA: AluOp.SRA, Mnemonic.SRAI: AluOp.SRA,
-    Mnemonic.OR: AluOp.OR, Mnemonic.ORI: AluOp.OR,
-    Mnemonic.AND: AluOp.AND, Mnemonic.ANDI: AluOp.AND,
+    Mnemonic.ADD: _add, Mnemonic.ADDI: _add,
+    Mnemonic.SUB: _sub,
+    Mnemonic.SLL: _sll, Mnemonic.SLLI: _sll,
+    Mnemonic.SLT: _slt, Mnemonic.SLTI: _slt,
+    Mnemonic.SLTU: _sltu, Mnemonic.SLTIU: _sltu,
+    Mnemonic.XOR: operator.xor, Mnemonic.XORI: operator.xor,
+    Mnemonic.SRL: _srl, Mnemonic.SRLI: _srl,
+    Mnemonic.SRA: _sra, Mnemonic.SRAI: _sra,
+    Mnemonic.OR: operator.or_, Mnemonic.ORI: operator.or_,
+    Mnemonic.AND: operator.and_, Mnemonic.ANDI: operator.and_,
 }
-
-_MUL_OP = {
-    Mnemonic.MUL: MulOp.MUL, Mnemonic.MULH: MulOp.MULH,
-    Mnemonic.MULHSU: MulOp.MULHSU, Mnemonic.MULHU: MulOp.MULHU,
-}
-
-
-def gen_ex_ctrl(d: DecodedInstr) -> ExCtrl:
-    """Control signals latched into ID/EX.  Branches, fences and the halt
-    instructions carry no effect flags (they retire but do nothing)."""
-    mn = d.mnemonic
-    if mn in _ALU_OP:
-        return ExCtrl(reg_write=True, alu_op=_ALU_OP[mn],
-                      alu_src_imm=d.fmt is Format.I)
-    if mn is Mnemonic.LUI:
-        # rs1 is forced to x0 by decode, so ADD(x0, imm) produces imm.
-        return ExCtrl(reg_write=True, alu_src_imm=True)
-    if mn is Mnemonic.AUIPC:
-        return ExCtrl(reg_write=True, alu_src_imm=True, use_pc=True)
-    if d.ctrl.is_jump:
-        return ExCtrl(reg_write=True, wb_sel=WbSel.PC4)
-    if d.ctrl.mem_read:
-        return ExCtrl(reg_write=True, mem_read=True, mem_to_reg=True,
-                      alu_src_imm=True)
-    if d.ctrl.mem_write:
-        return ExCtrl(mem_write=True, alu_src_imm=True)
-    if d.ctrl.mul_en:
-        return ExCtrl(reg_write=True, mul_en=True, mul_op=_MUL_OP[mn])
-    return _NOP_EX  # branches, fence, ecall, ebreak
 
 
 @dataclass
 class IfIdReg:
+    """Fetched word and its pc; valid is False for a bubble."""
+
     valid: bool = False
     pc: int = 0
     instr: int = 0
-    pc_plus4: int = 0
 
 
 @dataclass
 class IdExReg:
-    valid: bool = False
+    """Decoded instruction (None: bubble) and the operand values read in ID."""
+
+    d: Optional[DecodedInstr] = None
     pc: int = 0
-    pc_plus4: int = 0
+    instr: int = 0
     rs1_val: int = 0
     rs2_val: int = 0
-    imm: int = 0
-    rs1: int = 0
-    rs2: int = 0
-    rd: int = 0
-    funct3: int = 0
-    ctrl: ExCtrl = _NOP_EX
-    instr: int = 0
-    retire: bool = False  # real instruction (commits at WB); False for bubbles
-    halt: Optional[HaltKind] = None
 
 
 @dataclass
 class ExMemReg:
-    valid: bool = False
-    alu_result: int = 0
-    store_data: int = 0
-    pc_plus4: int = 0
-    rd: int = 0
-    funct3: int = 0
-    ctrl: MemCtrl = _NOP_MEM
+    """Decoded instruction (None: bubble), EX result and store data."""
+
+    d: Optional[DecodedInstr] = None
     pc: int = 0
     instr: int = 0
-    retire: bool = False
-    halt: Optional[HaltKind] = None
+    alu_result: int = 0  # ALU or multiplier value, address, or jump link
+    store_data: int = 0
     # Memory access bookkeeping: the dcache is touched exactly once per
     # operation even when a global stall parks the instruction in MEM.
     mem_issued: bool = False
@@ -170,14 +124,13 @@ class ExMemReg:
 
 @dataclass
 class MemWbReg:
-    valid: bool = False
-    wb_data: int = 0
-    rd: int = 0
-    reg_write: bool = False  # gated by rd != 0 at latch time
+    """Decoded instruction (None: bubble) and its write-back value."""
+
+    d: Optional[DecodedInstr] = None
     pc: int = 0
     instr: int = 0
-    retire: bool = False
-    halt: Optional[HaltKind] = None
+    wb_data: int = 0
+    reg_write: bool = False  # d writes a register other than x0
     mem_txn: Optional[MemTxn] = None
     tohost: Optional[int] = None
     committed: bool = False
@@ -195,9 +148,9 @@ class HazardDecision:
 class FwdSource(NamedTuple):
     """A stage's forwardable result: does it write, which rd, what value."""
 
-    writes: bool
-    rd: int
-    value: int
+    writes: bool = False
+    rd: int = 0
+    value: int = 0
 
 
 @dataclass
@@ -244,9 +197,10 @@ def forward_ex(rs: int, rs_val: int, exmem: ExMemReg, memwb: MemWbReg) -> int:
     """EX operand forwarding, priority EX/MEM -> MEM/WB; x0 never forwards."""
     if rs == 0:
         return rs_val
-    if exmem.valid and exmem.ctrl.reg_write and exmem.rd == rs:
+    d = exmem.d
+    if d is not None and d.ctrl.reg_write and d.rd == rs:
         return exmem.alu_result
-    if memwb.valid and memwb.reg_write and memwb.rd == rs:
+    if memwb.reg_write and memwb.d.rd == rs:
         return memwb.wb_data
     return rs_val
 
@@ -264,7 +218,7 @@ def forward_id(rs: int, regfile_val: int, ex_fwd: FwdSource,
         return ex_fwd.value
     if mem_fwd.writes and mem_fwd.rd == rs:
         return mem_fwd.value
-    if wb.valid and wb.reg_write and wb.rd == rs:
+    if wb.reg_write and wb.d.rd == rs:
         return wb.wb_data
     return regfile_val
 
@@ -278,12 +232,13 @@ def hazard_detect(id_instr: Optional[DecodedInstr], idex: IdExReg,
     bubbles ID/EX; the same rule covers branch/jalr sources.  A taken
     branch/jump in ID flushes IF/ID.
     """
-    if idex.valid and idex.ctrl.mul_en and not mul.out_valid:
+    ex = idex.d
+    if ex is not None and ex.ctrl.mul_en and not mul.out_valid:
         return HazardDecision(stall_pc=True, stall_ifid=True, global_stall=True)
-    if (id_instr is not None and idex.valid and idex.ctrl.mem_read
-            and idex.rd != 0
-            and ((id_instr.ctrl.uses_rs1 and id_instr.rs1 == idex.rd)
-                 or (id_instr.ctrl.uses_rs2 and id_instr.rs2 == idex.rd))):
+    if (id_instr is not None and ex is not None and ex.ctrl.mem_read
+            and ex.rd != 0
+            and ((id_instr.ctrl.uses_rs1 and id_instr.rs1 == ex.rd)
+                 or (id_instr.ctrl.uses_rs2 and id_instr.rs2 == ex.rd))):
         return HazardDecision(stall_pc=True, stall_ifid=True, bubble_idex=True)
     if branch_in_id:
         return HazardDecision(flush_ifid=True)
@@ -331,32 +286,6 @@ def load_extract(funct3: int, addr: int, mem_word: int) -> int:
             raise MisalignedAccess(f"lw from 0x{addr & MASK32:08x}")
         return mem_word & MASK32
     raise ValueError(f"not a load funct3: {funct3}")
-
-
-_LOAD_WIDTH3 = {0b000: 1, 0b100: 1, 0b001: 2, 0b101: 2, 0b010: 4}
-_STORE_WIDTH3 = {0b000: 1, 0b001: 2, 0b010: 4}
-
-
-def _alu_compute(op: int, a: int, b: int) -> int:
-    if op == AluOp.ADD:
-        return (a + b) & MASK32
-    if op == AluOp.SUB:
-        return (a - b) & MASK32
-    if op == AluOp.SLL:
-        return (a << (b & 0x1F)) & MASK32
-    if op == AluOp.SLT:
-        return 1 if to_signed(a) < to_signed(b) else 0
-    if op == AluOp.SLTU:
-        return 1 if a < b else 0
-    if op == AluOp.XOR:
-        return a ^ b
-    if op == AluOp.SRL:
-        return a >> (b & 0x1F)
-    if op == AluOp.SRA:
-        return (to_signed(a) >> (b & 0x1F)) & MASK32
-    if op == AluOp.OR:
-        return a | b
-    return a & b
 
 
 _HALT_MNEMONICS = {Mnemonic.ECALL: HaltKind.ECALL,
@@ -421,98 +350,96 @@ def step_cycle(core: CoreState, mem: MemoryImage
 
     # ---------------- WB: commit exactly once per retiring instruction ----
     wb = core.memwb
-    wb_fire = wb.valid and wb.retire and not wb.committed
+    wb_fire = wb.d is not None and not wb.committed
+    wb_rd = wb.d.rd if wb.reg_write else 0
     commit: Optional[CommitRecord] = None
     if wb_fire:
         wb.committed = True
-        commit = CommitRecord(wb.pc, wb.instr, wb.rd if wb.reg_write else 0,
+        commit = CommitRecord(wb.pc, wb.instr, wb_rd,
                               wb.wb_data if wb.reg_write else 0,
                               wb.reg_write, wb.mem_txn)
-        if wb.halt is HaltKind.ECALL:
-            halt = HaltCause(HaltKind.ECALL, code=core.regfile[10])
-        elif wb.halt is HaltKind.EBREAK:
-            halt = HaltCause(HaltKind.EBREAK)
+        wb_halt = _HALT_MNEMONICS.get(wb.d.mnemonic)
+        if wb_halt is not None:  # a0 is the exit code of an ecall only
+            halt = HaltCause(wb_halt, code=core.regfile[10]
+                             if wb_halt is HaltKind.ECALL else 0)
         elif wb.tohost is not None:
             halt = HaltCause(HaltKind.TOHOST, code=wb.tohost)
     wb_write = wb_fire and wb.reg_write
 
     # ---------------- EX: forwarded operands, ALU, multiplier handshake ---
     ex = core.idex
-    ctrl = ex.ctrl
+    d = ex.d
     ex_result = 0
     store_data = 0
-    mul_wait = False
 
     fire = core.mul_fire
     core.mul_fire = False
     issue: Optional[MulRequest] = None
-    if ex.valid and ctrl.mul_en:
+    if d is not None:
+        ctrl = d.ctrl
+        a_fwd = forward_ex(d.rs1, ex.rs1_val, core.exmem, core.memwb)
+        b_fwd = forward_ex(d.rs2, ex.rs2_val, core.exmem, core.memwb)
         unit = core.mul
-        if not unit.busy or (unit.out_valid and fire):
-            a = forward_ex(ex.rs1, ex.rs1_val, core.exmem, core.memwb)
-            b = forward_ex(ex.rs2, ex.rs2_val, core.exmem, core.memwb)
-            issue = MulRequest(ctrl.mul_op, a, b)
+        if ctrl.mul_en and (not unit.busy or (unit.out_valid and fire)):
+            issue = MulRequest(MulOp(d.mnemonic.value), a_fwd, b_fwd)
     core.mul = mulunit.tick(core.mul, issue=issue, consumer_ready=fire)
 
-    if ex.valid:
+    ex_fwd = FwdSource()
+    if d is not None:
         if ctrl.mul_en:
             if core.mul.out_valid:
                 ex_result = core.mul.result
                 core.mul_fire = True  # handshake completes on the next tick
-            else:
-                mul_wait = True
-        else:
-            a_fwd = forward_ex(ex.rs1, ex.rs1_val, core.exmem, core.memwb)
-            b_fwd = forward_ex(ex.rs2, ex.rs2_val, core.exmem, core.memwb)
-            op_a = ex.pc if ctrl.use_pc else a_fwd
-            op_b = (ex.imm & MASK32) if ctrl.alu_src_imm else b_fwd
-            alu = _alu_compute(ctrl.alu_op, op_a, op_b)
+        elif ctrl.is_jump:
             # Jumps latch their link value as the EX result so the plain
             # alu_result forwarding paths stay correct for them.
-            ex_result = ex.pc_plus4 if ctrl.wb_sel == WbSel.PC4 else alu
-            store_data = ex.rs2_val if cfg.inject_no_store_fwd else b_fwd
-    ex_fwd = FwdSource(
-        ex.valid and ctrl.reg_write and ex.rd != 0 and not ctrl.mem_read
-        and not mul_wait,
-        ex.rd, ex_result)
+            ex_result = (ex.pc + 4) & MASK32
+        else:
+            # lui's rs1 is forced to x0 by decode, so it adds imm to 0.
+            op_a = ex.pc if d.mnemonic is Mnemonic.AUIPC else a_fwd
+            op_b = b_fwd if d.fmt is Format.R else d.imm & MASK32
+            ex_result = _ALU_OP.get(d.mnemonic, _add)(op_a, op_b)
+        store_data = ex.rs2_val if cfg.inject_no_store_fwd else b_fwd
+        if ctrl.reg_write and d.rd != 0 and not ctrl.mem_read \
+                and (core.mul.out_valid or not ctrl.mul_en):
+            ex_fwd = FwdSource(True, d.rd, ex_result)
 
     # ---------------- MEM: single-issue dcache access, WB value select ----
     m = core.exmem
+    md = m.d
     dc_valid = False
     dc_va = 0
     dc_byte_en = 0
     dc_d_out = 0
     dc_d_in = 0
-    if m.valid and (m.ctrl.mem_read or m.ctrl.mem_write) and not m.mem_issued \
-            and halt is None:
+    if md is not None and (md.ctrl.mem_read or md.ctrl.mem_write) \
+            and not m.mem_issued and halt is None:
         m.mem_issued = True
         addr = m.alu_result
         dc_valid = True
         dc_va = addr
+        width = MEM_WIDTH[md.mnemonic]
+        lane = (1 << (8 * width)) - 1
         try:
-            if m.ctrl.mem_write:
-                dc_byte_en, dc_d_out = store_align(m.funct3, addr, m.store_data)
-                width = _STORE_WIDTH3[m.funct3]
+            if md.ctrl.mem_write:
+                dc_byte_en, dc_d_out = store_align(md.funct3, addr,
+                                                   m.store_data)
                 m.tohost = mem.write_bytes(addr & ~0x3, dc_d_out, dc_byte_en)
-                m.mem_txn = MemTxn("store", addr,
-                                   m.store_data & ((1 << (8 * width)) - 1), width)
+                m.mem_txn = MemTxn("store", addr, m.store_data & lane, width)
             else:
                 dc_d_in = mem.read_word(addr & ~0x3)
-                m.mem_data = load_extract(m.funct3, addr, dc_d_in)
-                width = _LOAD_WIDTH3[m.funct3]
-                raw = (dc_d_in >> (8 * (addr & 0x3))) & ((1 << (8 * width)) - 1)
-                m.mem_txn = MemTxn("load", addr, raw, width)
+                m.mem_data = load_extract(md.funct3, addr, dc_d_in)
+                m.mem_txn = MemTxn("load", addr,
+                                   (dc_d_in >> (8 * (addr & 0x3))) & lane,
+                                   width)
         except MisalignedAccess as exc:
             halt = HaltCause(HaltKind.ERROR,
                              message=f"misaligned access at pc=0x{m.pc:08x}: {exc}")
-    mem_fwd = FwdSource(m.valid and m.ctrl.reg_write and m.rd != 0, m.rd,
-                        m.mem_data if m.ctrl.mem_read else m.alu_result)
-    if m.ctrl.mem_to_reg:
-        wb_data_next = m.mem_data
-    elif m.ctrl.wb_sel == WbSel.PC4:
-        wb_data_next = m.pc_plus4
-    else:
-        wb_data_next = m.alu_result
+    mem_writes = md is not None and md.ctrl.reg_write and md.rd != 0
+    wb_data_next = m.mem_data if md is not None and md.ctrl.mem_read \
+        else m.alu_result
+    mem_fwd = FwdSource(True, md.rd, wb_data_next) if mem_writes \
+        else FwdSource()
 
     # ---------------- ID: decode, capture with WB bypass, resolve branches -
     f = core.ifid
@@ -536,10 +463,10 @@ def step_cycle(core: CoreState, mem: MemoryImage
             rf2 = regs[id_d.rs2]
             # Flip-flop register file: this cycle's WB write is not readable
             # yet, so bypass it into the captured operand values.
-            rs1_cap = wb.wb_data if (wb.valid and wb.reg_write
-                                     and wb.rd == id_d.rs1) else rf1
-            rs2_cap = wb.wb_data if (wb.valid and wb.reg_write
-                                     and wb.rd == id_d.rs2) else rf2
+            rs1_cap = wb.wb_data if wb.reg_write and wb_rd == id_d.rs1 \
+                else rf1
+            rs2_cap = wb.wb_data if wb.reg_write and wb_rd == id_d.rs2 \
+                else rf2
             if id_d.ctrl.is_branch:
                 s1 = forward_id(id_d.rs1, rf1, ex_fwd, mem_fwd, wb)
                 s2 = forward_id(id_d.rs2, rf2, ex_fwd, mem_fwd, wb)
@@ -574,51 +501,41 @@ def step_cycle(core: CoreState, mem: MemoryImage
         core.uninit_fetches += 1
 
     values = (core.cycle, ic_va, ic_va, 1, ic_d_in, dc_va, int(dc_valid),
-              dc_byte_en, dc_d_out, dc_d_in, wb.rd if wb_write else 0,
+              dc_byte_en, dc_d_out, dc_d_in, wb_rd if wb_write else 0,
               int(wb_write), wb.wb_data if wb_write else 0, int(redirect),
               id_target, int(hz.stall_pc), int(hz.stall_ifid),
               int(hz.flush_ifid), int(hz.bubble_idex), int(hz.global_stall),
-              int(f.valid), int(ex.valid), int(m.valid), int(wb.valid))
+              int(f.valid), int(d is not None), int(md is not None),
+              int(wb.d is not None))
 
     if halt is not None:
         core.cycle += 1
         return commit, halt, values
 
     # ---------------- latch at the cycle boundary -------------------------
-    if wb_fire and wb.reg_write:
-        core.regfile[wb.rd] = wb.wb_data  # readable from the next cycle on
+    if wb_write:
+        core.regfile[wb_rd] = wb.wb_data  # readable from the next cycle on
 
     if not hz.global_stall:
         core.memwb = MemWbReg(
-            valid=m.valid, wb_data=wb_data_next, rd=m.rd,
-            reg_write=m.valid and m.ctrl.reg_write and m.rd != 0,
-            pc=m.pc, instr=m.instr, retire=m.retire, halt=m.halt,
-            mem_txn=m.mem_txn, tohost=m.tohost)
-        core.exmem = ExMemReg(
-            valid=ex.valid, alu_result=ex_result, store_data=store_data,
-            pc_plus4=ex.pc_plus4, rd=ex.rd, funct3=ex.funct3,
-            ctrl=MemCtrl(ctrl.reg_write, ctrl.mem_read, ctrl.mem_write,
-                         ctrl.mem_to_reg, ctrl.wb_sel),
-            pc=ex.pc, instr=ex.instr, retire=ex.retire, halt=ex.halt)
+            d=md, pc=m.pc, instr=m.instr, wb_data=wb_data_next,
+            reg_write=mem_writes, mem_txn=m.mem_txn, tohost=m.tohost)
+        core.exmem = ExMemReg(d=d, pc=ex.pc, instr=ex.instr,
+                              alu_result=ex_result, store_data=store_data)
         if hz.bubble_idex or id_d is None:
             core.idex = IdExReg()
         else:
-            core.idex = IdExReg(
-                valid=True, pc=f.pc, pc_plus4=f.pc_plus4, rs1_val=rs1_cap,
-                rs2_val=rs2_cap, imm=id_d.imm, rs1=id_d.rs1, rs2=id_d.rs2,
-                rd=id_d.rd, funct3=id_d.funct3, ctrl=gen_ex_ctrl(id_d),
-                instr=f.instr, retire=True, halt=id_halt)
+            core.idex = IdExReg(d=id_d, pc=f.pc, instr=f.instr,
+                                rs1_val=rs1_cap, rs2_val=rs2_cap)
             if id_halt is not None:
                 core.halt_fetch = True
         if hz.stall_ifid:
             pass  # IF/ID holds
-        elif redirect and not cfg.inject_no_flush:
-            core.ifid = IfIdReg()
-        elif core.halt_fetch or not fetch_ok:
+        elif (redirect and not cfg.inject_no_flush) or core.halt_fetch \
+                or not fetch_ok:
             core.ifid = IfIdReg()
         else:
-            core.ifid = IfIdReg(valid=True, pc=ic_va, instr=ic_d_in,
-                                pc_plus4=(ic_va + 4) & MASK32)
+            core.ifid = IfIdReg(valid=True, pc=ic_va, instr=ic_d_in)
         core.pc_f = next_pc(core, redirect, id_target,
                             hz.stall_pc or core.halt_fetch)
 

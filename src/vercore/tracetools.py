@@ -28,6 +28,10 @@ class MissingColumn(ValueError):
     pass
 
 
+class MalformedCsv(ValueError):
+    pass
+
+
 class MalformedTraceLine(ValueError):
     pass
 
@@ -73,7 +77,13 @@ class CsvTable:
         if not lines:
             raise MissingColumn("empty CSV")
         header = lines[0].split(",")
-        return CsvTable(header, [ln.split(",") for ln in lines[1:]])
+        rows = [ln.split(",") for ln in lines[1:]]
+        for i, row in enumerate(rows, start=1):
+            if len(row) != len(header):
+                raise MalformedCsv(f"row {i}: {len(row)} of {len(header)} cells")
+            if not row[0].isdecimal():
+                raise MalformedCsv(f"row {i}: time {row[0]!r} is not decimal")
+        return CsvTable(header, rows)
 
 
 def pipeline_decls() -> list[SignalDecl]:

@@ -1,0 +1,35 @@
+"""The benchmark's per-layer tracer wraps vercore functions by name; a rename
+in vercore must fail here, not only in the benchmark's coverage guard."""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("layer,module_name,path", _load_tracer().LAYERS)
+def test_traced_layer_is_a_vercore_function(layer, module_name, path):
+    owner = importlib.import_module(module_name)
+    if "." in path:
+        cls_name, attr = path.split(".")
+        fn = vars(getattr(owner, cls_name)).get(attr)
+    else:
+        fn = getattr(owner, path, None)
+    # isa.decode is wrapped by lru_cache; the tracer wraps the wrapper.
+    assert fn is not None and inspect.isfunction(inspect.unwrap(fn)), \
+        f"{layer}: {module_name}.{path} is gone"
+    assert fn.__module__ == module_name, \
+        f"{layer}: {module_name}.{path} is defined in {fn.__module__}"

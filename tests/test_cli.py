@@ -4,6 +4,7 @@ import pytest
 
 from vercore import cli, cosim, progs
 from vercore.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_USAGE
+from vercore.tracetools import DEFAULT_COLUMNS
 
 FLUSH_BUG_REPORT = """\
 RESULT: FAIL flush_bug.hex
@@ -101,6 +102,39 @@ class TestTraceRoundTrip:
     def test_missing_input_file(self, tmp_path, capsys):
         assert vercore("vcd2csv", tmp_path / "absent.vcd",
                        tmp_path / "out.csv") == EXIT_INPUT
+
+
+WB_HEADER = ",".join(["time", DEFAULT_COLUMNS["reg_write"],
+                      DEFAULT_COLUMNS["rd"], DEFAULT_COLUMNS["data"]])
+
+
+class TestMalformedInput:
+    """Input that cannot be read is an input error (3), never a traceback
+    with the mismatch code."""
+
+    def diff_trace(self, tmp_path, rows):
+        csv = tmp_path / "wave.csv"
+        csv.write_text("\n".join([WB_HEADER, *rows]) + "\n")
+        reg = tmp_path / "reg_trace.hex"
+        reg.write_text("010000002a\n")
+        return vercore("diff-trace", csv, reg)
+
+    def test_csv_row_with_too_few_cells(self, tmp_path, capsys):
+        assert self.diff_trace(tmp_path, ["0,1,01"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: row 1:")
+
+    def test_csv_time_not_decimal(self, tmp_path, capsys):
+        assert self.diff_trace(tmp_path, ["0x10,1,01,0000002a"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: row 1:")
+
+    @pytest.mark.parametrize("command", ["run", "sim", "cosim", "vcd2csv",
+                                         "diff-trace"])
+    def test_directory_as_input_file(self, command, tmp_path, capsys):
+        second = {"vcd2csv": [tmp_path / "out.csv"],
+                  "diff-trace": [tmp_path / "reg_trace.hex"]}
+        assert vercore(command, tmp_path, *second.get(command, [])) \
+            == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error:")
 
 
 class TestUsageErrors:

@@ -58,13 +58,12 @@ class TestNextPc:
 
 
 class TestForwardEx:
-    def _exmem(self, rd, value, reg_write=True):
-        from vercore.pipeline import MemCtrl
-        return ExMemReg(valid=True, alu_result=value, rd=rd,
-                        ctrl=MemCtrl(reg_write=reg_write))
+    def _exmem(self, rd, value):
+        return ExMemReg(d=decode(ADDI(rd, 0, 0)), alu_result=value)
 
-    def _memwb(self, rd, value, reg_write=True):
-        return MemWbReg(valid=True, wb_data=value, rd=rd, reg_write=reg_write)
+    def _memwb(self, rd, value):
+        return MemWbReg(d=decode(ADDI(rd, 0, 0)), wb_data=value,
+                        reg_write=rd != 0)
 
     def test_exmem_beats_memwb(self):
         assert forward_ex(5, 0, self._exmem(5, 111), self._memwb(5, 222)) == 111
@@ -83,7 +82,7 @@ class TestForwardId:
     def test_priority_chain(self):
         ex = FwdSource(True, 3, 0xE)
         mem = FwdSource(True, 3, 0xA)
-        wb = MemWbReg(valid=True, wb_data=0xB, rd=3, reg_write=True)
+        wb = MemWbReg(d=decode(ADDI(3, 0, 0)), wb_data=0xB, reg_write=True)
         assert forward_id(3, 0xF, ex, mem, wb) == 0xE
         assert forward_id(3, 0xF, FwdSource(False, 0, 0), mem, wb) == 0xA
         assert forward_id(3, 0xF, FwdSource(False, 0, 0),
@@ -98,17 +97,10 @@ class TestForwardId:
 
 class TestHazardDetect:
     def _load_idex(self, rd):
-        from vercore.pipeline import ExCtrl
-        return IdExReg(valid=True, rd=rd,
-                       ctrl=ExCtrl(reg_write=True, mem_read=True,
-                                   mem_to_reg=True, alu_src_imm=True))
+        return IdExReg(d=decode(LW(rd, 0, 0)))
 
     def _mul_idex(self):
-        from vercore.pipeline import ExCtrl
-        from vercore.mul import MulOp
-        return IdExReg(valid=True, rd=3,
-                       ctrl=ExCtrl(reg_write=True, mul_en=True,
-                                   mul_op=MulOp.MUL))
+        return IdExReg(d=decode(MUL(3, 0, 0)))
 
     def test_load_use_stalls(self):
         d = decode(ADD(3, 5, 6))
