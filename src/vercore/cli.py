@@ -2,7 +2,8 @@
 VCD-to-CSV conversion, register-trace diffing and batch benchmarking.
 
 Exit codes are a stable contract: 0 success, 1 verification mismatch or a
-missed CPI bound, 2 usage error, 3 input/parse error, 4 simulation error.
+missed CPI bound, 2 usage error, 3 input/parse error or a file that cannot be
+read or written, 4 simulation error.
 `run`/`sim` propagate the guest exit code (a0 at ecall, or the tohost word).
 """
 
@@ -152,11 +153,10 @@ def cmd_cosim(args) -> int:
 
 
 def cmd_vcd2csv(args) -> int:
-    text = Path(args.vcd).read_text()
-    decls, changes = vcd_parse(text)
-    table = vcd_to_csv(decls, changes)
+    with open(args.vcd) as vcd:
+        table = vcd_to_csv(*vcd_parse(vcd))
     Path(args.csv).write_text(table.to_text())
-    print(f"{len(table.rows)} rows, {len(decls)} signals")
+    print(f"{len(table.rows)} rows, {len(table.header) - 1} signals")
     return 0
 
 
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("programs", nargs="+", help=PROGRAM_HELP)
     _add_common(bench, cycles=True)
     bench.add_argument("--cpi-bound", type=float, default=None)
-    bench.add_argument("--jobs", type=int, default=1)
+    bench.add_argument("--jobs", type=_positive_int, default=1)
     bench.add_argument("--machine", action="store_true",
                        help="also print one BENCH: line per program")
     bench.set_defaults(fn=cmd_bench)
@@ -297,7 +297,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ElfFormatError, MalformedHexLine, MalformedVcd, MalformedCsv,
             MissingColumn, MalformedTraceLine, UnicodeDecodeError,
-            FileNotFoundError, IsADirectoryError) as exc:
+            OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -120,7 +120,6 @@ class DecodedInstr:
     fmt: Format
     ctrl: Control
     funct3: int
-    funct7: int
 
 
 @dataclass(frozen=True)
@@ -307,7 +306,7 @@ def decode(word: int) -> DecodedInstr:
         rs2 = 0
     if fmt in (Format.S, Format.B):
         rd = 0
-    return DecodedInstr(mn, rd, rs1, rs2, imm, fmt, _CONTROL[mn], funct3, funct7)
+    return DecodedInstr(mn, rd, rs1, rs2, imm, fmt, _CONTROL[mn], funct3)
 
 
 def _check_reg(name: str, idx: int) -> None:

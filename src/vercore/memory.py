@@ -10,6 +10,7 @@ PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
 _WORD_INIT = b"\x01" * 4  # init flags of a fully written word
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 class MisalignedAccess(ValueError):
@@ -118,7 +119,8 @@ def load_hex(text: str, base: int = 0, tohost_addr: Optional[int] = None) -> Mem
 
     Words are placed little-endian at ascending word addresses starting from
     `base` (or from the most recent @addr directive).  '//' comments are
-    stripped.
+    stripped.  Words and addresses are 1 to 8 plain hex digits: no sign,
+    '0x' prefix or underscore.
     """
     img = MemoryImage(tohost_addr)
     addr = base & MASK32
@@ -126,20 +128,19 @@ def load_hex(text: str, base: int = 0, tohost_addr: Optional[int] = None) -> Mem
         line = raw.split("//", 1)[0]
         for tok in line.split():
             if tok.startswith("@"):
-                try:
-                    addr = int(tok[1:], 16) & MASK32
-                except ValueError:
+                digits = tok[1:]
+                if not 0 < len(digits) <= 8 or not _HEX_DIGITS.issuperset(digits):
                     raise MalformedHexLine(
-                        f"line {lineno}: bad address directive {tok!r}") from None
+                        f"line {lineno}: bad address directive {tok!r}")
+                addr = int(digits, 16)
                 continue
-            try:
-                word = int(tok, 16)
-            except ValueError:
+            if not _HEX_DIGITS.issuperset(tok):
                 raise MalformedHexLine(
-                    f"line {lineno}: {tok!r} is not a hex word") from None
-            if word > MASK32 or len(tok) > 8:
+                    f"line {lineno}: {tok!r} is not a hex word")
+            if len(tok) > 8:
                 raise MalformedHexLine(
                     f"line {lineno}: {tok!r} wider than 32 bits")
+            word = int(tok, 16)
             for i in range(4):
                 img.write_byte(addr + i, (word >> (8 * i)) & 0xFF)
             addr = (addr + 4) & MASK32

@@ -3,8 +3,11 @@ register-write diff against an expected reg_trace.hex.
 
 The VCD subset covers $timescale, nested $scope/$var declarations,
 $enddefinitions, $dumpvars, #time stamps, scalar and b-vector changes with
-x/z states.  CSV tables hold one row per distinct timestamp with
-sample-and-hold cell values (fixed-width lowercase hex for vectors).
+x/z states.  The parser reads the text line by line and keeps each change
+as a (time, id, bits) tuple.  CSV tables hold one row per distinct
+timestamp with sample-and-hold cell values (fixed-width lowercase hex for
+vectors): each column's cell is rendered when its signal changes and held,
+so a row is the time plus the held cells.
 """
 
 from __future__ import annotations
@@ -36,10 +39,6 @@ class MalformedTraceLine(ValueError):
     pass
 
 
-class SinkWriteFailure(OSError):
-    pass
-
-
 @dataclass(frozen=True)
 class SignalDecl:
     """One declared signal: short id token, bit width, hierarchical name
@@ -48,15 +47,6 @@ class SignalDecl:
     id_code: str
     width: int
     name: str
-
-
-@dataclass(frozen=True)
-class ValueChange:
-    """A timestamped transition; value is a binary string, possibly x/z."""
-
-    time: int
-    id_code: str
-    value: str
 
 
 @dataclass
@@ -124,132 +114,108 @@ def _format_value(value: int, width: int) -> str:
 
 
 def vcd_write(signal_log: Sequence[Mapping[str, int]],
-              decls: Sequence[SignalDecl], sink: TextIO,
-              time_per_cycle: int = TIME_PER_CYCLE) -> None:
+              decls: Sequence[SignalDecl], sink: TextIO) -> None:
     """Emit per-cycle snapshots as a standard VCD change dump.
 
-    Cycle k maps to timestamp k * time_per_cycle.  Snapshot dicts must carry
+    Cycle k maps to timestamp k * TIME_PER_CYCLE.  Snapshot dicts must carry
     a value for every declared signal name.  Only changed signals are
     re-dumped after the initial $dumpvars block.
     """
-    try:
-        sink.write("$date\n    vercore trace\n$end\n")
-        sink.write("$timescale 1ps $end\n")
-        open_scopes: list[str] = []
-        for d in decls:
-            scopes, ref = _split_hierarchy(d.name)
-            while open_scopes and open_scopes != scopes[:len(open_scopes)]:
-                sink.write("$upscope $end\n")
-                open_scopes.pop()
-            for s in scopes[len(open_scopes):]:
-                sink.write(f"$scope module {s} $end\n")
-                open_scopes.append(s)
-            sink.write(f"$var wire {d.width} {d.id_code} {ref} $end\n")
-        while open_scopes:
+    sink.write("$date\n    vercore trace\n$end\n")
+    sink.write("$timescale 1ps $end\n")
+    open_scopes: list[str] = []
+    for d in decls:
+        scopes, ref = _split_hierarchy(d.name)
+        while open_scopes and open_scopes != scopes[:len(open_scopes)]:
             sink.write("$upscope $end\n")
             open_scopes.pop()
-        sink.write("$enddefinitions $end\n")
+        for s in scopes[len(open_scopes):]:
+            sink.write(f"$scope module {s} $end\n")
+            open_scopes.append(s)
+        sink.write(f"$var wire {d.width} {d.id_code} {ref} $end\n")
+    while open_scopes:
+        sink.write("$upscope $end\n")
+        open_scopes.pop()
+    sink.write("$enddefinitions $end\n")
 
-        last: dict[str, int] = {}
-        for cycle, snap in enumerate(signal_log):
-            changes = []
-            for d in decls:
-                v = snap[d.name]
-                if cycle == 0 or last[d.name] != v:
-                    last[d.name] = v
-                    bits = _format_value(v, d.width)
-                    changes.append(f"{bits}{d.id_code}" if d.width == 1
-                                   else f"b{bits} {d.id_code}")
-            if cycle == 0:
-                sink.write("#0\n$dumpvars\n")
-                sink.write("\n".join(changes))
-                sink.write("\n$end\n")
-            elif changes:
-                sink.write(f"#{cycle * time_per_cycle}\n")
-                sink.write("\n".join(changes))
-                sink.write("\n")
-    except OSError as exc:
-        raise SinkWriteFailure(str(exc)) from exc
+    last: dict[str, int] = {}
+    for cycle, snap in enumerate(signal_log):
+        changes = []
+        for d in decls:
+            v = snap[d.name]
+            if cycle == 0 or last[d.name] != v:
+                last[d.name] = v
+                bits = _format_value(v, d.width)
+                changes.append(f"{bits}{d.id_code}" if d.width == 1
+                               else f"b{bits} {d.id_code}")
+        if cycle == 0:
+            sink.write("#0\n$dumpvars\n")
+            sink.write("\n".join(changes))
+            sink.write("\n$end\n")
+        elif changes:
+            sink.write(f"#{cycle * TIME_PER_CYCLE}\n")
+            sink.write("\n".join(changes))
+            sink.write("\n")
 
 
-def vcd_parse(stream: Iterable[str]) -> tuple[list[SignalDecl], list[ValueChange]]:
-    """Parse a VCD text stream into declarations and a change sequence.
+_DIRECTIVES = ("$scope", "$var", "$upscope", "$timescale", "$date",
+               "$version", "$comment", "$enddefinitions")
+
+
+def vcd_parse(stream: Iterable[str]
+              ) -> tuple[list[SignalDecl], list[tuple[int, str, str]]]:
+    """Parse VCD text, or an iterable of its lines, into declarations and a
+    change sequence of (time, id_code, bits) tuples; bits is a lowercase
+    binary string, possibly with x/z.
 
     Changes appearing before the first #timestamp (e.g. inside $dumpvars)
     are recorded at time 0.  Unknown ids, value widths beyond the declared
     width and decreasing timestamps raise MalformedVcd with a line number.
     """
-    decls: list[SignalDecl] = []
     by_id: dict[str, SignalDecl] = {}
-    changes: list[ValueChange] = []
+    changes: list[tuple[int, str, str]] = []
     scopes: list[str] = []
     time = 0
     seen_time = False
     in_defs = True
-
-    def parse_change(tok: str, rest: list[str], lineno: int) -> Optional[str]:
-        """Returns a leftover token when a vector change consumed its value
-        but the id sits in `rest`."""
-        if tok[0] in "01xXzZ":
-            sid = tok[1:]
-            if sid not in by_id:
-                raise MalformedVcd(f"change for undeclared id {sid!r}", lineno)
-            changes.append(ValueChange(time, sid, tok[0].lower()))
-            return None
-        if tok[0] in "bB":
-            bits = tok[1:].lower()
-            if not bits or any(c not in "01xz" for c in bits):
-                raise MalformedVcd(f"bad vector value {tok!r}", lineno)
-            if not rest:
-                raise MalformedVcd(f"vector value {tok!r} missing id", lineno)
-            sid = rest.pop(0)
-            if sid not in by_id:
-                raise MalformedVcd(f"change for undeclared id {sid!r}", lineno)
-            if len(bits) > by_id[sid].width:
-                raise MalformedVcd(
-                    f"value {tok!r} wider than {by_id[sid].width} bits "
-                    f"declared for {by_id[sid].name!r}", lineno)
-            changes.append(ValueChange(time, sid, bits))
-            return None
-        if tok[0] in "rR":
-            raise MalformedVcd("real-valued signals are not supported", lineno)
-        raise MalformedVcd(f"unexpected token {tok!r}", lineno)
-
-    lines = stream.splitlines() if isinstance(stream, str) else stream
-    pending_directive: Optional[str] = None
+    directive: Optional[str] = None
     directive_args: list[str] = []
+    lines = stream.splitlines() if isinstance(stream, str) else stream
     for lineno, raw in enumerate(lines, start=1):
-        toks = raw.split()
-        while toks:
-            tok = toks.pop(0)
-            if pending_directive is not None:
+        toks = iter(raw.split())
+        for tok in toks:
+            if directive is not None:
                 if tok == "$end":
-                    _finish_directive(pending_directive, directive_args,
-                                      scopes, decls, by_id, lineno)
-                    pending_directive = None
+                    _finish_directive(directive, directive_args, scopes,
+                                      by_id, lineno)
+                    directive = None
                     directive_args = []
                 else:
                     directive_args.append(tok)
-                continue
-            if tok.startswith("$"):
-                if tok == "$enddefinitions":
-                    in_defs = False
-                    pending_directive = "$enddefinitions"
-                elif tok == "$dumpvars":
-                    # contents are ordinary changes at the current time
-                    continue
-                elif tok == "$end":
-                    continue  # closes $dumpvars
-                elif tok in ("$scope", "$var", "$upscope", "$timescale",
-                             "$date", "$version", "$comment"):
-                    if not in_defs and tok in ("$scope", "$var"):
-                        raise MalformedVcd(
-                            f"{tok} after $enddefinitions", lineno)
-                    pending_directive = tok
-                else:
-                    raise MalformedVcd(f"unknown directive {tok!r}", lineno)
-                continue
-            if tok.startswith("#"):
+            elif tok[0] in "01xXzZ":
+                decl = by_id.get(tok[1:])
+                if decl is None:
+                    raise MalformedVcd(
+                        f"change for undeclared id {tok[1:]!r}", lineno)
+                changes.append((time, decl.id_code, tok[0].lower()))
+            elif tok[0] in "bB":
+                bits = tok[1:].lower()
+                if not bits or any(c not in "01xz" for c in bits):
+                    raise MalformedVcd(f"bad vector value {tok!r}", lineno)
+                sid = next(toks, None)
+                if sid is None:
+                    raise MalformedVcd(f"vector value {tok!r} missing id",
+                                       lineno)
+                decl = by_id.get(sid)
+                if decl is None:
+                    raise MalformedVcd(f"change for undeclared id {sid!r}",
+                                       lineno)
+                if len(bits) > decl.width:
+                    raise MalformedVcd(
+                        f"value {tok!r} wider than {decl.width} bits "
+                        f"declared for {decl.name!r}", lineno)
+                changes.append((time, decl.id_code, bits))
+            elif tok[0] == "#":
                 try:
                     t = int(tok[1:])
                 except ValueError:
@@ -259,14 +225,28 @@ def vcd_parse(stream: Iterable[str]) -> tuple[list[SignalDecl], list[ValueChange
                         f"timestamp {t} decreases (previous {time})", lineno)
                 time = t
                 seen_time = True
-                continue
-            parse_change(tok, toks, lineno)
-    return decls, changes
+            elif tok[0] == "$":
+                # $dumpvars holds ordinary changes at the current time; a
+                # bare $end closes it
+                if tok in ("$dumpvars", "$end"):
+                    continue
+                if tok not in _DIRECTIVES:
+                    raise MalformedVcd(f"unknown directive {tok!r}", lineno)
+                if not in_defs and tok in ("$scope", "$var"):
+                    raise MalformedVcd(f"{tok} after $enddefinitions", lineno)
+                if tok == "$enddefinitions":
+                    in_defs = False
+                directive = tok
+            elif tok[0] in "rR":
+                raise MalformedVcd("real-valued signals are not supported",
+                                   lineno)
+            else:
+                raise MalformedVcd(f"unexpected token {tok!r}", lineno)
+    return list(by_id.values()), changes
 
 
 def _finish_directive(directive: str, args: list[str], scopes: list[str],
-                      decls: list[SignalDecl], by_id: dict[str, SignalDecl],
-                      lineno: int) -> None:
+                      by_id: dict[str, SignalDecl], lineno: int) -> None:
     if directive == "$scope":
         if len(args) != 2:
             raise MalformedVcd(f"$scope expects type and name, got {args}", lineno)
@@ -278,7 +258,7 @@ def _finish_directive(directive: str, args: list[str], scopes: list[str],
     elif directive == "$var":
         if len(args) < 4:
             raise MalformedVcd(f"$var expects 4+ fields, got {args}", lineno)
-        _vtype, width_s, sid, base = args[0], args[1], args[2], args[3]
+        width_s, sid = args[1], args[2]
         try:
             width = int(width_s)
         except ValueError:
@@ -286,42 +266,43 @@ def _finish_directive(directive: str, args: list[str], scopes: list[str],
         if width < 1:
             raise MalformedVcd(f"bad $var width {width}", lineno)
         ref = "".join(args[3:])  # 'pc [31:0]' -> 'pc[31:0]'
-        name = ".".join(scopes + [ref]) if scopes else ref
         if sid in by_id:
             raise MalformedVcd(f"duplicate id {sid!r}", lineno)
-        decl = SignalDecl(sid, width, name)
-        decls.append(decl)
-        by_id[sid] = decl
+        by_id[sid] = SignalDecl(sid, width, ".".join(scopes + [ref]))
     # $timescale/$date/$version/$comment/$enddefinitions bodies are ignored
 
 
-def _render_cell(bits: Optional[str], width: int) -> str:
-    digits = (width + 3) // 4
-    if bits is None:
-        return "x" if width == 1 else "x" * digits
+def _render_cell(bits: str, width: int) -> str:
     if width == 1:
         return bits[-1]
-    if any(c in "xz" for c in bits):
+    digits = (width + 3) // 4
+    if "x" in bits or "z" in bits:
         return "x" * digits
     return format(int(bits, 2), f"0{digits}x")
 
 
 def vcd_to_csv(decls: Sequence[SignalDecl],
-               changes: Sequence[ValueChange]) -> CsvTable:
+               changes: Iterable[tuple[int, str, str]]) -> CsvTable:
     """Tabulate a change sequence: one row per distinct timestamp, columns in
-    declaration order, values held between changes (hex for vectors)."""
-    by_id = {d.id_code: i for i, d in enumerate(decls)}
-    current: list[Optional[str]] = [None] * len(decls)
+    declaration order, values held between changes (hex for vectors).
+
+    A column's cell is re-rendered only when its signal changes; a signal
+    with no value yet shows all-x.
+    """
+    column = {d.id_code: (i, d.width) for i, d in enumerate(decls)}
+    cells = ["x" * ((d.width + 3) // 4) for d in decls]
     table = CsvTable(["time"] + [d.name for d in decls])
-    idx = 0
-    n = len(changes)
-    while idx < n:
-        t = changes[idx].time
-        while idx < n and changes[idx].time == t:
-            current[by_id[changes[idx].id_code]] = changes[idx].value
-            idx += 1
-        table.rows.append([str(t)] + [
-            _render_cell(current[i], d.width) for i, d in enumerate(decls)])
+    rows = table.rows
+    row_time = None
+    for t, sid, bits in changes:
+        if t != row_time:
+            if row_time is not None:
+                rows.append([str(row_time), *cells])
+            row_time = t
+        i, width = column[sid]
+        cells[i] = _render_cell(bits, width)
+    if row_time is not None:
+        rows.append([str(row_time), *cells])
     return table
 
 
@@ -374,7 +355,7 @@ class TraceDiff:
 def parse_reg_trace(lines: Iterable[str]) -> list[tuple[int, int]]:
     """reg_trace.hex lines: exactly 10 hex chars, 2 for rd then 8 for value."""
     out = []
-    for i, raw in enumerate(lines):
+    for i, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue

@@ -112,11 +112,11 @@ class TestMalformedInput:
     """Input that cannot be read is an input error (3), never a traceback
     with the mismatch code."""
 
-    def diff_trace(self, tmp_path, rows):
+    def diff_trace(self, tmp_path, rows, reg_lines=("010000002a",)):
         csv = tmp_path / "wave.csv"
         csv.write_text("\n".join([WB_HEADER, *rows]) + "\n")
         reg = tmp_path / "reg_trace.hex"
-        reg.write_text("010000002a\n")
+        reg.write_text("\n".join(reg_lines) + "\n")
         return vercore("diff-trace", csv, reg)
 
     def test_csv_row_with_too_few_cells(self, tmp_path, capsys):
@@ -127,6 +127,12 @@ class TestMalformedInput:
         assert self.diff_trace(tmp_path, ["0x10,1,01,0000002a"]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("input error: row 1:")
 
+    def test_reg_trace_names_the_bad_line(self, tmp_path, capsys):
+        assert self.diff_trace(tmp_path, ["0,1,01,0000002a"],
+                               ["010000002a", "01zz"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            "input error: trace line 2: '01zz'")
+
     @pytest.mark.parametrize("command", ["run", "sim", "cosim", "vcd2csv",
                                          "diff-trace"])
     def test_directory_as_input_file(self, command, tmp_path, capsys):
@@ -134,6 +140,19 @@ class TestMalformedInput:
                   "diff-trace": [tmp_path / "reg_trace.hex"]}
         assert vercore(command, tmp_path, *second.get(command, [])) \
             == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize("command", ["sim", "run", "vcd2csv"])
+    def test_output_path_under_a_file(self, command, fib_hex, tmp_path,
+                                      capsys):
+        vcd, not_a_dir = tmp_path / "wave.vcd", tmp_path / "f"
+        assert vercore("sim", fib_hex, "--vcd", vcd) == FIB_EXIT
+        not_a_dir.write_text("")
+        argv = {"sim": ("sim", fib_hex, "--vcd", not_a_dir / "x.vcd"),
+                "run": ("run", fib_hex, "--trace", not_a_dir / "t.txt"),
+                "vcd2csv": ("vcd2csv", vcd, not_a_dir / "out.csv")}[command]
+        capsys.readouterr()
+        assert vercore(*argv) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("input error:")
 
 
@@ -146,6 +165,8 @@ class TestUsageErrors:
         ("cosim", "--mul-latency", "-3"),
         ("bench", "--max-cycles", "0"),
         ("bench", "--mul-latency", "0"),
+        ("bench", "--jobs", "0"),
+        ("bench", "--jobs", "-1"),
     ])
     def test_out_of_range_option_is_a_usage_error(self, argv, fib_hex,
                                                    capsys):

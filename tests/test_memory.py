@@ -120,7 +120,9 @@ class TestLoadHex:
         assert img.read_word(0) == 0x11112222
         assert img.read_word(4) == 0x33334444
 
-    @pytest.mark.parametrize("text", ["xyzzy\n", "@zz\n", "123456789\n"])
+    @pytest.mark.parametrize("text", ["xyzzy\n", "@zz\n", "123456789\n",
+                                      "-1\n", "+1\n", "0x1f\n", "1_0\n",
+                                      "@-4\n", "@0x100\n", "@123456789\n"])
     def test_malformed(self, text):
         with pytest.raises(MalformedHexLine):
             load_hex(text)
