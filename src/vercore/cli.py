@@ -124,7 +124,7 @@ def cmd_sim(args) -> int:
     if args.vcd is not None:
         _write_vcd(args.vcd, result.signals)
     if result.commits:
-        report = cpi(len(result.commits), result.cycles, result.pc_trace)
+        report = cpi(len(result.commits), result.cycles)
         print(f"CPI: cycles={report.cycles} retired={report.retired} "
               f"cpi={report.cpi:.4f}")
     return _halt_exit(result.halt)

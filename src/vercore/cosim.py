@@ -9,8 +9,7 @@ commits around it on both sides, taken from the one pipeline run.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import golden
@@ -49,20 +48,13 @@ class CpiReport:
     cycles: int
     retired: int
     cpi: float
-    per_pc: dict[int, int] = field(default_factory=dict)
 
 
-def cpi(retired: int, cycles: int, pc_per_cycle=()) -> CpiReport:
-    """Cycles per retired instruction, with per-pc cycle attribution.
-
-    Every cycle is attributed to the pc occupying IF that cycle, so stall
-    cycles land on the stalled pc and pipeline-fill cycles on the earliest
-    pcs; the attribution sums to the total cycle count.
-    """
+def cpi(retired: int, cycles: int) -> CpiReport:
+    """Cycles per retired instruction."""
     if retired <= 0:
         raise ZeroRetired("no retired instructions")
-    return CpiReport(cycles, retired, cycles / retired,
-                     dict(Counter(pc_per_cycle)))
+    return CpiReport(cycles, retired, cycles / retired)
 
 
 def _txn_mismatch(e: CommitRecord, a: CommitRecord,
@@ -163,7 +155,7 @@ def lockstep(program: Program, max_cycles: int,
     result = run_core(core, pmem, max_cycles, record_signals=record_signals)
 
     retired = len(result.commits)
-    report = cpi(retired, result.cycles, result.pc_trace) if retired else None
+    report = cpi(retired, result.cycles) if retired else None
 
     mismatch = compare_traces(gtrace, result.commits, strict_pc=strict_pc,
                               compare_loads=compare_loads,

@@ -3,17 +3,22 @@
 Executes one instruction per step against architectural state only (no
 timing), emitting a commit record per retired instruction.  The lockstep
 harness compares these against the pipeline model's commits.
+
+`step` fetches, decodes (`isa.decode`, cached) and then dispatches on the
+mnemonic through `_EXECUTE`, a table of handlers built here from this
+module's own ALU, multiply, branch and load/store semantics.  The pipeline
+has its own tables, so a semantic bug in one model shows in lockstep.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
-from .isa import (DecodedInstr, IllegalInstruction, MASK32, MEM_WIDTH,
-                  Mnemonic, decode, to_signed)
-from .memory import MemoryImage, MisalignedAccess
+from .isa import (Format, IllegalInstruction, MASK32, MEM_WIDTH, Mnemonic,
+                  decode, to_signed)
+from .memory import MemoryImage, MisalignedAccess, misaligned
 
 DEFAULT_RESET_PC = 0x2000
 
@@ -32,6 +37,12 @@ class HaltCause:
     kind: HaltKind
     code: int = 0  # exit value; defined for ECALL and TOHOST
     message: str = ""
+
+
+def fault(what: str, pc: int, cause: object = "") -> HaltCause:
+    """The ERROR halt both models report: `<what> at pc=0x...[: <cause>]`."""
+    return HaltCause(HaltKind.ERROR, message=f"{what} at pc=0x{pc:08x}"
+                     + (f": {cause}" if cause else ""))
 
 
 @dataclass(frozen=True)
@@ -68,80 +79,128 @@ class ArchState:
     halted: Optional[HaltCause] = None
 
 
-def _alu_value(d: DecodedInstr, a: int, b: int) -> int:
-    """Register/imm-ALU results in the unsigned 32-bit domain."""
-    mn = d.mnemonic
-    if mn in (Mnemonic.ADD, Mnemonic.ADDI):
-        return (a + b) & MASK32
-    if mn == Mnemonic.SUB:
-        return (a - b) & MASK32
-    if mn in (Mnemonic.XOR, Mnemonic.XORI):
-        return a ^ b
-    if mn in (Mnemonic.OR, Mnemonic.ORI):
-        return a | b
-    if mn in (Mnemonic.AND, Mnemonic.ANDI):
-        return a & b
-    if mn in (Mnemonic.SLL, Mnemonic.SLLI):
-        return (a << (b & 0x1F)) & MASK32
-    if mn in (Mnemonic.SRL, Mnemonic.SRLI):
-        return a >> (b & 0x1F)
-    if mn in (Mnemonic.SRA, Mnemonic.SRAI):
-        return (to_signed(a) >> (b & 0x1F)) & MASK32
-    if mn in (Mnemonic.SLT, Mnemonic.SLTI):
-        return 1 if to_signed(a) < to_signed(b) else 0
-    if mn in (Mnemonic.SLTU, Mnemonic.SLTIU):
-        return 1 if a < (b & MASK32) else 0
-    raise AssertionError(f"not an ALU mnemonic: {mn}")
+# Each mnemonic's handler(state, d, pc, a, b) gets a = rs1's value and b =
+# rs2's value, or the 32-bit immediate for I-format, and returns (value to
+# write back, next pc before the 32-bit wrap, memory transaction).  Loads
+# and stores raise MisalignedAccess; ecall, ebreak and a tohost store record
+# their halt on state.halted.
+Handler = Callable[..., tuple[int, int, Optional[MemTxn]]]
 
+# Register/immediate ALU and host widening multiply results on unsigned
+# 32-bit patterns; the multiply is independent of the Booth-Wallace unit.
+_ALU_SEMANTICS = {
+    (Mnemonic.ADD, Mnemonic.ADDI): lambda a, b: (a + b) & MASK32,
+    (Mnemonic.SUB,): lambda a, b: (a - b) & MASK32,
+    (Mnemonic.XOR, Mnemonic.XORI): lambda a, b: a ^ b,
+    (Mnemonic.OR, Mnemonic.ORI): lambda a, b: a | b,
+    (Mnemonic.AND, Mnemonic.ANDI): lambda a, b: a & b,
+    (Mnemonic.SLL, Mnemonic.SLLI): lambda a, b: (a << (b & 0x1F)) & MASK32,
+    (Mnemonic.SRL, Mnemonic.SRLI): lambda a, b: a >> (b & 0x1F),
+    (Mnemonic.SRA, Mnemonic.SRAI):
+        lambda a, b: (to_signed(a) >> (b & 0x1F)) & MASK32,
+    (Mnemonic.SLT, Mnemonic.SLTI):
+        lambda a, b: int(to_signed(a) < to_signed(b)),
+    (Mnemonic.SLTU, Mnemonic.SLTIU): lambda a, b: int(a < b),
+    (Mnemonic.MUL,): lambda a, b: (a * b) & MASK32,
+    (Mnemonic.MULH,):
+        lambda a, b: ((to_signed(a) * to_signed(b)) >> 32) & MASK32,
+    (Mnemonic.MULHSU,): lambda a, b: ((to_signed(a) * b) >> 32) & MASK32,
+    (Mnemonic.MULHU,): lambda a, b: ((a * b) >> 32) & MASK32,
+}
 
-def _mul_value(mn: Mnemonic, a: int, b: int) -> int:
-    """Host widening multiply; independent of the Booth-Wallace unit model."""
-    if mn == Mnemonic.MUL:
-        return (a * b) & MASK32
-    if mn == Mnemonic.MULH:
-        return ((to_signed(a) * to_signed(b)) >> 32) & MASK32
-    if mn == Mnemonic.MULHSU:
-        return ((to_signed(a) * b) >> 32) & MASK32
-    if mn == Mnemonic.MULHU:
-        return ((a * b) >> 32) & MASK32
-    raise AssertionError(f"not a multiply mnemonic: {mn}")
+# Branch comparison on 32-bit patterns (signed for BLT/BGE).
+_BRANCH_SEMANTICS = {
+    Mnemonic.BEQ: lambda a, b: a == b,
+    Mnemonic.BNE: lambda a, b: a != b,
+    Mnemonic.BLT: lambda a, b: to_signed(a) < to_signed(b),
+    Mnemonic.BGE: lambda a, b: to_signed(a) >= to_signed(b),
+    Mnemonic.BLTU: lambda a, b: a < b,
+    Mnemonic.BGEU: lambda a, b: a >= b,
+}
+
+# Whether each load sign-extends; the other MEM_WIDTH entries are stores.
+_LOAD_SIGNED = {Mnemonic.LB: True, Mnemonic.LH: True, Mnemonic.LW: True,
+                Mnemonic.LBU: False, Mnemonic.LHU: False}
 
 
 def branch_taken(mn: Mnemonic, a: int, b: int) -> bool:
     """Branch comparison on 32-bit patterns (signed for BLT/BGE)."""
-    if mn == Mnemonic.BEQ:
-        return a == b
-    if mn == Mnemonic.BNE:
-        return a != b
-    if mn == Mnemonic.BLT:
-        return to_signed(a) < to_signed(b)
-    if mn == Mnemonic.BGE:
-        return to_signed(a) >= to_signed(b)
-    if mn == Mnemonic.BLTU:
-        return a < b
-    if mn == Mnemonic.BGEU:
-        return a >= b
-    raise AssertionError(f"not a branch mnemonic: {mn}")
+    return _BRANCH_SEMANTICS[mn](a, b)
 
 
-def _load(mem: MemoryImage, mn: Mnemonic, addr: int) -> tuple[int, int]:
-    """Read a naturally aligned value; returns (raw width-masked, extended)."""
+def _alu(op: Callable[[int, int], int]) -> Handler:
+    return lambda state, d, pc, a, b: (op(a, b), pc + 4, None)
+
+
+def _branch(taken: Callable[[int, int], bool]) -> Handler:
+    return lambda state, d, pc, a, b: (
+        0, pc + d.imm if taken(a, b) else pc + 4, None)
+
+
+def _halting(cause: Callable[[ArchState], HaltCause]) -> Handler:
+    def execute(state, d, pc, a, b):
+        state.halted = cause(state)
+        return 0, pc + 4, None
+    return execute
+
+
+def _load(mn: Mnemonic) -> Handler:
+    """Read and extend MEM_WIDTH[mn] bytes; the transaction keeps them raw."""
     width = MEM_WIDTH[mn]
-    if addr % width:
-        raise MisalignedAccess(
-            f"{mn.value} from 0x{addr:08x} (width {width})")
-    if not mem.is_initialized(addr, width):
-        mem.uninit_reads += 1
-    raw = 0
-    for i in range(width):
-        raw |= mem.read_byte(addr + i) << (8 * i)
-    if mn == Mnemonic.LB:
-        ext = raw | 0xFFFFFF00 if raw & 0x80 else raw
-    elif mn == Mnemonic.LH:
-        ext = raw | 0xFFFF0000 if raw & 0x8000 else raw
-    else:
-        ext = raw
-    return raw, ext
+    lane = (1 << (8 * width)) - 1
+    sign = (lane + 1) >> 1 if _LOAD_SIGNED[mn] else 0
+
+    def execute(state, d, pc, a, b):
+        addr = (a + b) & MASK32
+        if addr % width:
+            raise misaligned(mn.value, addr, width, store=False)
+        mem = state.mem
+        if not mem.is_initialized(addr, width):
+            mem.uninit_reads += 1
+        raw = sum(mem.read_byte(addr + i) << (8 * i) for i in range(width))
+        return (raw | (MASK32 ^ lane) if raw & sign else raw, pc + 4,
+                MemTxn("load", addr, raw, width))
+    return execute
+
+
+def _store(mn: Mnemonic) -> Handler:
+    """Write rs2's low MEM_WIDTH[mn] bytes; a word to tohost_addr halts."""
+    width = MEM_WIDTH[mn]
+    lane = (1 << (8 * width)) - 1
+
+    def execute(state, d, pc, a, b):
+        addr = (a + d.imm) & MASK32
+        if addr % width:
+            raise misaligned(mn.value, addr, width, store=True)
+        mem = state.mem
+        for i in range(width):
+            mem.write_byte(addr + i, (b >> (8 * i)) & 0xFF)
+        data = b & lane
+        if width == 4 and addr == mem.tohost_addr:
+            state.halted = HaltCause(HaltKind.TOHOST, code=data)
+        return 0, pc + 4, MemTxn("store", addr, data, width)
+    return execute
+
+
+_EXECUTE: dict[Mnemonic, Handler] = {
+    Mnemonic.LUI: lambda _, d, pc, a, b: (d.imm & MASK32, pc + 4, None),
+    Mnemonic.AUIPC: lambda _, d, pc, a, b: ((pc + d.imm) & MASK32, pc + 4, None),
+    Mnemonic.JAL: lambda _, d, pc, a, b: ((pc + 4) & MASK32, pc + d.imm, None),
+    Mnemonic.JALR: lambda _, d, pc, a, b: ((pc + 4) & MASK32, (a + b) & ~1, None),
+    # Every fetch reads memory, so stores are visible to later fetches
+    # without fence.i, and there is nothing for fence to order.
+    Mnemonic.FENCE: lambda _, d, pc, a, b: (0, pc + 4, None),
+    Mnemonic.FENCE_I: lambda _, d, pc, a, b: (0, pc + 4, None),
+    Mnemonic.ECALL: _halting(
+        lambda state: HaltCause(HaltKind.ECALL, code=state.regs[10])),
+    Mnemonic.EBREAK: _halting(lambda state: HaltCause(HaltKind.EBREAK)),
+}
+for _forms, _op in _ALU_SEMANTICS.items():
+    _EXECUTE.update(dict.fromkeys(_forms, _alu(_op)))
+for _mn, _op in _BRANCH_SEMANTICS.items():
+    _EXECUTE[_mn] = _branch(_op)
+for _mn in MEM_WIDTH:
+    _EXECUTE[_mn] = _load(_mn) if _mn in _LOAD_SIGNED else _store(_mn)
 
 
 def step(state: ArchState) -> Union[CommitRecord, HaltCause]:
@@ -153,85 +212,31 @@ def step(state: ArchState) -> Union[CommitRecord, HaltCause]:
     """
     pc = state.pc & MASK32
     if pc & 0x3:
-        return HaltCause(HaltKind.ERROR,
-                         message=f"misaligned fetch at pc=0x{pc:08x}")
-    if not state.mem.is_initialized(pc, 4):
-        return HaltCause(
-            HaltKind.ERROR,
-            message=f"fetch from uninitialized memory at pc=0x{pc:08x}")
-    word = state.mem.read_word(pc)
+        return fault("misaligned fetch", pc)
+    word = state.mem.fetch_word(pc)
+    if word is None:
+        return fault("fetch from uninitialized memory", pc)
     try:
         d = decode(word)
     except IllegalInstruction as exc:
-        return HaltCause(HaltKind.ERROR,
-                         message=f"illegal instruction at pc=0x{pc:08x}: {exc}")
+        return fault("illegal instruction", pc, exc)
 
     regs = state.regs
-    a = regs[d.rs1]
-    b = regs[d.rs2]
-    mn = d.mnemonic
-    next_pc = (pc + 4) & MASK32
-    wb = 0
-    txn: Optional[MemTxn] = None
-
+    b = d.imm & MASK32 if d.fmt is Format.I else regs[d.rs2]
     try:
-        if mn == Mnemonic.LUI:
-            wb = d.imm & MASK32
-        elif mn == Mnemonic.AUIPC:
-            wb = (pc + d.imm) & MASK32
-        elif mn == Mnemonic.JAL:
-            wb = (pc + 4) & MASK32
-            next_pc = (pc + d.imm) & MASK32
-        elif mn == Mnemonic.JALR:
-            wb = (pc + 4) & MASK32
-            next_pc = (a + d.imm) & ~1 & MASK32
-        elif d.ctrl.is_branch:
-            if branch_taken(mn, a, b):
-                next_pc = (pc + d.imm) & MASK32
-        elif d.ctrl.mem_read:
-            addr = (a + d.imm) & MASK32
-            raw, wb = _load(state.mem, mn, addr)
-            txn = MemTxn("load", addr, raw, MEM_WIDTH[mn])
-        elif d.ctrl.mem_write:
-            addr = (a + d.imm) & MASK32
-            width = MEM_WIDTH[mn]
-            if addr % width:
-                raise MisalignedAccess(
-                    f"{mn.value} to 0x{addr:08x} (width {width})")
-            for i in range(width):
-                state.mem.write_byte(addr + i, (b >> (8 * i)) & 0xFF)
-            data = b & ((1 << (8 * width)) - 1)
-            txn = MemTxn("store", addr, data, width)
-            if width == 4 and state.mem.tohost_addr is not None \
-                    and addr == state.mem.tohost_addr:
-                state.halted = HaltCause(HaltKind.TOHOST, code=data)
-        elif d.ctrl.mul_en:
-            wb = _mul_value(mn, a, b)
-        elif mn in (Mnemonic.FENCE, Mnemonic.FENCE_I):
-            pass  # architectural no-op: single core, no caches to order
-        elif mn == Mnemonic.ECALL:
-            state.halted = HaltCause(HaltKind.ECALL, code=regs[10])
-        elif mn == Mnemonic.EBREAK:
-            state.halted = HaltCause(HaltKind.EBREAK)
-        else:
-            wb = _alu_value(d, a, d.imm & MASK32 if d.fmt.value == "I" else b)
+        wb, next_pc, txn = _EXECUTE[d.mnemonic](state, d, pc, regs[d.rs1], b)
     except MisalignedAccess as exc:
-        return HaltCause(HaltKind.ERROR,
-                         message=f"misaligned access at pc=0x{pc:08x}: {exc}")
-
+        return fault("misaligned access", pc, exc)
+    next_pc &= MASK32
     if next_pc & 0x3:
-        return HaltCause(
-            HaltKind.ERROR,
-            message=f"misaligned control transfer to 0x{next_pc:08x} "
-                    f"at pc=0x{pc:08x}")
+        return fault(f"misaligned control transfer to 0x{next_pc:08x}", pc)
 
-    reg_write = d.ctrl.reg_write and d.rd != 0
-    if reg_write:
-        regs[d.rd] = wb & MASK32
     state.pc = next_pc
     state.retired += 1
-    return CommitRecord(pc, word, d.rd if reg_write else 0,
-                        wb & MASK32 if reg_write else 0, reg_write, txn)
+    if d.ctrl.reg_write and d.rd != 0:
+        regs[d.rd] = wb
+        return CommitRecord(pc, word, d.rd, wb, True, txn)
+    return CommitRecord(pc, word, 0, 0, False, txn)
 
 
 def run(state: ArchState, max_steps: int) -> tuple[list[CommitRecord], HaltCause]:

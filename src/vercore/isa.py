@@ -47,6 +47,9 @@ class Format(enum.Enum):
 
 
 class Mnemonic(enum.Enum):
+    # Singletons: an identity hash keeps Mnemonic-keyed lookups in C code.
+    __hash__ = object.__hash__
+
     LUI = "lui"
     AUIPC = "auipc"
     JAL = "jal"

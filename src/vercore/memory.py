@@ -17,6 +17,12 @@ class MisalignedAccess(ValueError):
     """Raised when a load/store address is not naturally aligned to its width."""
 
 
+def misaligned(op: str, addr: int, width: int, store: bool) -> MisalignedAccess:
+    """The fault both simulators raise, e.g. `lw from 0x00000003 (width 4)`."""
+    return MisalignedAccess(f"{op} {'to' if store else 'from'} "
+                            f"0x{addr & MASK32:08x} (width {width})")
+
+
 class MalformedHexLine(ValueError):
     """Raised for tokens a readmemh-style file may not contain."""
 
@@ -87,6 +93,16 @@ class MemoryImage:
         if self._init[page][off:off + 4] != _WORD_INIT:
             self.uninit_reads += 1
         return int.from_bytes(data[off:off + 4], "little")
+
+    def fetch_word(self, addr: int) -> Optional[int]:
+        """The word at an aligned 32-bit addr, or None if any of its bytes
+        is unwritten.  Counts nothing: a fetch is not a data read."""
+        init = self._init.get(addr >> PAGE_SHIFT)
+        off = addr & PAGE_MASK
+        if init is None or init[off:off + 4] != _WORD_INIT:
+            return None
+        return int.from_bytes(self._data[addr >> PAGE_SHIFT][off:off + 4],
+                              "little")
 
     def write_bytes(self, addr: int, data: int, byte_en: int) -> Optional[int]:
         """Write the enabled bytes of a 32-bit lane to word address `addr`.

@@ -10,10 +10,10 @@ reduction layer preserves the product value mod 2**66.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from .isa import MASK32
+from .isa import MASK32, sign_extend
 
 MASK33 = (1 << 33) - 1
 MASK64 = (1 << 64) - 1
@@ -68,11 +68,6 @@ def extend33(value: int, signed: bool) -> int:
     return value
 
 
-def _signed33(pattern: int) -> int:
-    pattern &= MASK33
-    return pattern - (1 << 33) if pattern & (1 << 32) else pattern
-
-
 def booth_encode(multiplier: int) -> BoothDigits:
     """Radix-4 overlapping-triplet recoding of a 33-bit multiplier pattern.
 
@@ -97,7 +92,7 @@ def gen_partial_products(multiplicand: int, digits: BoothDigits) -> list[int]:
     Their sum mod 2**66 equals the product of the signed 33-bit multiplicand
     and the recoded multiplier.
     """
-    mc = _signed33(multiplicand)
+    mc = sign_extend(multiplicand, 33)
     return [((d * mc) << (2 * i)) & MASK66 if d else 0
             for i, d in enumerate(digits.digits)]
 
@@ -201,13 +196,12 @@ def tick(unit: MulUnitState, issue: Optional[MulRequest] = None,
     if issue is not None:
         if unit.busy or unit.out_valid:
             raise IssueWhileBusy("issue while a multiply is in flight")
-        unit = replace(unit, busy=True, stage=1, pending=issue,
-                       out_valid=False, result=0)
+        pending, stage = issue, 1
     elif unit.busy and not unit.out_valid:
-        unit = replace(unit, stage=unit.stage + 1)
+        pending, stage = unit.pending, unit.stage + 1
     else:
         return unit
 
-    if unit.stage >= unit.latency and not unit.out_valid:
-        unit = replace(unit, out_valid=True, result=mul_result(unit.pending))
-    return unit
+    done = stage >= unit.latency
+    return MulUnitState(unit.latency, True, stage, pending, done,
+                        mul_result(pending) if done else 0)

@@ -13,7 +13,10 @@ Control is decoded once, in ID.  IF/ID carries the fetched word and its pc.
 ID/EX, EX/MEM and MEM/WB each carry the instruction as `isa.decode` returned
 it, in field `d`, with its pc and raw word; `d is None` is a bubble.  Later
 stages read the register indices, immediate, funct3, mnemonic and
-`isa.Control` flags from `d` instead of from per-register copies.
+`isa.Control` flags from `d` and pick the ALU operation, branch comparator,
+multiplier operation and halt kind from this module's own per-mnemonic
+tables, never from the golden model's.  The four pipeline registers are
+long-lived objects that the latch overwrites in place, downstream first.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from typing import NamedTuple, Optional
 
 from . import mul as mulunit
 from .golden import (DEFAULT_RESET_PC, CommitRecord, HaltCause, HaltKind,
-                     MemTxn, branch_taken)
+                     MemTxn, fault)
 from .isa import (DecodedInstr, Format, IllegalInstruction, MASK32, MEM_WIDTH,
                   Mnemonic, decode, to_signed)
-from .memory import MemoryImage, MisalignedAccess
+from .memory import MemoryImage, MisalignedAccess, misaligned
 from .mul import MulOp, MulRequest, MulUnitState
 
 
@@ -45,47 +48,43 @@ def _add(a: int, b: int) -> int:
     return (a + b) & MASK32
 
 
-def _sub(a: int, b: int) -> int:
-    return (a - b) & MASK32
+# Flipping the sign bits maps signed order onto unsigned order.
+_SIGN = 0x80000000
 
+# The ALU operation by mnemonic, on 32-bit patterns: (register form,
+# immediate form), operation.  Every other instruction that reaches the ALU
+# (lui, auipc, loads, stores) adds.
+_ALU_OP = {mn: op for forms, op in (
+    ((Mnemonic.ADD, Mnemonic.ADDI), _add),
+    ((Mnemonic.SUB,), lambda a, b: (a - b) & MASK32),
+    ((Mnemonic.SLL, Mnemonic.SLLI), lambda a, b: (a << (b & 0x1F)) & MASK32),
+    ((Mnemonic.SLT, Mnemonic.SLTI), lambda a, b: int(a ^ _SIGN < b ^ _SIGN)),
+    ((Mnemonic.SLTU, Mnemonic.SLTIU), lambda a, b: int(a < b)),
+    ((Mnemonic.XOR, Mnemonic.XORI), operator.xor),
+    ((Mnemonic.SRL, Mnemonic.SRLI), lambda a, b: a >> (b & 0x1F)),
+    ((Mnemonic.SRA, Mnemonic.SRAI),
+     lambda a, b: (to_signed(a) >> (b & 0x1F)) & MASK32),
+    ((Mnemonic.OR, Mnemonic.ORI), operator.or_),
+    ((Mnemonic.AND, Mnemonic.ANDI), operator.and_),
+) for mn in forms}
 
-def _sll(a: int, b: int) -> int:
-    return (a << (b & 0x1F)) & MASK32
-
-
-def _slt(a: int, b: int) -> int:
-    return 1 if to_signed(a) < to_signed(b) else 0
-
-
-def _sltu(a: int, b: int) -> int:
-    return 1 if a < b else 0
-
-
-def _srl(a: int, b: int) -> int:
-    return a >> (b & 0x1F)
-
-
-def _sra(a: int, b: int) -> int:
-    return (to_signed(a) >> (b & 0x1F)) & MASK32
-
-
-# The ALU operation by mnemonic, on 32-bit patterns.  Every other
-# instruction that reaches the ALU (lui, auipc, loads, stores) adds.
-_ALU_OP = {
-    Mnemonic.ADD: _add, Mnemonic.ADDI: _add,
-    Mnemonic.SUB: _sub,
-    Mnemonic.SLL: _sll, Mnemonic.SLLI: _sll,
-    Mnemonic.SLT: _slt, Mnemonic.SLTI: _slt,
-    Mnemonic.SLTU: _sltu, Mnemonic.SLTIU: _sltu,
-    Mnemonic.XOR: operator.xor, Mnemonic.XORI: operator.xor,
-    Mnemonic.SRL: _srl, Mnemonic.SRLI: _srl,
-    Mnemonic.SRA: _sra, Mnemonic.SRAI: _sra,
-    Mnemonic.OR: operator.or_, Mnemonic.ORI: operator.or_,
-    Mnemonic.AND: operator.and_, Mnemonic.ANDI: operator.and_,
+# The ID-stage branch comparator by mnemonic, on 32-bit patterns.
+_BRANCH_TAKEN = {
+    Mnemonic.BEQ: operator.eq, Mnemonic.BNE: operator.ne,
+    Mnemonic.BLT: lambda a, b: a ^ _SIGN < b ^ _SIGN,
+    Mnemonic.BGE: lambda a, b: a ^ _SIGN >= b ^ _SIGN,
+    Mnemonic.BLTU: operator.lt, Mnemonic.BGEU: operator.ge,
 }
 
+# The multiplier operation by mnemonic.
+_MUL_OP = {Mnemonic.MUL: MulOp.MUL, Mnemonic.MULH: MulOp.MULH,
+           Mnemonic.MULHSU: MulOp.MULHSU, Mnemonic.MULHU: MulOp.MULHU}
 
-@dataclass
+_HALT_MNEMONICS = {Mnemonic.ECALL: HaltKind.ECALL,
+                   Mnemonic.EBREAK: HaltKind.EBREAK}
+
+
+@dataclass(slots=True)
 class IfIdReg:
     """Fetched word and its pc; valid is False for a bubble."""
 
@@ -94,7 +93,7 @@ class IfIdReg:
     instr: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class IdExReg:
     """Decoded instruction (None: bubble) and the operand values read in ID."""
 
@@ -105,7 +104,7 @@ class IdExReg:
     rs2_val: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ExMemReg:
     """Decoded instruction (None: bubble), EX result and store data."""
 
@@ -122,7 +121,7 @@ class ExMemReg:
     tohost: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class MemWbReg:
     """Decoded instruction (None: bubble) and its write-back value."""
 
@@ -145,12 +144,22 @@ class HazardDecision:
     global_stall: bool = False
 
 
+# hazard_detect's only outcomes, shared rather than built every cycle.
+_MUL_STALL = HazardDecision(stall_pc=True, stall_ifid=True, global_stall=True)
+_LOAD_USE = HazardDecision(stall_pc=True, stall_ifid=True, bubble_idex=True)
+_FLUSH = HazardDecision(flush_ifid=True)
+_NO_HAZARD = HazardDecision()
+
+
 class FwdSource(NamedTuple):
     """A stage's forwardable result: does it write, which rd, what value."""
 
     writes: bool = False
     rd: int = 0
     value: int = 0
+
+
+_NO_FWD = FwdSource()
 
 
 @dataclass
@@ -234,15 +243,13 @@ def hazard_detect(id_instr: Optional[DecodedInstr], idex: IdExReg,
     """
     ex = idex.d
     if ex is not None and ex.ctrl.mul_en and not mul.out_valid:
-        return HazardDecision(stall_pc=True, stall_ifid=True, global_stall=True)
+        return _MUL_STALL
     if (id_instr is not None and ex is not None and ex.ctrl.mem_read
             and ex.rd != 0
             and ((id_instr.ctrl.uses_rs1 and id_instr.rs1 == ex.rd)
                  or (id_instr.ctrl.uses_rs2 and id_instr.rs2 == ex.rd))):
-        return HazardDecision(stall_pc=True, stall_ifid=True, bubble_idex=True)
-    if branch_in_id:
-        return HazardDecision(flush_ifid=True)
-    return HazardDecision()
+        return _LOAD_USE
+    return _FLUSH if branch_in_id else _NO_HAZARD
 
 
 def store_align(funct3: int, addr: int, rs2_val: int) -> tuple[int, int]:
@@ -254,11 +261,11 @@ def store_align(funct3: int, addr: int, rs2_val: int) -> tuple[int, int]:
         return 1 << off, (rs2_val << (8 * off)) & MASK32
     if funct3 == 0b001:
         if addr & 0x1:
-            raise MisalignedAccess(f"sh to 0x{addr & MASK32:08x}")
+            raise misaligned("sh", addr, 2, store=True)
         return (0b1100 if addr & 0x2 else 0b0011), (rs2_val << (8 * off)) & MASK32
     if funct3 == 0b010:
         if addr & 0x3:
-            raise MisalignedAccess(f"sw to 0x{addr & MASK32:08x}")
+            raise misaligned("sw", addr, 4, store=True)
         return 0b1111, rs2_val & MASK32
     raise ValueError(f"not a store funct3: {funct3}")
 
@@ -274,22 +281,19 @@ def load_extract(funct3: int, addr: int, mem_word: int) -> int:
         return (mem_word >> (8 * off)) & 0xFF
     if funct3 == 0b001:  # lh
         if addr & 0x1:
-            raise MisalignedAccess(f"lh from 0x{addr & MASK32:08x}")
+            raise misaligned("lh", addr, 2, store=False)
         h = (mem_word >> (8 * off)) & 0xFFFF
         return h | 0xFFFF0000 if h & 0x8000 else h
     if funct3 == 0b101:  # lhu
         if addr & 0x1:
-            raise MisalignedAccess(f"lhu from 0x{addr & MASK32:08x}")
+            raise misaligned("lhu", addr, 2, store=False)
         return (mem_word >> (8 * off)) & 0xFFFF
     if funct3 == 0b010:  # lw
         if addr & 0x3:
-            raise MisalignedAccess(f"lw from 0x{addr & MASK32:08x}")
+            raise misaligned("lw", addr, 4, store=False)
         return mem_word & MASK32
     raise ValueError(f"not a load funct3: {funct3}")
 
-
-_HALT_MNEMONICS = {Mnemonic.ECALL: HaltKind.ECALL,
-                   Mnemonic.EBREAK: HaltKind.EBREAK}
 
 # The per-cycle signals, in the order step_cycle returns their values.
 # Names follow the testbench hierarchy used by the trace tooling; widths
@@ -337,10 +341,8 @@ def step_cycle(core: CoreState, mem: MemoryImage
 
     if not core.reset_n:
         core.pc_f = cfg.reset_pc
-        core.ifid = IfIdReg()
-        core.idex = IdExReg()
-        core.exmem = ExMemReg()
-        core.memwb = MemWbReg()
+        core.ifid, core.idex = IfIdReg(), IdExReg()
+        core.exmem, core.memwb = ExMemReg(), MemWbReg()
         core.halt_fetch = False
         # Cycle, IF pc and ic_va carry the reset pc; every other signal is 0.
         values = (core.cycle, cfg.reset_pc, cfg.reset_pc) \
@@ -350,15 +352,16 @@ def step_cycle(core: CoreState, mem: MemoryImage
 
     # ---------------- WB: commit exactly once per retiring instruction ----
     wb = core.memwb
-    wb_fire = wb.d is not None and not wb.committed
-    wb_rd = wb.d.rd if wb.reg_write else 0
+    wd = wb.d
+    wb_fire = wd is not None and not wb.committed
+    wb_rd = wd.rd if wb.reg_write else 0
     commit: Optional[CommitRecord] = None
     if wb_fire:
         wb.committed = True
         commit = CommitRecord(wb.pc, wb.instr, wb_rd,
                               wb.wb_data if wb.reg_write else 0,
                               wb.reg_write, wb.mem_txn)
-        wb_halt = _HALT_MNEMONICS.get(wb.d.mnemonic)
+        wb_halt = _HALT_MNEMONICS.get(wd.mnemonic)
         if wb_halt is not None:  # a0 is the exit code of an ecall only
             halt = HaltCause(wb_halt, code=core.regfile[10]
                              if wb_halt is HaltKind.ECALL else 0)
@@ -369,26 +372,26 @@ def step_cycle(core: CoreState, mem: MemoryImage
     # ---------------- EX: forwarded operands, ALU, multiplier handshake ---
     ex = core.idex
     d = ex.d
-    ex_result = 0
-    store_data = 0
+    m = core.exmem
+    ex_result = store_data = 0
 
     fire = core.mul_fire
     core.mul_fire = False
     issue: Optional[MulRequest] = None
     if d is not None:
         ctrl = d.ctrl
-        a_fwd = forward_ex(d.rs1, ex.rs1_val, core.exmem, core.memwb)
-        b_fwd = forward_ex(d.rs2, ex.rs2_val, core.exmem, core.memwb)
+        a_fwd = forward_ex(d.rs1, ex.rs1_val, m, wb)
+        b_fwd = forward_ex(d.rs2, ex.rs2_val, m, wb)
         unit = core.mul
         if ctrl.mul_en and (not unit.busy or (unit.out_valid and fire)):
-            issue = MulRequest(MulOp(d.mnemonic.value), a_fwd, b_fwd)
-    core.mul = mulunit.tick(core.mul, issue=issue, consumer_ready=fire)
+            issue = MulRequest(_MUL_OP[d.mnemonic], a_fwd, b_fwd)
+    core.mul = unit = mulunit.tick(core.mul, issue=issue, consumer_ready=fire)
 
-    ex_fwd = FwdSource()
+    ex_fwd = _NO_FWD
     if d is not None:
         if ctrl.mul_en:
-            if core.mul.out_valid:
-                ex_result = core.mul.result
+            if unit.out_valid:
+                ex_result = unit.result
                 core.mul_fire = True  # handshake completes on the next tick
         elif ctrl.is_jump:
             # Jumps latch their link value as the EX result so the plain
@@ -401,17 +404,13 @@ def step_cycle(core: CoreState, mem: MemoryImage
             ex_result = _ALU_OP.get(d.mnemonic, _add)(op_a, op_b)
         store_data = ex.rs2_val if cfg.inject_no_store_fwd else b_fwd
         if ctrl.reg_write and d.rd != 0 and not ctrl.mem_read \
-                and (core.mul.out_valid or not ctrl.mul_en):
+                and (unit.out_valid or not ctrl.mul_en):
             ex_fwd = FwdSource(True, d.rd, ex_result)
 
     # ---------------- MEM: single-issue dcache access, WB value select ----
-    m = core.exmem
     md = m.d
     dc_valid = False
-    dc_va = 0
-    dc_byte_en = 0
-    dc_d_out = 0
-    dc_d_in = 0
+    dc_va = dc_byte_en = dc_d_out = dc_d_in = 0
     if md is not None and (md.ctrl.mem_read or md.ctrl.mem_write) \
             and not m.mem_issued and halt is None:
         m.mem_issued = True
@@ -433,29 +432,25 @@ def step_cycle(core: CoreState, mem: MemoryImage
                                    (dc_d_in >> (8 * (addr & 0x3))) & lane,
                                    width)
         except MisalignedAccess as exc:
-            halt = HaltCause(HaltKind.ERROR,
-                             message=f"misaligned access at pc=0x{m.pc:08x}: {exc}")
+            halt = fault("misaligned access", m.pc, exc)
     mem_writes = md is not None and md.ctrl.reg_write and md.rd != 0
     wb_data_next = m.mem_data if md is not None and md.ctrl.mem_read \
         else m.alu_result
     mem_fwd = FwdSource(True, md.rd, wb_data_next) if mem_writes \
-        else FwdSource()
+        else _NO_FWD
 
     # ---------------- ID: decode, capture with WB bypass, resolve branches -
     f = core.ifid
     id_d: Optional[DecodedInstr] = None
-    rs1_cap = rs2_cap = 0
-    id_taken = False
-    id_target = 0
     id_halt: Optional[HaltKind] = None
+    id_taken = False
+    id_target = rs1_cap = rs2_cap = 0
     if f.valid:
         try:
             id_d = decode(f.instr)
         except IllegalInstruction as exc:
             if halt is None:
-                halt = HaltCause(
-                    HaltKind.ERROR,
-                    message=f"illegal instruction at pc=0x{f.pc:08x}: {exc}")
+                halt = fault("illegal instruction", f.pc, exc)
         if id_d is not None:
             id_halt = _HALT_MNEMONICS.get(id_d.mnemonic)
             regs = core.regfile
@@ -470,7 +465,7 @@ def step_cycle(core: CoreState, mem: MemoryImage
             if id_d.ctrl.is_branch:
                 s1 = forward_id(id_d.rs1, rf1, ex_fwd, mem_fwd, wb)
                 s2 = forward_id(id_d.rs2, rf2, ex_fwd, mem_fwd, wb)
-                id_taken = branch_taken(id_d.mnemonic, s1, s2)
+                id_taken = _BRANCH_TAKEN[id_d.mnemonic](s1, s2)
                 id_target = (f.pc + id_d.imm) & MASK32
             elif id_d.mnemonic is Mnemonic.JAL:
                 id_taken = True
@@ -481,13 +476,11 @@ def step_cycle(core: CoreState, mem: MemoryImage
                 id_target = (s1 + id_d.imm) & ~1 & MASK32
 
     # ---------------- hazards ---------------------------------------------
-    hz = hazard_detect(id_d, core.idex, core.mul, id_taken)
+    hz = hazard_detect(id_d, ex, unit, id_taken)
     redirect = hz.flush_ifid
     if redirect and id_target & 0x3 and halt is None:
-        halt = HaltCause(
-            HaltKind.ERROR,
-            message=f"misaligned control transfer to 0x{id_target:08x} "
-                    f"at pc=0x{f.pc:08x}")
+        halt = fault(f"misaligned control transfer to 0x{id_target:08x}",
+                     f.pc)
 
     # ---------------- IF: always-hit fetch --------------------------------
     # With an ecall/ebreak in ID, this cycle's word never enters IF/ID (it
@@ -495,10 +488,10 @@ def step_cycle(core: CoreState, mem: MemoryImage
     # never the timing.
     ic_va = core.pc_f
     fetch_off = core.halt_fetch or id_halt is not None
-    fetch_ok = not fetch_off and mem.is_initialized(ic_va, 4)
-    ic_d_in = mem.read_word(ic_va) if fetch_ok else 0
-    if not fetch_ok and not fetch_off:
+    fetched = None if fetch_off else mem.fetch_word(ic_va)
+    if fetched is None and not fetch_off:
         core.uninit_fetches += 1
+    ic_d_in = fetched or 0
 
     values = (core.cycle, ic_va, ic_va, 1, ic_d_in, dc_va, int(dc_valid),
               dc_byte_en, dc_d_out, dc_d_in, wb_rd if wb_write else 0,
@@ -506,7 +499,7 @@ def step_cycle(core: CoreState, mem: MemoryImage
               id_target, int(hz.stall_pc), int(hz.stall_ifid),
               int(hz.flush_ifid), int(hz.bubble_idex), int(hz.global_stall),
               int(f.valid), int(d is not None), int(md is not None),
-              int(wb.d is not None))
+              int(wd is not None))
 
     if halt is not None:
         core.cycle += 1
@@ -517,25 +510,27 @@ def step_cycle(core: CoreState, mem: MemoryImage
         core.regfile[wb_rd] = wb.wb_data  # readable from the next cycle on
 
     if not hz.global_stall:
-        core.memwb = MemWbReg(
-            d=md, pc=m.pc, instr=m.instr, wb_data=wb_data_next,
-            reg_write=mem_writes, mem_txn=m.mem_txn, tohost=m.tohost)
-        core.exmem = ExMemReg(d=d, pc=ex.pc, instr=ex.instr,
-                              alu_result=ex_result, store_data=store_data)
+        # In place, each register from its upstream one before that one is
+        # overwritten: MEM/WB <- EX/MEM <- ID/EX <- IF/ID <- fetch.  A
+        # bubble clears only d (valid for IF/ID); its other fields are
+        # never read.
+        wb.d, wb.pc, wb.instr, wb.wb_data = md, m.pc, m.instr, wb_data_next
+        wb.reg_write, wb.mem_txn, wb.tohost = mem_writes, m.mem_txn, m.tohost
+        wb.committed = False
+        m.d, m.pc, m.instr = d, ex.pc, ex.instr
+        m.alu_result, m.store_data = ex_result, store_data
+        m.mem_issued, m.mem_data, m.mem_txn, m.tohost = False, 0, None, None
         if hz.bubble_idex or id_d is None:
-            core.idex = IdExReg()
+            ex.d = None
         else:
-            core.idex = IdExReg(d=id_d, pc=f.pc, instr=f.instr,
-                                rs1_val=rs1_cap, rs2_val=rs2_cap)
+            ex.d, ex.pc, ex.instr = id_d, f.pc, f.instr
+            ex.rs1_val, ex.rs2_val = rs1_cap, rs2_cap
             if id_halt is not None:
                 core.halt_fetch = True
-        if hz.stall_ifid:
-            pass  # IF/ID holds
-        elif (redirect and not cfg.inject_no_flush) or core.halt_fetch \
-                or not fetch_ok:
-            core.ifid = IfIdReg()
-        else:
-            core.ifid = IfIdReg(valid=True, pc=ic_va, instr=ic_d_in)
+        if not hz.stall_ifid:  # else IF/ID holds
+            f.valid = not ((redirect and not cfg.inject_no_flush)
+                           or core.halt_fetch or fetched is None)
+            f.pc, f.instr = ic_va, ic_d_in
         core.pc_f = next_pc(core, redirect, id_target,
                             hz.stall_pc or core.halt_fetch)
 
@@ -550,15 +545,13 @@ class RunResult:
     cycles: int
     halt: HaltCause
     signals: Optional[list[dict]]
-    pc_trace: list[int]
 
 
 def run_core(core: CoreState, mem: MemoryImage, max_cycles: int,
              record_signals: bool = False) -> RunResult:
     """Step the pipeline until it halts or the cycle cap is reached.
 
-    pc_trace records the pc occupying IF each cycle (CPI attribution).  With
-    record_signals, signals holds one dict per cycle that maps every
+    With record_signals, signals holds one dict per cycle that maps every
     SIGNAL_SCHEMA name, in schema order, to its value; without it, signals
     is None and no per-cycle dict is built.
     """
@@ -566,9 +559,7 @@ def run_core(core: CoreState, mem: MemoryImage, max_cycles: int,
     commits: list[CommitRecord] = []
     commit_cycles: list[int] = []
     signals: Optional[list[dict]] = [] if record_signals else None
-    pc_trace: list[int] = []
     for _ in range(max_cycles):
-        pc_trace.append(core.pc_f)
         commit, halt, values = step_cycle(core, mem)
         if signals is not None:
             signals.append(dict(zip(SIGNAL_NAMES, values)))
@@ -579,5 +570,4 @@ def run_core(core: CoreState, mem: MemoryImage, max_cycles: int,
             break
     else:
         halt = HaltCause(HaltKind.MAX_CYCLES)
-    return RunResult(commits, commit_cycles, core.cycle, halt, signals,
-                     pc_trace)
+    return RunResult(commits, commit_cycles, core.cycle, halt, signals)

@@ -55,6 +55,46 @@ class TestWriteBytes:
             assert img.read_word(word_idx * 4) == expected
 
 
+class TestFetchWord:
+    def test_unwritten_word_is_none(self):
+        img = MemoryImage()
+        assert img.fetch_word(0x2000) is None
+        img.write_byte(0x2000, 0x13)  # same page, other word
+        assert img.fetch_word(0x2004) is None
+
+    @pytest.mark.parametrize("written", [1, 2, 3])
+    def test_half_written_word_is_none(self, written):
+        img = MemoryImage()
+        for i in range(written):
+            img.write_byte(0x2000 + i, 0xFF)
+        assert img.fetch_word(0x2000) is None
+
+    def test_counts_nothing(self):
+        img = MemoryImage()
+        img.write_byte(0x2001, 0xAB)
+        img.write_bytes(0x2004, 0x00000013, 0b1111)
+        img.fetch_word(0x2000)
+        img.fetch_word(0x2004)
+        img.fetch_word(0x8000)
+        assert img.uninit_reads == 0
+
+    @given(st.lists(st.tuples(st.integers(0, 31), st.integers(0, 0xFF)),
+                    max_size=80))
+    @settings(max_examples=200)
+    def test_equals_read_word_when_fully_written(self, writes):
+        img = MemoryImage()
+        for offset, value in writes:
+            img.write_byte(0x1FF0 + offset, value)  # spans a page boundary
+        for addr in range(0x1FF0, 0x2010, 4):
+            fetched = img.fetch_word(addr)
+            if img.is_initialized(addr, 4):
+                before = img.uninit_reads
+                assert fetched == img.read_word(addr)
+                assert img.uninit_reads == before
+            else:
+                assert fetched is None
+
+
 class TestTohost:
     def test_full_word_store_signals(self):
         img = MemoryImage(tohost_addr=0x80001000)
