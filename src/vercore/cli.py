@@ -16,7 +16,7 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
-from . import golden, tracetools
+from . import golden, mul, tracetools
 from .cosim import Program, cpi, format_verdict, lockstep
 from .elf import ElfFormatError, load_elf
 from .golden import DEFAULT_RESET_PC, HaltCause, HaltKind
@@ -24,7 +24,7 @@ from .memory import MalformedHexLine, MemoryImage, load_hex
 from .pipeline import CoreState, PipelineConfig, run_core
 from .tracetools import (CsvTable, MalformedCsv, MalformedTraceLine,
                          MalformedVcd, MissingColumn, diff_reg_trace,
-                         pipeline_decls, vcd_parse, vcd_to_csv, vcd_write)
+                         vcd_parse, vcd_to_csv, vcd_write)
 
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
@@ -102,7 +102,7 @@ def _write_trace_files(args, trace, reg_lines) -> None:
 
 def _write_vcd(path: str, signals: list[dict]) -> None:
     with open(path, "w") as sink:
-        vcd_write(signals, pipeline_decls(), sink)
+        vcd_write(signals, sink)
 
 
 def cmd_run(args) -> int:
@@ -124,9 +124,7 @@ def cmd_sim(args) -> int:
     if args.vcd is not None:
         _write_vcd(args.vcd, result.signals)
     if result.commits:
-        report = cpi(len(result.commits), result.cycles)
-        print(f"CPI: cycles={report.cycles} retired={report.retired} "
-              f"cpi={report.cpi:.4f}")
+        print(cpi(len(result.commits), result.cycles).line())
     return _halt_exit(result.halt)
 
 
@@ -168,10 +166,9 @@ def cmd_diff_trace(args) -> int:
         if arg is not None:
             columns[key] = arg
     expected = Path(args.reg_trace).read_text().splitlines()
-    diff = diff_reg_trace(table, expected, columns)
-    for line in diff.lines():
-        print(line)
-    return 0 if diff.clean else EXIT_MISMATCH
+    clean, report = diff_reg_trace(table, expected, columns)
+    print("\n".join(report))
+    return 0 if clean else EXIT_MISMATCH
 
 
 def _bench_one(args, path: str) -> tuple[str, int, int, float, bool]:
@@ -225,7 +222,8 @@ def _add_common(sub, cycles: bool) -> None:
     if cycles:
         sub.add_argument("--max-cycles", type=_positive_int,
                          default=2_000_000)
-        sub.add_argument("--mul-latency", type=_positive_int, default=4)
+        sub.add_argument("--mul-latency", type=_positive_int,
+                         default=mul.DEFAULT_LATENCY)
 
 
 def build_parser() -> argparse.ArgumentParser:

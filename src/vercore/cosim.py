@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import golden
-from .golden import CommitRecord, HaltCause, HaltKind
+from .golden import CommitRecord, HaltCause, HaltKind, MemTxn
 from .isa import decode, disassemble
 from .memory import MemoryImage
 from .pipeline import CoreState, PipelineConfig, run_core
@@ -39,8 +39,7 @@ class Mismatch:
     actual: Optional[CommitRecord]
     cycle: int = 0
     pc: int = 0
-    kind: str = "reg"  # reg | mem | missing | extra | halt
-    detail: str = ""
+    kind: str = "reg"  # reg | mem | missing | extra
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,11 @@ class CpiReport:
     cycles: int
     retired: int
     cpi: float
+
+    def line(self) -> str:
+        """The machine-readable `CPI:` line of sim, cosim and bench."""
+        return (f"CPI: cycles={self.cycles} retired={self.retired} "
+                f"cpi={self.cpi:.4f}")
 
 
 def cpi(retired: int, cycles: int) -> CpiReport:
@@ -57,18 +61,10 @@ def cpi(retired: int, cycles: int) -> CpiReport:
     return CpiReport(cycles, retired, cycles / retired)
 
 
-def _txn_mismatch(e: CommitRecord, a: CommitRecord,
-                  compare_loads: bool) -> Optional[str]:
-    et, at_ = e.mem, a.mem
-    if not compare_loads:
-        et = None if (et is not None and et.kind == "load") else et
-        at_ = None if (at_ is not None and at_.kind == "load") else at_
-    if (et is None) != (at_ is None):
-        return "memory transaction presence"
-    if et is not None and (et.kind, et.addr, et.data, et.width) != \
-            (at_.kind, at_.addr, at_.data, at_.width):
-        return "memory transaction fields"
-    return None
+def _compared_txn(c: CommitRecord, compare_loads: bool) -> Optional[MemTxn]:
+    m = c.mem
+    return None if not compare_loads and m is not None and m.kind == "load" \
+        else m
 
 
 def compare_traces(expected: list[CommitRecord], actual: list[CommitRecord],
@@ -83,24 +79,22 @@ def compare_traces(expected: list[CommitRecord], actual: list[CommitRecord],
     for i in range(n):
         if i >= len(actual):
             return Mismatch(i, expected[i], None, pc=expected[i].pc,
-                            kind="missing", detail="missing commit")
+                            kind="missing")
         if i >= len(expected):
             a = actual[i]
             return Mismatch(i, None, a, pc=a.pc, kind="extra",
-                            cycle=actual_cycles[i] if actual_cycles else 0,
-                            detail="extra commit past expected trace")
+                            cycle=actual_cycles[i] if actual_cycles else 0)
         e, a = expected[i], actual[i]
         cyc = actual_cycles[i] if actual_cycles else 0
         if strict_pc and e.pc != a.pc:
-            return Mismatch(i, e, a, cyc, e.pc, "reg", "pc")
+            return Mismatch(i, e, a, cyc, e.pc, "reg")
         if (e.reg_write, e.rd if e.reg_write else 0,
                 e.wb_value if e.reg_write else 0) != \
                 (a.reg_write, a.rd if a.reg_write else 0,
                  a.wb_value if a.reg_write else 0):
-            return Mismatch(i, e, a, cyc, e.pc, "reg", "register write")
-        txn_diff = _txn_mismatch(e, a, compare_loads)
-        if txn_diff is not None:
-            return Mismatch(i, e, a, cyc, e.pc, "mem", txn_diff)
+            return Mismatch(i, e, a, cyc, e.pc, "reg")
+        if _compared_txn(e, compare_loads) != _compared_txn(a, compare_loads):
+            return Mismatch(i, e, a, cyc, e.pc, "mem")
     return None
 
 
@@ -208,10 +202,11 @@ def format_verdict(v: Verdict, show_context: bool = True) -> str:
         lines.append(f"RESULT-NOTE: {v.note}")
     mm = v.mismatch
     if mm is not None:
-        exp = f"x{mm.expected.rd}=0x{mm.expected.wb_value:08x}" \
-            if mm.expected is not None and mm.expected.reg_write else _describe(mm.expected)
-        got = f"x{mm.actual.rd}=0x{mm.actual.wb_value:08x}" \
-            if mm.actual is not None and mm.actual.reg_write else _describe(mm.actual)
+        # A register write shows as its value; a memory mismatch, or a side
+        # that writes no register, shows the whole commit.
+        exp, got = (f"x{c.rd}=0x{c.wb_value:08x}"
+                    if c is not None and c.reg_write and mm.kind != "mem"
+                    else _describe(c) for c in (mm.expected, mm.actual))
         lines.append(f"MISMATCH: index={mm.index} kind={mm.kind} "
                      f"pc=0x{mm.pc:08x} cycle={mm.cycle} "
                      f"expected {exp} got {got}")
@@ -223,7 +218,5 @@ def format_verdict(v: Verdict, show_context: bool = True) -> str:
             lines.extend(f"  A{i}: {_describe(c)}" for i, c in
                          enumerate(v.context.actual_window))
     if v.cpi_report is not None:
-        r = v.cpi_report
-        lines.append(f"CPI: cycles={r.cycles} retired={r.retired} "
-                     f"cpi={r.cpi:.4f}")
+        lines.append(v.cpi_report.line())
     return "\n".join(lines)

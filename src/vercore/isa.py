@@ -201,6 +201,8 @@ MEM_WIDTH: dict[Mnemonic, int] = {
 _MULS = {Mnemonic.MUL, Mnemonic.MULH, Mnemonic.MULHSU, Mnemonic.MULHU}
 _SHIFTS_IMM = {Mnemonic.SLLI, Mnemonic.SRLI, Mnemonic.SRAI}
 _NO_EFFECT = {Mnemonic.FENCE, Mnemonic.FENCE_I, Mnemonic.ECALL, Mnemonic.EBREAK}
+# ecall and ebreak are whole fixed words, not fields.
+_SYSTEM_WORDS = {Mnemonic.ECALL: 0x00000073, Mnemonic.EBREAK: 0x00100073}
 
 
 def _control_for(mn: Mnemonic, enc: Encoding) -> Control:
@@ -225,15 +227,17 @@ _CONTROL: dict[Mnemonic, Control] = {
     mn: _control_for(mn, enc) for mn, enc in ENCODINGS.items()
 }
 
-# Decode lookup tables, derived from ENCODINGS so the two directions cannot
-# drift apart.  R-type and immediate shifts key on (funct3, funct7); other
-# I/S/B key on funct3 alone; U/J key on opcode alone.
+# Decode lookup tables, derived from ENCODINGS and _SYSTEM_WORDS so the two
+# directions cannot drift apart.  R-type and immediate shifts key on (funct3,
+# funct7); other I/S/B key on funct3 alone; U/J key on opcode alone; ecall
+# and ebreak key on the whole word.
 _BY_F3F7: dict[tuple[int, int, int], Mnemonic] = {}
 _BY_F3: dict[tuple[int, int], Mnemonic] = {}
 _BY_OP: dict[int, Mnemonic] = {}
+_BY_WORD = {word: mn for mn, word in _SYSTEM_WORDS.items()}
 for _mn, _enc in ENCODINGS.items():
-    if _mn in (Mnemonic.ECALL, Mnemonic.EBREAK):
-        continue  # matched on the full instruction word
+    if _mn in _SYSTEM_WORDS:
+        continue
     if _enc.funct7 is not None:
         _BY_F3F7[(_enc.opcode, _enc.funct3, _enc.funct7)] = _mn
     elif _enc.funct3 is not None:
@@ -284,11 +288,8 @@ def decode(word: int) -> DecodedInstr:
 
     mn: Mnemonic | None
     if opcode == OP_SYSTEM:
-        if word == 0x00000073:
-            mn = Mnemonic.ECALL
-        elif word == 0x00100073:
-            mn = Mnemonic.EBREAK
-        else:
+        mn = _BY_WORD.get(word)
+        if mn is None:
             raise IllegalInstruction(f"unsupported system/CSR encoding 0x{word:08x}")
     else:
         mn = (_BY_F3F7.get((opcode, funct3, funct7))
@@ -326,10 +327,8 @@ def encode(mnemonic: Mnemonic, rd: int = 0, rs1: int = 0, rs2: int = 0,
     for name, idx in (("rd", rd), ("rs1", rs1), ("rs2", rs2)):
         _check_reg(name, idx)
 
-    if mnemonic == Mnemonic.ECALL:
-        return 0x00000073
-    if mnemonic == Mnemonic.EBREAK:
-        return 0x00100073
+    if mnemonic in _SYSTEM_WORDS:
+        return _SYSTEM_WORDS[mnemonic]
 
     if fmt == Format.R:
         return (enc.funct7 << 25) | (rs2 << 20) | (rs1 << 15) \

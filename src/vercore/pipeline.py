@@ -8,6 +8,10 @@ the register file has flip-flop write timing (a WB write is readable the
 next cycle, with an explicit same-cycle WB->ID bypass); a pending multiply
 holds the whole pipeline via a global stall.  Instruction fetch stops from
 the cycle an ecall/ebreak is decoded in ID, so nothing past a halt is read.
+A fetch from unwritten memory enters IF/ID as a fault that ID raises, with
+the golden model's message, once every older instruction has committed,
+unless a flush squashes it first.  There is no reset input:
+`CoreState.reset` builds the state a run starts from.
 
 Control is decoded once, in ID.  IF/ID carries the fetched word and its pc.
 ID/EX, EX/MEM and MEM/WB each carry the instruction as `isa.decode` returned
@@ -86,11 +90,12 @@ _HALT_MNEMONICS = {Mnemonic.ECALL: HaltKind.ECALL,
 
 @dataclass(slots=True)
 class IfIdReg:
-    """Fetched word and its pc; valid is False for a bubble."""
+    """Fetched word and its pc; valid is False for a bubble.  A valid entry
+    with instr None is a fetch from unwritten memory, which faults in ID."""
 
     valid: bool = False
     pc: int = 0
-    instr: int = 0
+    instr: Optional[int] = 0
 
 
 @dataclass(slots=True)
@@ -179,7 +184,6 @@ class CoreState:
     # cycle the ecall/ebreak is decoded in ID, before this is set.
     halt_fetch: bool = False
     cycle: int = 0
-    reset_n: bool = True
     # Fetches from unmapped memory that the front end actually made,
     # including ones on a path that a flush later squashes.
     uninit_fetches: int = 0
@@ -192,9 +196,7 @@ class CoreState:
 
 
 def next_pc(cur: CoreState, branch_taken: bool, target: int, stall: bool) -> int:
-    """PC update priority: reset -> branch/jump target -> stall hold -> pc+4."""
-    if not cur.reset_n:
-        return cur.config.reset_pc
+    """PC update priority: branch/jump target -> stall hold -> pc+4."""
     if branch_taken:
         return target & MASK32
     if stall:
@@ -339,17 +341,6 @@ def step_cycle(core: CoreState, mem: MemoryImage
     cfg = core.config
     halt: Optional[HaltCause] = None
 
-    if not core.reset_n:
-        core.pc_f = cfg.reset_pc
-        core.ifid, core.idex = IfIdReg(), IdExReg()
-        core.exmem, core.memwb = ExMemReg(), MemWbReg()
-        core.halt_fetch = False
-        # Cycle, IF pc and ic_va carry the reset pc; every other signal is 0.
-        values = (core.cycle, cfg.reset_pc, cfg.reset_pc) \
-            + (0,) * (len(SIGNAL_SCHEMA) - 3)
-        core.cycle += 1
-        return None, None, values
-
     # ---------------- WB: commit exactly once per retiring instruction ----
     wb = core.memwb
     wd = wb.d
@@ -445,12 +436,16 @@ def step_cycle(core: CoreState, mem: MemoryImage
     id_halt: Optional[HaltKind] = None
     id_taken = False
     id_target = rs1_cap = rs2_cap = 0
-    if f.valid:
+    if f.valid and f.instr is None:
+        # An unwritten word faults once nothing older is left in EX or MEM;
+        # until then pc_f holds and IF fetches the word again.
+        if d is None and md is None:
+            halt = halt or fault("fetch from uninitialized memory", f.pc)
+    elif f.valid:
         try:
             id_d = decode(f.instr)
         except IllegalInstruction as exc:
-            if halt is None:
-                halt = fault("illegal instruction", f.pc, exc)
+            halt = halt or fault("illegal instruction", f.pc, exc)
         if id_d is not None:
             id_halt = _HALT_MNEMONICS.get(id_d.mnemonic)
             regs = core.regfile
@@ -529,10 +524,10 @@ def step_cycle(core: CoreState, mem: MemoryImage
                 core.halt_fetch = True
         if not hz.stall_ifid:  # else IF/ID holds
             f.valid = not ((redirect and not cfg.inject_no_flush)
-                           or core.halt_fetch or fetched is None)
-            f.pc, f.instr = ic_va, ic_d_in
+                           or core.halt_fetch)
+            f.pc, f.instr = ic_va, fetched
         core.pc_f = next_pc(core, redirect, id_target,
-                            hz.stall_pc or core.halt_fetch)
+                            hz.stall_pc or core.halt_fetch or fetched is None)
 
     core.cycle += 1
     return commit, None, values

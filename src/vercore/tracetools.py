@@ -1,13 +1,15 @@
 """Waveform trace tooling: VCD emission/parsing, CSV tabulation and the
 register-write diff against an expected reg_trace.hex.
 
+The writer dumps the pipeline's SIGNAL_SCHEMA, declared by pipeline_decls().
 The VCD subset covers $timescale, nested $scope/$var declarations,
 $enddefinitions, $dumpvars, #time stamps, scalar and b-vector changes with
-x/z states.  The parser reads the text line by line and keeps each change
-as a (time, id, bits) tuple.  CSV tables hold one row per distinct
-timestamp with sample-and-hold cell values (fixed-width lowercase hex for
-vectors): each column's cell is rendered when its signal changes and held,
-so a row is the time plus the held cells.
+x/z states.  The parser takes an iterable of lines (an open file, say) and
+keeps each change as a (time, id, bits) tuple.  CSV tables hold one row per
+distinct timestamp with sample-and-hold cell values (fixed-width lowercase
+hex for vectors): each column's cell is rendered when its signal changes
+and held, so a row is the time plus the held cells.  diff_reg_trace returns
+(clean, report lines).
 """
 
 from __future__ import annotations
@@ -77,22 +79,9 @@ class CsvTable:
 
 
 def pipeline_decls() -> list[SignalDecl]:
-    """Declarations for the pipeline's per-cycle snapshot schema."""
-    return [SignalDecl(_id_code(i), width, name)
+    """Declarations for SIGNAL_SCHEMA; signal i has the id chr(33 + i)."""
+    return [SignalDecl(chr(33 + i), width, name)
             for i, (name, width) in enumerate(SIGNAL_SCHEMA)]
-
-
-_ID_ALPHABET = [chr(c) for c in range(33, 127)]
-
-
-def _id_code(index: int) -> str:
-    code = ""
-    index += 1
-    while index > 0:
-        index -= 1
-        code = _ID_ALPHABET[index % 94] + code
-        index //= 94
-    return code
 
 
 _NAME_RE = re.compile(r"^(?P<base>.*?)(?:\[(?P<msb>\d+):(?P<lsb>\d+)\])?$")
@@ -113,14 +102,15 @@ def _format_value(value: int, width: int) -> str:
     return format(value & ((1 << width) - 1), f"0{width}b")
 
 
-def vcd_write(signal_log: Sequence[Mapping[str, int]],
-              decls: Sequence[SignalDecl], sink: TextIO) -> None:
-    """Emit per-cycle snapshots as a standard VCD change dump.
+def vcd_write(signal_log: Sequence[Mapping[str, int]], sink: TextIO) -> None:
+    """Emit per-cycle snapshots as a standard VCD change dump, declared by
+    pipeline_decls().
 
     Cycle k maps to timestamp k * TIME_PER_CYCLE.  Snapshot dicts must carry
-    a value for every declared signal name.  Only changed signals are
+    a value for every SIGNAL_SCHEMA name.  Only changed signals are
     re-dumped after the initial $dumpvars block.
     """
+    decls = pipeline_decls()
     sink.write("$date\n    vercore trace\n$end\n")
     sink.write("$timescale 1ps $end\n")
     open_scopes: list[str] = []
@@ -164,8 +154,8 @@ _DIRECTIVES = ("$scope", "$var", "$upscope", "$timescale", "$date",
 
 def vcd_parse(stream: Iterable[str]
               ) -> tuple[list[SignalDecl], list[tuple[int, str, str]]]:
-    """Parse VCD text, or an iterable of its lines, into declarations and a
-    change sequence of (time, id_code, bits) tuples; bits is a lowercase
+    """Parse an iterable of VCD lines (an open file, say) into declarations
+    and a change sequence of (time, id_code, bits) tuples; bits is a lowercase
     binary string, possibly with x/z.
 
     Changes appearing before the first #timestamp (e.g. inside $dumpvars)
@@ -180,8 +170,7 @@ def vcd_parse(stream: Iterable[str]
     in_defs = True
     directive: Optional[str] = None
     directive_args: list[str] = []
-    lines = stream.splitlines() if isinstance(stream, str) else stream
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(stream, start=1):
         toks = iter(raw.split())
         for tok in toks:
             if directive is not None:
@@ -306,50 +295,12 @@ def vcd_to_csv(decls: Sequence[SignalDecl],
     return table
 
 
-DEFAULT_COLUMNS = {
-    "reg_write": "vercore_tb.u_vercore.wb_reg_write",
-    "rd": "vercore_tb.u_vercore.wb_rd[4:0]",
-    "data": "vercore_tb.u_vercore.wb_data[31:0]",
-    "pc": "vercore_tb.u_vercore.u_stage_if.pc[31:0]",
-}
-
-
-@dataclass(frozen=True)
-class RegWrite:
-    time: int
-    rd: int
-    value: int
-    pc: Optional[int]
-
-
-@dataclass
-class TraceDiff:
-    """Outcome of comparing CSV-extracted writes with expected trace lines."""
-
-    writes_compared: int
-    mismatch_index: Optional[int] = None
-    expected: Optional[tuple[int, int]] = None  # (rd, value)
-    actual: Optional[RegWrite] = None
-    missing_index: Optional[int] = None
-
-    @property
-    def clean(self) -> bool:
-        return self.mismatch_index is None and self.missing_index is None
-
-    def lines(self) -> list[str]:
-        if self.clean:
-            return [f"no mismatch ({self.writes_compared} writes compared)"]
-        if self.missing_index is not None:
-            rd, value = self.expected
-            return [f"missing write {self.missing_index}: "
-                    f"expected x{rd} = 0x{value:08x}"]
-        rd, value = self.expected
-        a = self.actual
-        ctx = f"(time={a.time}" + (f", pc=0x{a.pc:04x})" if a.pc is not None
-                                   else ")")
-        return [f"mismatch at write {self.mismatch_index}:",
-                f"  expected: x{rd} = 0x{value:08x}",
-                f"  got:      x{a.rd} = 0x{a.value:08x} {ctx}"]
+# The SIGNAL_SCHEMA columns diff_reg_trace reads, by role.
+DEFAULT_COLUMNS = {key: next(name for name, _ in SIGNAL_SCHEMA
+                             if name.rsplit(".", 1)[1].split("[")[0] == base)
+                   for key, base in (("reg_write", "wb_reg_write"),
+                                     ("rd", "wb_rd"), ("data", "wb_data"),
+                                     ("pc", "pc"))}
 
 
 def parse_reg_trace(lines: Iterable[str]) -> list[tuple[int, int]]:
@@ -368,8 +319,10 @@ def parse_reg_trace(lines: Iterable[str]) -> list[tuple[int, int]]:
 
 
 def extract_reg_writes(table: CsvTable,
-                       columns: Mapping[str, str] = DEFAULT_COLUMNS) -> list[RegWrite]:
-    """Rows where the writeback strobe is 1 and rd != 0, in time order.
+                       columns: Mapping[str, str] = DEFAULT_COLUMNS
+                       ) -> list[tuple[int, int, int, Optional[int]]]:
+    """(time, rd, value, pc) of the rows where the writeback strobe is 1 and
+    rd != 0, in time order; pc is None without a pc column.
 
     Cells containing x/z never match anything downstream; an x strobe is
     treated as not-a-write here, an x rd/value surfaces as value -1.
@@ -395,7 +348,7 @@ def extract_reg_writes(table: CsvTable,
         if rd == 0:
             continue
         pc = _hex_or_unknown(row[c_pc]) if c_pc is not None else None
-        writes.append(RegWrite(int(row[0]), rd, value, pc))
+        writes.append((int(row[0]), rd, value, pc))
     return writes
 
 
@@ -408,20 +361,24 @@ def _hex_or_unknown(cell: str) -> int:
 
 
 def diff_reg_trace(table: CsvTable, expected_lines: Iterable[str],
-                   columns: Mapping[str, str] = DEFAULT_COLUMNS) -> TraceDiff:
+                   columns: Mapping[str, str] = DEFAULT_COLUMNS
+                   ) -> tuple[bool, list[str]]:
     """Compare the table's register-write stream against expected lines.
 
-    Reports the first (rd, value) disagreement with its time and pc context,
-    or the first expected write with no corresponding row.  Extra actual
-    writes beyond the expected list are not an error.
+    Returns (clean, report lines).  The report names the first (rd, value)
+    disagreement with its time and pc context, or the first expected write
+    with no corresponding row.  Extra actual writes beyond the expected
+    list are not an error.
     """
     expected = parse_reg_trace(expected_lines)
     actual = extract_reg_writes(table, columns)
     for i, (erd, evalue) in enumerate(expected):
+        want = f"x{erd} = 0x{evalue:08x}"
         if i >= len(actual):
-            return TraceDiff(i, missing_index=i, expected=(erd, evalue))
-        a = actual[i]
-        if a.rd != erd or a.value != evalue:
-            return TraceDiff(i, mismatch_index=i, expected=(erd, evalue),
-                             actual=a)
-    return TraceDiff(len(expected))
+            return False, [f"missing write {i}: expected {want}"]
+        time, rd, value, pc = actual[i]
+        if rd != erd or value != evalue:
+            ctx = f"time={time}" + ("" if pc is None else f", pc=0x{pc:04x}")
+            return False, [f"mismatch at write {i}:", f"  expected: {want}",
+                           f"  got:      x{rd} = 0x{value:08x} ({ctx})"]
+    return True, [f"no mismatch ({len(expected)} writes compared)"]

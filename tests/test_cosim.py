@@ -3,7 +3,8 @@
 import pytest
 
 from vercore import cosim, progs
-from vercore.cosim import format_verdict, lockstep
+from vercore.cosim import Verdict, compare_traces, format_verdict, lockstep
+from vercore.golden import CommitRecord, HaltCause, HaltKind, MemTxn
 from vercore.pipeline import PipelineConfig
 
 
@@ -60,3 +61,20 @@ class TestMismatchReport:
         assert lines[1] == ("MISMATCH: index=3 kind=reg pc=0x00002020 "
                             "cycle=7 expected x2=0x00003224 got x5=0x0000300c")
         assert lines[-1] == "CPI: cycles=11 retired=7 cpi=1.5714"
+
+    def test_memory_mismatch_shows_both_transactions(self):
+        # same register write, different load address
+        word = progs.LW(5, 0, 1)
+        expected = CommitRecord(0x2008, word, 5, 7, True,
+                                MemTxn("load", 0x3000, 7, 4))
+        actual = CommitRecord(0x2008, word, 5, 7, True,
+                              MemTxn("load", 0x3004, 7, 4))
+        mm = compare_traces([expected], [actual])
+        halt = HaltCause(HaltKind.ECALL)
+        v = Verdict(False, "p", halt, halt, 1, 5, mismatch=mm)
+        assert format_verdict(v).splitlines()[1] == (
+            "MISMATCH: index=0 kind=mem pc=0x00002008 cycle=0 expected "
+            "pc=0x00002008 [lw x5, 0(x1)] x5=0x00000007 "
+            "L addr=0x00003000 data=0x00000007 w=4 got "
+            "pc=0x00002008 [lw x5, 0(x1)] x5=0x00000007 "
+            "L addr=0x00003004 data=0x00000007 w=4")

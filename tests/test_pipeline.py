@@ -3,7 +3,7 @@ store/load lane formulas and stall/flush signal behavior."""
 
 import pytest
 
-from vercore import progs
+from vercore import golden, progs
 from vercore.golden import HaltKind
 from vercore.isa import decode
 from vercore.memory import MisalignedAccess
@@ -42,10 +42,6 @@ class TestNextPc:
     def setup_method(self):
         self.core = CoreState.reset(PipelineConfig(reset_pc=0x2000))
         self.core.pc_f = 0x2008
-
-    def test_reset_dominates(self):
-        self.core.reset_n = False
-        assert next_pc(self.core, True, 0x4000, True) == 0x2000
 
     def test_branch_beats_stall(self):
         assert next_pc(self.core, True, 0x2020, True) == 0x2020
@@ -439,6 +435,25 @@ class TestHaltBehavior:
         assert result.halt.kind is HaltKind.ERROR
         assert "illegal" in result.halt.message
 
+    def test_falling_off_the_end_faults_like_the_golden_model(self):
+        words = [ADDI(1, 0, 1), ADDI(2, 0, 2)]
+        result, _ = run_words(words, max_cycles=10)
+        program = assemble(words, "t")
+        trace, golden_halt = golden.run(
+            golden.ArchState(pc=program.entry, mem=program.image), 100)
+        assert golden_halt.kind is HaltKind.ERROR
+        assert result.halt == golden_halt  # kind, code and message
+        assert result.commits == trace
+        assert result.halt.message == \
+            "fetch from uninitialized memory at pc=0x00002008"
+
+    def test_flush_squashes_an_unwritten_wrong_path_word(self):
+        # the jal at 0x2008 is the last word; its fall-through is fetched,
+        # found unwritten and flushed, so the run reaches the ecall
+        result, core = run_words([JAL(0, 8), ECALL(), JAL(0, -4)])
+        assert result.halt.kind is HaltKind.ECALL
+        assert core.uninit_fetches == 1
+
     def test_max_cycles(self):
         result, _ = run_words([JAL(0, 0)], max_cycles=50)
         assert result.halt.kind is HaltKind.MAX_CYCLES
@@ -446,20 +461,6 @@ class TestHaltBehavior:
 
 
 class TestReset:
-    def test_reset_holds_pipeline(self):
-        program = assemble([ADDI(1, 0, 1), ECALL()], "r")
-        core = CoreState.reset(PipelineConfig(reset_pc=program.entry))
-        core.reset_n = False
-        for _ in range(3):
-            commit, sig = step(core, program.image)
-            assert not sig["ic_valid"] and commit is None
-            assert core.pc_f == program.entry
-            assert not core.ifid.valid
-        core.reset_n = True
-        result = run_core(core, program.image, 100)
-        assert result.halt.kind is HaltKind.ECALL
-        assert len(result.commits) == 2
-
     def test_determinism(self):
         p = progs.benchmark_program(buf_bytes=16)
         r1 = run_core(CoreState.reset(PipelineConfig(reset_pc=p.entry)),

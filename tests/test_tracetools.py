@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vercore.pipeline import SIGNAL_NAMES, SIGNAL_SCHEMA
-from vercore.tracetools import (TIME_PER_CYCLE, CsvTable, MalformedVcd,
-                                pipeline_decls, vcd_parse, vcd_to_csv,
-                                vcd_write)
+from vercore.tracetools import (DEFAULT_COLUMNS, TIME_PER_CYCLE, CsvTable,
+                                MalformedVcd, diff_reg_trace, pipeline_decls,
+                                vcd_parse, vcd_to_csv, vcd_write)
 
 WIDTHS = [width for _, width in SIGNAL_SCHEMA]
 
@@ -38,13 +38,12 @@ def _cell(value, width):
 
 def _write(log):
     sink = io.StringIO()
-    vcd_write([dict(zip(SIGNAL_NAMES, values)) for values in log],
-              pipeline_decls(), sink)
+    vcd_write([dict(zip(SIGNAL_NAMES, values)) for values in log], sink)
     return sink.getvalue()
 
 
 def _to_csv(text):
-    return vcd_to_csv(*vcd_parse(text))
+    return vcd_to_csv(*vcd_parse(io.StringIO(text)))
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
@@ -92,7 +91,7 @@ def _id(name_prefix):
 def test_malformed_vcd_names_the_line(lines, offset, message):
     text, first = _lines_after_definitions(*lines)
     with pytest.raises(MalformedVcd, match=message) as info:
-        vcd_parse(text)
+        vcd_parse(io.StringIO(text))
     assert info.value.line == first + offset
     assert str(info.value).startswith(f"line {first + offset}: ")
 
@@ -111,7 +110,7 @@ def test_malformed_declaration_names_the_line(lines, offset, message):
                       "$var wire 1 ! a $end", *lines, "$upscope $end",
                       "$enddefinitions $end", "#0", "1!"]) + "\n"
     with pytest.raises(MalformedVcd, match=message) as info:
-        vcd_parse(text)
+        vcd_parse(io.StringIO(text))
     assert info.value.line == 4 + offset
     assert str(info.value).startswith(f"line {4 + offset}: ")
 
@@ -163,3 +162,52 @@ def test_hand_written_vcd():
                           ["5", "1", "01", "z", "xxx"],
                           ["10", "x", "01", "z", "005"],
                           ["20", "x", "ff", "0", "005"]]
+
+
+WB_KEYS = ("reg_write", "rd", "data", "pc")
+
+
+def _diff(rows, expected, pc=True):
+    """diff_reg_trace over write-back rows [time, reg_write, rd, data, pc],
+    without the pc column unless `pc`: (clean, report lines)."""
+    keys = WB_KEYS if pc else WB_KEYS[:3]
+    table = CsvTable(["time", *(DEFAULT_COLUMNS[k] for k in keys)],
+                     [row[:1 + len(keys)] for row in rows])
+    return diff_reg_trace(table, expected)
+
+
+WB_ROWS = [["0", "0", "01", "00000099", "2000"],  # no strobe: not a write
+           ["10", "1", "01", "0000002a", "2000"],
+           ["20", "1", "00", "00000005", "2004"],  # x0: not a write
+           ["30", "1", "02", "00000007", "2008"]]
+
+
+class TestDiffRegTrace:
+    def test_clean(self):
+        assert _diff(WB_ROWS, ["010000002a", "0200000007"]) \
+            == (True, ["no mismatch (2 writes compared)"])
+
+    @pytest.mark.parametrize("pc,context", [(True, "(time=30, pc=0x2008)"),
+                                            (False, "(time=30)")])
+    def test_mismatch(self, pc, context):
+        assert _diff(WB_ROWS, ["010000002a", "0200000008"], pc) == (False, [
+            "mismatch at write 1:",
+            "  expected: x2 = 0x00000008",
+            f"  got:      x2 = 0x00000007 {context}"])
+
+    def test_missing_write(self):
+        assert _diff(WB_ROWS, ["010000002a", "0200000007", "0300000001"]) \
+            == (False, ["missing write 2: expected x3 = 0x00000001"])
+
+    @pytest.mark.parametrize("column,cell", [(2, "xx"), (3, "0000000x")])
+    def test_x_cell_never_matches(self, column, cell):
+        rows = [list(row) for row in WB_ROWS]
+        rows[1][column] = cell
+        clean, lines = _diff(rows, ["010000002a", "0200000007"])
+        assert not clean and lines[0] == "mismatch at write 0:"
+
+    def test_x_strobe_is_not_a_write(self):
+        rows = [list(row) for row in WB_ROWS]
+        rows[1][1] = "x"
+        assert _diff(rows, ["0200000007"]) \
+            == (True, ["no mismatch (1 writes compared)"])
