@@ -10,6 +10,8 @@ read or written, 4 simulation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -22,9 +24,9 @@ from .elf import ElfFormatError, load_elf
 from .golden import DEFAULT_RESET_PC, HaltCause, HaltKind
 from .memory import MalformedHexLine, MemoryImage, load_hex
 from .pipeline import CoreState, PipelineConfig, run_core
-from .tracetools import (CsvTable, MalformedCsv, MalformedTraceLine,
-                         MalformedVcd, MissingColumn, diff_reg_trace,
-                         vcd_parse, vcd_to_csv, vcd_write)
+from .tracetools import (MalformedCsv, MalformedTraceLine, MalformedVcd,
+                         MissingColumn, diff_reg_trace, vcd_parse,
+                         vcd_to_csv, vcd_write)
 
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
@@ -100,9 +102,15 @@ def _write_trace_files(args, trace, reg_lines) -> None:
         Path(args.reg_trace).write_text("\n".join(reg_lines) + "\n")
 
 
-def _write_vcd(path: str, signals: list[dict]) -> None:
-    with open(path, "w") as sink:
-        vcd_write(signals, sink)
+@contextlib.contextmanager
+def _vcd_sink(path: Optional[str]):
+    """A run_core sink that writes the signals to a VCD file at path as the
+    pipeline runs, or None without a path."""
+    if path is None:
+        yield None
+        return
+    with open(path, "w") as out:
+        yield vcd_write(out)
 
 
 def cmd_run(args) -> int:
@@ -117,12 +125,10 @@ def cmd_run(args) -> int:
 def cmd_sim(args) -> int:
     program = _load_from_args(args, args.program)
     core = CoreState.reset(_pipeline_config(args, program.entry))
-    result = run_core(core, program.image, args.max_cycles,
-                      record_signals=args.vcd is not None)
+    with _vcd_sink(args.vcd) as sink:
+        result = run_core(core, program.image, args.max_cycles, sink=sink)
     _write_trace_files(args, result.commits,
                        golden.export_reg_trace(result.commits))
-    if args.vcd is not None:
-        _write_vcd(args.vcd, result.signals)
     if result.commits:
         print(cpi(len(result.commits), result.cycles).line())
     return _halt_exit(result.halt)
@@ -130,15 +136,13 @@ def cmd_sim(args) -> int:
 
 def cmd_cosim(args) -> int:
     program = _load_from_args(args, args.program)
-    verdict = lockstep(program, args.max_cycles,
-                       _pipeline_config(args, program.entry),
-                       strict_pc=args.strict_pc,
-                       compare_loads=not args.ignore_load_txns,
-                       max_steps=args.max_steps,
-                       record_signals=args.vcd is not None)
+    with _vcd_sink(args.vcd) as sink:
+        verdict = lockstep(program, args.max_cycles,
+                           _pipeline_config(args, program.entry),
+                           strict_pc=args.strict_pc,
+                           compare_loads=not args.ignore_load_txns,
+                           max_steps=args.max_steps, sink=sink)
     print(format_verdict(verdict))
-    if args.vcd is not None:
-        _write_vcd(args.vcd, verdict.signals)
     if not verdict.passed:
         return EXIT_SIM if (verdict.mismatch is None and verdict.note)  \
             else EXIT_MISMATCH
@@ -151,22 +155,33 @@ def cmd_cosim(args) -> int:
 
 
 def cmd_vcd2csv(args) -> int:
+    """Rows go to a sibling file as they complete, which replaces the CSV
+    only once the whole VCD has parsed: a malformed VCD leaves the CSV as
+    it was."""
+    partial = f"{args.csv}.partial"
     with open(args.vcd) as vcd:
-        table = vcd_to_csv(*vcd_parse(vcd))
-    Path(args.csv).write_text(table.to_text())
-    print(f"{len(table.rows)} rows, {len(table.header) - 1} signals")
+        decls, changes = vcd_parse(vcd)
+        try:
+            with open(partial, "w") as csv:
+                rows = vcd_to_csv(decls, changes, csv.write)
+            os.replace(partial, args.csv)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(partial)
+            raise
+    print(f"{rows} rows, {len(decls)} signals")
     return 0
 
 
 def cmd_diff_trace(args) -> int:
-    table = CsvTable.from_text(Path(args.csv).read_text())
     columns = dict(tracetools.DEFAULT_COLUMNS)
     for key, arg in (("reg_write", args.col_reg_write), ("rd", args.col_rd),
                      ("data", args.col_data), ("pc", args.col_pc)):
         if arg is not None:
             columns[key] = arg
-    expected = Path(args.reg_trace).read_text().splitlines()
-    clean, report = diff_reg_trace(table, expected, columns)
+    with open(args.csv) as csv:
+        expected = Path(args.reg_trace).read_text().splitlines()
+        clean, report = diff_reg_trace(csv, expected, columns)
     print("\n".join(report))
     return 0 if clean else EXIT_MISMATCH
 

@@ -10,7 +10,7 @@ commits around it on both sides, taken from the one pipeline run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import golden
 from .golden import CommitRecord, HaltCause, HaltKind, MemTxn
@@ -116,7 +116,6 @@ class Verdict:
     mismatch: Optional[Mismatch] = None
     context: Optional[MismatchContext] = None
     note: str = ""
-    signals: Optional[list[dict]] = None  # the pipeline run's, if recorded
 
 
 CONTEXT_COMMITS = 5
@@ -133,12 +132,12 @@ def lockstep(program: Program, max_cycles: int,
              pipe_config: Optional[PipelineConfig] = None,
              strict_pc: bool = False, compare_loads: bool = True,
              max_steps: Optional[int] = None,
-             record_signals: bool = False) -> Verdict:
+             sink: Optional[Callable[[tuple], None]] = None) -> Verdict:
     """Run golden and pipeline on separate copies of the program memory and
     compare their commit traces; error halts on either side are failures.
 
-    The pipeline runs once.  With record_signals, the Verdict carries that
-    run's per-cycle signals (see run_core).
+    The pipeline runs once.  A sink is handed to run_core and sees that
+    run's signal values, one tuple per cycle, while it runs (see run_core).
     """
     pipe_config = pipe_config or PipelineConfig(reset_pc=program.entry)
     gstate = golden.ArchState(pc=program.entry, mem=program.image.clone())
@@ -146,7 +145,7 @@ def lockstep(program: Program, max_cycles: int,
 
     core = CoreState.reset(pipe_config)
     pmem = program.image.clone()
-    result = run_core(core, pmem, max_cycles, record_signals=record_signals)
+    result = run_core(core, pmem, max_cycles, sink=sink)
 
     retired = len(result.commits)
     report = cpi(retired, result.cycles) if retired else None
@@ -172,8 +171,7 @@ def lockstep(program: Program, max_cycles: int,
         hi = mismatch.index + CONTEXT_COMMITS + 1
         context = MismatchContext(gtrace[lo:hi], result.commits[lo:hi])
     return Verdict(passed, program.name, ghalt, result.halt, retired,
-                   result.cycles, report, mismatch, context, note,
-                   result.signals)
+                   result.cycles, report, mismatch, context, note)
 
 
 def _describe(c: Optional[CommitRecord]) -> str:

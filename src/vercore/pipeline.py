@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import mul as mulunit
 from .golden import (DEFAULT_RESET_PC, CommitRecord, HaltCause, HaltKind,
@@ -543,21 +543,32 @@ class RunResult:
 
 
 def run_core(core: CoreState, mem: MemoryImage, max_cycles: int,
-             record_signals: bool = False) -> RunResult:
+             record_signals: bool = False,
+             sink: Optional[Callable[[tuple], None]] = None) -> RunResult:
     """Step the pipeline until it halts or the cycle cap is reached.
 
-    With record_signals, signals holds one dict per cycle that maps every
-    SIGNAL_SCHEMA name, in schema order, to its value; without it, signals
-    is None and no per-cycle dict is built.
+    With a sink, run_core calls it once per cycle with step_cycle's values
+    tuple (SIGNAL_SCHEMA order) as the cycle completes, so a caller can
+    stream the signals without holding them.  record_signals is a sink that
+    keeps them: signals then holds one dict per cycle that maps every
+    SIGNAL_SCHEMA name, in schema order, to its value; otherwise signals is
+    None.  The two options do not combine.
     """
     assert max_cycles > 0
+    signals: Optional[list[dict]] = None
+    if record_signals:
+        assert sink is None, "record_signals is a sink of its own"
+        signals = []
+
+        def sink(values: tuple) -> None:
+            signals.append(dict(zip(SIGNAL_NAMES, values)))
+
     commits: list[CommitRecord] = []
     commit_cycles: list[int] = []
-    signals: Optional[list[dict]] = [] if record_signals else None
     for _ in range(max_cycles):
         commit, halt, values = step_cycle(core, mem)
-        if signals is not None:
-            signals.append(dict(zip(SIGNAL_NAMES, values)))
+        if sink is not None:
+            sink(values)
         if commit is not None:
             commits.append(commit)
             commit_cycles.append(core.cycle - 1)

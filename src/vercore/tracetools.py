@@ -1,22 +1,27 @@
 """Waveform trace tooling: VCD emission/parsing, CSV tabulation and the
 register-write diff against an expected reg_trace.hex.
 
-The writer dumps the pipeline's SIGNAL_SCHEMA, declared by pipeline_decls().
-The VCD subset covers $timescale, nested $scope/$var declarations,
-$enddefinitions, $dumpvars, #time stamps, scalar and b-vector changes with
-x/z states.  The parser takes an iterable of lines (an open file, say) and
-keeps each change as a (time, id, bits) tuple.  CSV tables hold one row per
-distinct timestamp with sample-and-hold cell values (fixed-width lowercase
-hex for vectors): each column's cell is rendered when its signal changes
-and held, so a row is the time plus the held cells.  diff_reg_trace returns
-(clean, report lines).
+Every stage streams, so none holds a whole run.  vcd_write writes the
+header for the pipeline's SIGNAL_SCHEMA (declared by pipeline_decls()) and
+returns a per-cycle writer, a sink for run_core.  The VCD subset covers
+$timescale, nested $scope/$var declarations, $enddefinitions, $dumpvars,
+#time stamps, scalar and b-vector changes with x/z states.  vcd_parse takes
+an iterable of lines (an open file, say), reads the declarations at once
+and returns the changes as a lazy iterator of (time, id, bits) tuples: a
+fault in the body raises when the iterator reaches it.  vcd_to_csv hands
+each CSV row to a callback as the row completes: one row per distinct
+timestamp with sample-and-hold cell values (fixed-width lowercase hex for
+vectors); each column's cell is rendered when its signal changes and held,
+so a row is the time plus the held cells.  diff_reg_trace reads CSV lines,
+checks each row as it passes and returns (clean, report lines).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, TextIO
+from dataclasses import dataclass
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TextIO
 
 from .pipeline import SIGNAL_SCHEMA
 
@@ -51,33 +56,6 @@ class SignalDecl:
     name: str
 
 
-@dataclass
-class CsvTable:
-    """'time' plus one column per signal; one row per distinct timestamp."""
-
-    header: list[str]
-    rows: list[list[str]] = field(default_factory=list)
-
-    def to_text(self) -> str:
-        lines = [",".join(self.header)]
-        lines.extend(",".join(row) for row in self.rows)
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "CsvTable":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise MissingColumn("empty CSV")
-        header = lines[0].split(",")
-        rows = [ln.split(",") for ln in lines[1:]]
-        for i, row in enumerate(rows, start=1):
-            if len(row) != len(header):
-                raise MalformedCsv(f"row {i}: {len(row)} of {len(header)} cells")
-            if not row[0].isdecimal():
-                raise MalformedCsv(f"row {i}: time {row[0]!r} is not decimal")
-        return CsvTable(header, rows)
-
-
 def pipeline_decls() -> list[SignalDecl]:
     """Declarations for SIGNAL_SCHEMA; signal i has the id chr(33 + i)."""
     return [SignalDecl(chr(33 + i), width, name)
@@ -96,56 +74,57 @@ def _split_hierarchy(name: str) -> tuple[list[str], str]:
     return parts[:-1], ref
 
 
-def _format_value(value: int, width: int) -> str:
-    if width == 1:
-        return format(value & 1, "b")
-    return format(value & ((1 << width) - 1), f"0{width}b")
+def vcd_write(out: TextIO) -> Callable[[tuple], None]:
+    """Write the VCD header for pipeline_decls() to out and return the
+    per-cycle writer, a run_core sink.
 
-
-def vcd_write(signal_log: Sequence[Mapping[str, int]], sink: TextIO) -> None:
-    """Emit per-cycle snapshots as a standard VCD change dump, declared by
-    pipeline_decls().
-
-    Cycle k maps to timestamp k * TIME_PER_CYCLE.  Snapshot dicts must carry
-    a value for every SIGNAL_SCHEMA name.  Only changed signals are
-    re-dumped after the initial $dumpvars block.
+    The writer takes one cycle's values in SIGNAL_SCHEMA order.  Its k-th
+    call dumps cycle k at timestamp k * TIME_PER_CYCLE: every signal in the
+    $dumpvars block for cycle 0, afterwards only the signals whose value
+    differs from the previous cycle's, and no timestamp for a cycle that
+    changes nothing.
     """
     decls = pipeline_decls()
-    sink.write("$date\n    vercore trace\n$end\n")
-    sink.write("$timescale 1ps $end\n")
+    out.write("$date\n    vercore trace\n$end\n")
+    out.write("$timescale 1ps $end\n")
     open_scopes: list[str] = []
     for d in decls:
         scopes, ref = _split_hierarchy(d.name)
         while open_scopes and open_scopes != scopes[:len(open_scopes)]:
-            sink.write("$upscope $end\n")
+            out.write("$upscope $end\n")
             open_scopes.pop()
         for s in scopes[len(open_scopes):]:
-            sink.write(f"$scope module {s} $end\n")
+            out.write(f"$scope module {s} $end\n")
             open_scopes.append(s)
-        sink.write(f"$var wire {d.width} {d.id_code} {ref} $end\n")
+        out.write(f"$var wire {d.width} {d.id_code} {ref} $end\n")
     while open_scopes:
-        sink.write("$upscope $end\n")
+        out.write("$upscope $end\n")
         open_scopes.pop()
-    sink.write("$enddefinitions $end\n")
+    out.write("$enddefinitions $end\n")
 
-    last: dict[str, int] = {}
-    for cycle, snap in enumerate(signal_log):
-        changes = []
-        for d in decls:
-            v = snap[d.name]
-            if cycle == 0 or last[d.name] != v:
-                last[d.name] = v
-                bits = _format_value(v, d.width)
-                changes.append(f"{bits}{d.id_code}" if d.width == 1
-                               else f"b{bits} {d.id_code}")
-        if cycle == 0:
-            sink.write("#0\n$dumpvars\n")
-            sink.write("\n".join(changes))
-            sink.write("\n$end\n")
-        elif changes:
-            sink.write(f"#{cycle * TIME_PER_CYCLE}\n")
-            sink.write("\n".join(changes))
-            sink.write("\n")
+    # one change format per signal, applied to the value masked to its
+    # width; a scalar's two changes are looked up
+    formats = [(f"0{d.id_code}", f"1{d.id_code}").__getitem__ if d.width == 1
+               else f"b{{:0{d.width}b}} {d.id_code}".format for d in decls]
+    masks = [(1 << d.width) - 1 for d in decls]
+    previous: Optional[tuple] = None
+    time = 0
+
+    def write_cycle(values: tuple) -> None:
+        nonlocal previous, time
+        if previous is None:
+            out.write("#0\n$dumpvars\n" + "\n".join(
+                [f(v & m) for f, m, v in zip(formats, masks, values)])
+                + "\n$end\n")
+        else:
+            time += TIME_PER_CYCLE
+            changes = [f(v & m) for f, m, v, p
+                       in zip(formats, masks, values, previous) if v != p]
+            if changes:
+                out.write(f"#{time}\n" + "\n".join(changes) + "\n")
+        previous = values
+
+    return write_cycle
 
 
 _DIRECTIVES = ("$scope", "$var", "$upscope", "$timescale", "$date",
@@ -153,17 +132,34 @@ _DIRECTIVES = ("$scope", "$var", "$upscope", "$timescale", "$date",
 
 
 def vcd_parse(stream: Iterable[str]
-              ) -> tuple[list[SignalDecl], list[tuple[int, str, str]]]:
+              ) -> tuple[list[SignalDecl], Iterator[tuple[int, str, str]]]:
     """Parse an iterable of VCD lines (an open file, say) into declarations
-    and a change sequence of (time, id_code, bits) tuples; bits is a lowercase
-    binary string, possibly with x/z.
+    and a lazy iterator of (time, id_code, bits) change tuples; bits is a
+    lowercase binary string, possibly with x/z.
 
-    Changes appearing before the first #timestamp (e.g. inside $dumpvars)
-    are recorded at time 0.  Unknown ids, value widths beyond the declared
-    width and decreasing timestamps raise MalformedVcd with a line number.
+    The declarations are read at once, up to the end of $enddefinitions;
+    the body is read only as the changes are iterated.  Changes appearing
+    before the first #timestamp (e.g. inside $dumpvars) are recorded at
+    time 0.  Unknown ids, value widths beyond the declared width and
+    decreasing timestamps raise MalformedVcd with a line number, from the
+    iterator when the fault is in the body.  A str is not taken as lines.
     """
+    if isinstance(stream, str):
+        raise TypeError("vcd_parse takes an iterable of lines, not a str")
     by_id: dict[str, SignalDecl] = {}
-    changes: list[tuple[int, str, str]] = []
+    parser = _parse(stream, by_id)
+    early = []  # changes before $enddefinitions, if any
+    for change in parser:
+        if change is None:
+            break
+        early.append(change)
+    return list(by_id.values()), chain(early, parser)
+
+
+def _parse(stream: Iterable[str], by_id: dict[str, SignalDecl]
+           ) -> Iterator[Optional[tuple[int, str, str]]]:
+    """vcd_parse's token loop: fills by_id from the declarations, yields
+    None once $enddefinitions is closed and each change as it is read."""
     scopes: list[str] = []
     time = 0
     seen_time = False
@@ -177,19 +173,22 @@ def vcd_parse(stream: Iterable[str]
                 if tok == "$end":
                     _finish_directive(directive, directive_args, scopes,
                                       by_id, lineno)
+                    if directive == "$enddefinitions" and in_defs:
+                        in_defs = False
+                        yield None
                     directive = None
                     directive_args = []
                 else:
                     directive_args.append(tok)
             elif tok[0] in "01xXzZ":
-                decl = by_id.get(tok[1:])
-                if decl is None:
+                sid = tok[1:]
+                if sid not in by_id:
                     raise MalformedVcd(
-                        f"change for undeclared id {tok[1:]!r}", lineno)
-                changes.append((time, decl.id_code, tok[0].lower()))
+                        f"change for undeclared id {sid!r}", lineno)
+                yield time, sid, tok[0].lower()
             elif tok[0] in "bB":
                 bits = tok[1:].lower()
-                if not bits or any(c not in "01xz" for c in bits):
+                if not bits or bits.strip("01xz"):
                     raise MalformedVcd(f"bad vector value {tok!r}", lineno)
                 sid = next(toks, None)
                 if sid is None:
@@ -203,7 +202,7 @@ def vcd_parse(stream: Iterable[str]
                     raise MalformedVcd(
                         f"value {tok!r} wider than {decl.width} bits "
                         f"declared for {decl.name!r}", lineno)
-                changes.append((time, decl.id_code, bits))
+                yield time, sid, bits
             elif tok[0] == "#":
                 try:
                     t = int(tok[1:])
@@ -223,15 +222,12 @@ def vcd_parse(stream: Iterable[str]
                     raise MalformedVcd(f"unknown directive {tok!r}", lineno)
                 if not in_defs and tok in ("$scope", "$var"):
                     raise MalformedVcd(f"{tok} after $enddefinitions", lineno)
-                if tok == "$enddefinitions":
-                    in_defs = False
                 directive = tok
             elif tok[0] in "rR":
                 raise MalformedVcd("real-valued signals are not supported",
                                    lineno)
             else:
                 raise MalformedVcd(f"unexpected token {tok!r}", lineno)
-    return list(by_id.values()), changes
 
 
 def _finish_directive(directive: str, args: list[str], scopes: list[str],
@@ -261,38 +257,73 @@ def _finish_directive(directive: str, args: list[str], scopes: list[str],
     # $timescale/$date/$version/$comment/$enddefinitions bodies are ignored
 
 
-def _render_cell(bits: str, width: int) -> str:
-    if width == 1:
-        return bits[-1]
-    digits = (width + 3) // 4
-    if "x" in bits or "z" in bits:
-        return "x" * digits
-    return format(int(bits, 2), f"0{digits}x")
-
-
-def vcd_to_csv(decls: Sequence[SignalDecl],
-               changes: Iterable[tuple[int, str, str]]) -> CsvTable:
-    """Tabulate a change sequence: one row per distinct timestamp, columns in
+def vcd_to_csv(decls: list[SignalDecl],
+               changes: Iterable[tuple[int, str, str]],
+               emit: Callable[[str], object]) -> int:
+    """Tabulate a change sequence as CSV text lines handed to emit: the
+    header ('time' and the declared names), then one row per distinct
+    timestamp as soon as the next timestamp completes it.  Columns are in
     declaration order, values held between changes (hex for vectors).
+    Returns the number of rows.
 
     A column's cell is re-rendered only when its signal changes; a signal
     with no value yet shows all-x.
     """
-    column = {d.id_code: (i, d.width) for i, d in enumerate(decls)}
-    cells = ["x" * ((d.width + 3) // 4) for d in decls]
-    table = CsvTable(["time"] + [d.name for d in decls])
-    rows = table.rows
+    digits = [(d.width + 3) // 4 for d in decls]
+    column = {d.id_code: (i, d.width, n, f"0{n}x")
+              for i, (d, n) in enumerate(zip(decls, digits))}
+    cells = ["x" * n for n in digits]
+    emit(",".join(["time"] + [d.name for d in decls]) + "\n")
+    rows = 0
     row_time = None
     for t, sid, bits in changes:
         if t != row_time:
             if row_time is not None:
-                rows.append([str(row_time), *cells])
+                emit(f"{row_time},{','.join(cells)}\n")
+                rows += 1
             row_time = t
-        i, width = column[sid]
-        cells[i] = _render_cell(bits, width)
+        i, width, digits, hex_format = column[sid]
+        if width == 1:
+            cells[i] = bits[-1]
+        elif "x" in bits or "z" in bits:
+            cells[i] = "x" * digits
+        else:
+            cells[i] = format(int(bits, 2), hex_format)
     if row_time is not None:
-        rows.append([str(row_time), *cells])
-    return table
+        emit(f"{row_time},{','.join(cells)}\n")
+        rows += 1
+    return rows
+
+
+def read_csv(lines: Iterable[str]) -> Iterator[list[str]]:
+    """The cells of CSV text lines, header first, blank lines skipped.
+
+    Each row is checked as it is read: it has as many cells as the header
+    and a decimal time, else MalformedCsv names its row number.  A CSV
+    without a header raises MissingColumn.
+    """
+    header = None
+    i = 0
+    for raw in lines:
+        # a file splits at newlines only; rows also end at \v, \f and the
+        # other separators str.splitlines knows
+        for line in raw.splitlines():
+            if not line.strip():
+                continue
+            row = line.split(",")
+            if header is None:
+                header = row
+            else:
+                i += 1
+                if len(row) != len(header):
+                    raise MalformedCsv(
+                        f"row {i}: {len(row)} of {len(header)} cells")
+                if not row[0].isdecimal():
+                    raise MalformedCsv(
+                        f"row {i}: time {row[0]!r} is not decimal")
+            yield row
+    if header is None:
+        raise MissingColumn("empty CSV")
 
 
 # The SIGNAL_SCHEMA columns diff_reg_trace reads, by role.
@@ -318,67 +349,75 @@ def parse_reg_trace(lines: Iterable[str]) -> list[tuple[int, int]]:
     return out
 
 
-def extract_reg_writes(table: CsvTable,
-                       columns: Mapping[str, str] = DEFAULT_COLUMNS
-                       ) -> list[tuple[int, int, int, Optional[int]]]:
-    """(time, rd, value, pc) of the rows where the writeback strobe is 1 and
-    rd != 0, in time order; pc is None without a pc column.
+def _hex_or_unknown(cell: str) -> Optional[int]:
+    # x/z in a compared cell can never equal a known expected value
+    try:
+        return int(cell, 16)
+    except ValueError:
+        return None
 
-    Cells containing x/z never match anything downstream; an x strobe is
-    treated as not-a-write here, an x rd/value surfaces as value -1.
+
+def _shown(cell: str, value: Optional[int], spec: str) -> str:
+    """A compared cell in a report: its value, or the cell as read."""
+    return cell if value is None else format(value, spec)
+
+
+def diff_reg_trace(csv_lines: Iterable[str], expected_lines: Iterable[str],
+                   columns: Mapping[str, str] = DEFAULT_COLUMNS
+                   ) -> tuple[bool, list[str]]:
+    """Compare the register writes of CSV text lines (an open file, say)
+    against expected reg_trace.hex lines.
+
+    A write is a row whose writeback strobe is 1 and whose rd is not 0; an
+    x strobe is not a write, and an x/z rd or data cell matches nothing.
+    Writes are compared as the rows are read, and every row is checked (see
+    read_csv) before the verdict.  Returns (clean, report lines).  The
+    report names the first (rd, value) disagreement with its time and pc
+    context, or the first expected write with no corresponding row.  Extra
+    actual writes beyond the expected list are not an error.
     """
+    expected = parse_reg_trace(expected_lines)
+    rows = read_csv(csv_lines)
+    header = next(rows)
+
     def col(key: str, required: bool) -> Optional[int]:
         name = columns.get(key)
-        if name is None or name not in table.header:
+        if name is None or name not in header:
             if required:
                 raise MissingColumn(f"CSV is missing column {name!r}")
             return None
-        return table.header.index(name)
+        return header.index(name)
 
     c_wr = col("reg_write", True)
     c_rd = col("rd", True)
     c_data = col("data", True)
     c_pc = col("pc", False)
-    writes = []
-    for row in table.rows:
-        if row[c_wr] != "1":
+    compared = 0
+    report: Optional[list[str]] = None
+    for row in rows:
+        if report is not None or compared == len(expected) \
+                or row[c_wr] != "1":
             continue
         rd = _hex_or_unknown(row[c_rd])
-        value = _hex_or_unknown(row[c_data])
         if rd == 0:
             continue
-        pc = _hex_or_unknown(row[c_pc]) if c_pc is not None else None
-        writes.append((int(row[0]), rd, value, pc))
-    return writes
-
-
-def _hex_or_unknown(cell: str) -> int:
-    # x/z in a compared cell can never equal a known expected value
-    try:
-        return int(cell, 16)
-    except ValueError:
-        return -1
-
-
-def diff_reg_trace(table: CsvTable, expected_lines: Iterable[str],
-                   columns: Mapping[str, str] = DEFAULT_COLUMNS
-                   ) -> tuple[bool, list[str]]:
-    """Compare the table's register-write stream against expected lines.
-
-    Returns (clean, report lines).  The report names the first (rd, value)
-    disagreement with its time and pc context, or the first expected write
-    with no corresponding row.  Extra actual writes beyond the expected
-    list are not an error.
-    """
-    expected = parse_reg_trace(expected_lines)
-    actual = extract_reg_writes(table, columns)
-    for i, (erd, evalue) in enumerate(expected):
-        want = f"x{erd} = 0x{evalue:08x}"
-        if i >= len(actual):
-            return False, [f"missing write {i}: expected {want}"]
-        time, rd, value, pc = actual[i]
+        value = _hex_or_unknown(row[c_data])
+        erd, evalue = expected[compared]
         if rd != erd or value != evalue:
-            ctx = f"time={time}" + ("" if pc is None else f", pc=0x{pc:04x}")
-            return False, [f"mismatch at write {i}:", f"  expected: {want}",
-                           f"  got:      x{rd} = 0x{value:08x} ({ctx})"]
+            ctx = f"time={int(row[0])}"
+            if c_pc is not None:
+                pc = row[c_pc]
+                ctx += f", pc=0x{_shown(pc, _hex_or_unknown(pc), '04x')}"
+            report = [f"mismatch at write {compared}:",
+                      f"  expected: x{erd} = 0x{evalue:08x}",
+                      f"  got:      x{_shown(row[c_rd], rd, 'd')} = "
+                      f"0x{_shown(row[c_data], value, '08x')} ({ctx})"]
+        else:
+            compared += 1
+    if report is not None:
+        return False, report
+    if compared < len(expected):
+        erd, evalue = expected[compared]
+        return False, [f"missing write {compared}: expected "
+                       f"x{erd} = 0x{evalue:08x}"]
     return True, [f"no mismatch ({len(expected)} writes compared)"]

@@ -142,13 +142,44 @@ class TestMalformedInput:
             == EXIT_INPUT
         assert capsys.readouterr().err.startswith("input error:")
 
-    @pytest.mark.parametrize("command", ["sim", "run", "vcd2csv"])
+    def test_malformed_row_after_a_mismatch_is_an_input_error(self, tmp_path,
+                                                              capsys):
+        """diff-trace reads the whole CSV before it gives a verdict."""
+        assert self.diff_trace(tmp_path, ["0,1,01,00000099", "10,1,01"]) \
+            == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            "input error: row 2: 3 of 4 cells\n"
+
+    @pytest.mark.parametrize("existing", [None, "old,csv\n1,2\n"])
+    def test_malformed_vcd_leaves_the_csv_alone(self, existing, fib_hex,
+                                                tmp_path, capsys):
+        vcd, csv = tmp_path / "wave.vcd", tmp_path / "wave.csv"
+        assert vercore("sim", fib_hex, "--vcd", vcd) == FIB_EXIT
+        lines = vcd.read_text().splitlines()
+        vcd.write_text("\n".join(lines + ["#999990", "b1 zz"]) + "\n")
+        if existing is not None:
+            csv.write_text(existing)
+        capsys.readouterr()
+        assert vercore("vcd2csv", vcd, csv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: line {len(lines) + 2}: "
+            "change for undeclared id 'zz'\n")
+        if existing is None:
+            assert not csv.exists()
+        else:
+            assert csv.read_text() == existing
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["fib.hex", "wave.vcd"] + ([] if existing is None
+                                       else ["wave.csv"]))
+
+    @pytest.mark.parametrize("command", ["sim", "cosim", "run", "vcd2csv"])
     def test_output_path_under_a_file(self, command, fib_hex, tmp_path,
                                       capsys):
         vcd, not_a_dir = tmp_path / "wave.vcd", tmp_path / "f"
         assert vercore("sim", fib_hex, "--vcd", vcd) == FIB_EXIT
         not_a_dir.write_text("")
         argv = {"sim": ("sim", fib_hex, "--vcd", not_a_dir / "x.vcd"),
+                "cosim": ("cosim", fib_hex, "--vcd", not_a_dir / "x.vcd"),
                 "run": ("run", fib_hex, "--trace", not_a_dir / "t.txt"),
                 "vcd2csv": ("vcd2csv", vcd, not_a_dir / "out.csv")}[command]
         capsys.readouterr()

@@ -15,7 +15,7 @@ def run_core_calls(monkeypatch):
     real = cosim.run_core
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("record_signals", False))
+        calls.append(kwargs.get("sink") is not None)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cosim, "run_core", counting)
@@ -40,9 +40,10 @@ class TestOneRun:
         assert len(run_core_calls) == 1
 
     def test_signals_only_when_asked(self, run_core_calls):
-        assert flush_bug_verdict().signals is None
-        v = flush_bug_verdict(record_signals=True)
-        assert len(v.signals) == v.cycles
+        flush_bug_verdict()
+        seen = []
+        v = flush_bug_verdict(sink=seen.append)
+        assert len(seen) == v.cycles
         assert run_core_calls == [False, True]
 
 

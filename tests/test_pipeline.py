@@ -381,6 +381,20 @@ class TestBusAndStallSignals:
         result, _ = run_words([ADDI(1, 0, 7), ECALL()])
         assert result.signals is None
 
+    def test_sink_sees_each_cycle_once(self):
+        """A sink gets one values tuple per cycle, as record_signals
+        records them, and nothing is kept."""
+        words = [LUI(15, 3), SW(0, 0, 15), MUL(2, 1, 1), ECALL()]
+        recorded, _ = run_words(words, record_signals=True)
+        program = assemble(words, "t")
+        seen = []
+        result = run_core(CoreState.reset(PipelineConfig(
+            reset_pc=program.entry, mul_latency=4)), program.image, 10_000,
+            sink=seen.append)
+        assert len(seen) == result.cycles == recorded.cycles
+        assert seen == [tuple(s.values()) for s in recorded.signals]
+        assert result.signals is None
+
 
 class TestHaltBehavior:
     def test_ecall_commits_then_halts(self):

@@ -3,14 +3,15 @@ hand-written VCD with what the writer never emits, and the line-numbered
 errors of the VCD parser."""
 
 import io
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vercore.pipeline import SIGNAL_NAMES, SIGNAL_SCHEMA
-from vercore.tracetools import (DEFAULT_COLUMNS, TIME_PER_CYCLE, CsvTable,
+from vercore.tracetools import (DEFAULT_COLUMNS, TIME_PER_CYCLE,
                                 MalformedVcd, diff_reg_trace, pipeline_decls,
-                                vcd_parse, vcd_to_csv, vcd_write)
+                                read_csv, vcd_parse, vcd_to_csv, vcd_write)
 
 WIDTHS = [width for _, width in SIGNAL_SCHEMA]
 
@@ -37,13 +38,26 @@ def _cell(value, width):
 
 
 def _write(log):
-    sink = io.StringIO()
-    vcd_write([dict(zip(SIGNAL_NAMES, values)) for values in log], sink)
-    return sink.getvalue()
+    out = io.StringIO()
+    write_cycle = vcd_write(out)
+    for values in log:
+        write_cycle(tuple(values))
+    return out.getvalue()
+
+
+class Table:
+    """vcd_to_csv's output: the CSV text, its header and its rows."""
+
+    def __init__(self, decls, changes):
+        lines = []
+        count = vcd_to_csv(decls, changes, lines.append)
+        assert count == len(lines) - 1
+        self.text = "".join(lines)
+        self.header, *self.rows = (ln[:-1].split(",") for ln in lines)
 
 
 def _to_csv(text):
-    return vcd_to_csv(*vcd_parse(io.StringIO(text)))
+    return Table(*vcd_parse(io.StringIO(text)))
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
@@ -56,7 +70,8 @@ def test_vcd_round_trip_holds_values(log):
                 if cycle == 0 or values != log[cycle - 1]]
     assert table.header == ["time", *SIGNAL_NAMES]
     assert table.rows == expected
-    assert CsvTable.from_text(table.to_text()) == table
+    assert list(read_csv(io.StringIO(table.text))) \
+        == [table.header, *table.rows]
 
 
 def _lines_after_definitions(*lines):
@@ -91,7 +106,7 @@ def _id(name_prefix):
 def test_malformed_vcd_names_the_line(lines, offset, message):
     text, first = _lines_after_definitions(*lines)
     with pytest.raises(MalformedVcd, match=message) as info:
-        vcd_parse(io.StringIO(text))
+        list(vcd_parse(io.StringIO(text))[1])
     assert info.value.line == first + offset
     assert str(info.value).startswith(f"line {first + offset}: ")
 
@@ -110,9 +125,40 @@ def test_malformed_declaration_names_the_line(lines, offset, message):
                       "$var wire 1 ! a $end", *lines, "$upscope $end",
                       "$enddefinitions $end", "#0", "1!"]) + "\n"
     with pytest.raises(MalformedVcd, match=message) as info:
-        vcd_parse(io.StringIO(text))
+        list(vcd_parse(io.StringIO(text))[1])
     assert info.value.line == 4 + offset
     assert str(info.value).startswith(f"line {4 + offset}: ")
+
+
+def test_vcd_parse_rejects_a_str():
+    with pytest.raises(TypeError, match="not a str"):
+        vcd_parse("$timescale 1ps $end\n")
+
+
+def test_declarations_do_not_read_the_body():
+    """vcd_parse returns once $enddefinitions is closed; the body is read
+    only as the changes are iterated."""
+    head = _write([[0] * len(WIDTHS)]).split("$enddefinitions $end\n")[0]
+
+    def lines():
+        yield from head.splitlines(keepends=True)
+        yield "$enddefinitions $end\n"
+        raise AssertionError("body read")
+
+    decls, changes = vcd_parse(lines())
+    assert decls == pipeline_decls()
+    with pytest.raises(AssertionError, match="body read"):
+        next(changes)
+
+
+def test_body_fault_raises_from_the_changes():
+    text, first = _lines_after_definitions("#30000", "1zz")
+    decls, changes = vcd_parse(io.StringIO(text))
+    assert decls == pipeline_decls()
+    assert len(list(islice(changes, len(WIDTHS)))) == len(WIDTHS)
+    with pytest.raises(MalformedVcd) as info:
+        list(changes)
+    assert info.value.line == first + 1
 
 
 HAND_WRITTEN_VCD = """\
@@ -171,9 +217,9 @@ def _diff(rows, expected, pc=True):
     """diff_reg_trace over write-back rows [time, reg_write, rd, data, pc],
     without the pc column unless `pc`: (clean, report lines)."""
     keys = WB_KEYS if pc else WB_KEYS[:3]
-    table = CsvTable(["time", *(DEFAULT_COLUMNS[k] for k in keys)],
-                     [row[:1 + len(keys)] for row in rows])
-    return diff_reg_trace(table, expected)
+    lines = [",".join(["time", *(DEFAULT_COLUMNS[k] for k in keys)])]
+    lines.extend(",".join(row[:1 + len(keys)]) for row in rows)
+    return diff_reg_trace(lines, expected)
 
 
 WB_ROWS = [["0", "0", "01", "00000099", "2000"],  # no strobe: not a write
@@ -205,6 +251,18 @@ class TestDiffRegTrace:
         rows[1][column] = cell
         clean, lines = _diff(rows, ["010000002a", "0200000007"])
         assert not clean and lines[0] == "mismatch at write 0:"
+
+    @pytest.mark.parametrize("column,cell,got", [
+        (2, "xx", "xxx = 0x0000002a (time=10, pc=0x2000)"),
+        (3, "0000000x", "x1 = 0x0000000x (time=10, pc=0x2000)"),
+        (4, "zzzzzzzz", "x1 = 0x0000002b (time=10, pc=0xzzzzzzzz)")])
+    def test_unknown_cell_is_shown_as_read(self, column, cell, got):
+        rows = [list(row) for row in WB_ROWS]
+        rows[1][column] = cell
+        if column == 4:
+            rows[1][3] = "0000002b"
+        clean, lines = _diff(rows, ["010000002a"])
+        assert not clean and lines[2] == f"  got:      {got}"
 
     def test_x_strobe_is_not_a_write(self):
         rows = [list(row) for row in WB_ROWS]
