@@ -73,8 +73,11 @@ def compare_traces(expected: list[CommitRecord], actual: list[CommitRecord],
     """First divergence between two commit traces, or None if equivalent.
 
     A shorter actual trace reports a missing write at the first absent
-    index; the scan never looks past the first differing element.
+    index; the scan never looks past the first differing element.  Equal
+    traces return at once: records that are equal differ in no field.
     """
+    if expected == actual:
+        return None
     n = max(len(expected), len(actual))
     for i in range(n):
         if i >= len(actual):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .isa import (Format, IllegalInstruction, MASK32, MEM_WIDTH, Mnemonic,
                   decode, to_signed)
@@ -45,8 +45,7 @@ def fault(what: str, pc: int, cause: object = "") -> HaltCause:
                      + (f": {cause}" if cause else ""))
 
 
-@dataclass(frozen=True)
-class MemTxn:
+class MemTxn(NamedTuple):
     """One memory transaction: kind 'load'|'store', byte address, width-masked
     data (store data as written / load data as read, pre-extension)."""
 
@@ -56,9 +55,12 @@ class MemTxn:
     width: int
 
 
-@dataclass(frozen=True)
-class CommitRecord:
-    """Externally visible effects of one retired instruction."""
+class CommitRecord(NamedTuple):
+    """Externally visible effects of one retired instruction.
+
+    Records are tuples, so two traces compare equal element by element at C
+    speed; every field takes part in that equality.
+    """
 
     pc: int
     instr: int

@@ -8,10 +8,19 @@ the register file has flip-flop write timing (a WB write is readable the
 next cycle, with an explicit same-cycle WB->ID bypass); a pending multiply
 holds the whole pipeline via a global stall.  Instruction fetch stops from
 the cycle an ecall/ebreak is decoded in ID, so nothing past a halt is read.
-A fetch from unwritten memory enters IF/ID as a fault that ID raises, with
-the golden model's message, once every older instruction has committed,
-unless a flush squashes it first.  There is no reset input:
-`CoreState.reset` builds the state a run starts from.
+Faults found in ID are precise: they halt, with the golden model's
+message, only once EX and MEM are empty, so every older instruction
+commits.  An illegal instruction or a taken branch or jump to a misaligned
+target holds IF/ID and the fetch pc and bubbles ID/EX until then.  A fetch
+from unwritten memory enters IF/ID as a valid entry with no word; pc_f
+holds and IF reads the word again each cycle, so an older store that
+writes it meanwhile is seen, and a flush squashes it.  There is no reset
+input: `CoreState.reset` builds the state a run starts from.
+
+Signals are produced only for a sink.  `step_cycle` samples the cycle's
+SIGNAL_SCHEMA values after IF, before the latch, and hands them to its
+sink as one tuple; without a sink it builds no tuple.  `run_core` passes
+its sink down, so a run that records nothing pays nothing for signals.
 
 Control is decoded once, in ID.  IF/ID carries the fetched word and its pc.
 ID/EX, EX/MEM and MEM/WB each carry the instruction as `isa.decode` returned
@@ -150,8 +159,11 @@ class HazardDecision:
 
 
 # hazard_detect's only outcomes, shared rather than built every cycle.
+# _HOLD_ID keeps the ID instruction and the fetch pc and bubbles ID/EX: for a
+# load-use pair, and for an illegal or misaligned-target instruction in ID
+# that waits for EX and MEM to empty before it faults.
 _MUL_STALL = HazardDecision(stall_pc=True, stall_ifid=True, global_stall=True)
-_LOAD_USE = HazardDecision(stall_pc=True, stall_ifid=True, bubble_idex=True)
+_HOLD_ID = HazardDecision(stall_pc=True, stall_ifid=True, bubble_idex=True)
 _FLUSH = HazardDecision(flush_ifid=True)
 _NO_HAZARD = HazardDecision()
 
@@ -250,7 +262,7 @@ def hazard_detect(id_instr: Optional[DecodedInstr], idex: IdExReg,
             and ex.rd != 0
             and ((id_instr.ctrl.uses_rs1 and id_instr.rs1 == ex.rd)
                  or (id_instr.ctrl.uses_rs2 and id_instr.rs2 == ex.rd))):
-        return _LOAD_USE
+        return _HOLD_ID
     return _FLUSH if branch_in_id else _NO_HAZARD
 
 
@@ -329,14 +341,17 @@ SIGNAL_SCHEMA: tuple[tuple[str, int], ...] = (
 SIGNAL_NAMES: tuple[str, ...] = tuple(name for name, _ in SIGNAL_SCHEMA)
 
 
-def step_cycle(core: CoreState, mem: MemoryImage
-               ) -> tuple[Optional[CommitRecord], Optional[HaltCause], tuple]:
+def step_cycle(core: CoreState, mem: MemoryImage,
+               sink: Optional[Callable[[tuple], None]] = None
+               ) -> tuple[Optional[CommitRecord], Optional[HaltCause]]:
     """Evaluate one clock cycle and latch all pipeline registers.
 
-    Returns (commit, halt, values): at most one commit, a halt cause (on
-    ecall/ebreak/tohost or a fatal decode/access problem) and the cycle's
-    signal values in SIGNAL_SCHEMA order, 1-bit signals as 0/1, sampled
-    before the latch.  The core is advanced in place.
+    Returns (commit, halt): at most one commit and a halt cause (on
+    ecall/ebreak/tohost or a fatal decode/access problem).  The core is
+    advanced in place.  With a sink, step_cycle calls it exactly once, the
+    halting cycle included, with the cycle's signal values in SIGNAL_SCHEMA
+    order, 1-bit signals as 0/1, sampled after IF and before the latch;
+    without one it builds no values.
     """
     cfg = core.config
     halt: Optional[HaltCause] = None
@@ -369,14 +384,15 @@ def step_cycle(core: CoreState, mem: MemoryImage
     fire = core.mul_fire
     core.mul_fire = False
     issue: Optional[MulRequest] = None
+    unit = core.mul
     if d is not None:
         ctrl = d.ctrl
         a_fwd = forward_ex(d.rs1, ex.rs1_val, m, wb)
         b_fwd = forward_ex(d.rs2, ex.rs2_val, m, wb)
-        unit = core.mul
         if ctrl.mul_en and (not unit.busy or (unit.out_valid and fire)):
             issue = MulRequest(_MUL_OP[d.mnemonic], a_fwd, b_fwd)
-    core.mul = unit = mulunit.tick(core.mul, issue=issue, consumer_ready=fire)
+    if issue is not None or unit.busy:  # an idle tick changes nothing
+        core.mul = unit = mulunit.tick(unit, issue=issue, consumer_ready=fire)
 
     ex_fwd = _NO_FWD
     if d is not None:
@@ -434,18 +450,20 @@ def step_cycle(core: CoreState, mem: MemoryImage
     f = core.ifid
     id_d: Optional[DecodedInstr] = None
     id_halt: Optional[HaltKind] = None
+    id_fault: Optional[HaltCause] = None
     id_taken = False
     id_target = rs1_cap = rs2_cap = 0
     if f.valid and f.instr is None:
-        # An unwritten word faults once nothing older is left in EX or MEM;
-        # until then pc_f holds and IF fetches the word again.
+        # An unwritten word faults once nothing older is left in EX or MEM.
+        # Until then pc_f holds and IF fetches the word again, so a word
+        # that an older store writes meanwhile is executed, not faulted.
         if d is None and md is None:
             halt = halt or fault("fetch from uninitialized memory", f.pc)
     elif f.valid:
         try:
             id_d = decode(f.instr)
         except IllegalInstruction as exc:
-            halt = halt or fault("illegal instruction", f.pc, exc)
+            id_fault = fault("illegal instruction", f.pc, exc)
         if id_d is not None:
             id_halt = _HALT_MNEMONICS.get(id_d.mnemonic)
             regs = core.regfile
@@ -472,10 +490,17 @@ def step_cycle(core: CoreState, mem: MemoryImage
 
     # ---------------- hazards ---------------------------------------------
     hz = hazard_detect(id_d, ex, unit, id_taken)
+    if id_taken and id_target & 0x3:
+        id_fault = fault(f"misaligned control transfer to 0x{id_target:08x}",
+                         f.pc)
+    if id_fault is not None and not hz.global_stall:
+        # Precise: the fault is raised once nothing older is left in EX or
+        # MEM (an older MEM or WB halt wins); until then ID holds.
+        if d is None and md is None:
+            halt = halt or id_fault
+        else:
+            hz = _HOLD_ID
     redirect = hz.flush_ifid
-    if redirect and id_target & 0x3 and halt is None:
-        halt = fault(f"misaligned control transfer to 0x{id_target:08x}",
-                     f.pc)
 
     # ---------------- IF: always-hit fetch --------------------------------
     # With an ecall/ebreak in ID, this cycle's word never enters IF/ID (it
@@ -488,17 +513,18 @@ def step_cycle(core: CoreState, mem: MemoryImage
         core.uninit_fetches += 1
     ic_d_in = fetched or 0
 
-    values = (core.cycle, ic_va, ic_va, 1, ic_d_in, dc_va, int(dc_valid),
+    if sink is not None:
+        sink((core.cycle, ic_va, ic_va, 1, ic_d_in, dc_va, int(dc_valid),
               dc_byte_en, dc_d_out, dc_d_in, wb_rd if wb_write else 0,
               int(wb_write), wb.wb_data if wb_write else 0, int(redirect),
               id_target, int(hz.stall_pc), int(hz.stall_ifid),
               int(hz.flush_ifid), int(hz.bubble_idex), int(hz.global_stall),
               int(f.valid), int(d is not None), int(md is not None),
-              int(wd is not None))
+              int(wd is not None)))
 
     if halt is not None:
         core.cycle += 1
-        return commit, halt, values
+        return commit, halt
 
     # ---------------- latch at the cycle boundary -------------------------
     if wb_write:
@@ -530,7 +556,7 @@ def step_cycle(core: CoreState, mem: MemoryImage
                             hz.stall_pc or core.halt_fetch or fetched is None)
 
     core.cycle += 1
-    return commit, None, values
+    return commit, None
 
 
 @dataclass
@@ -547,9 +573,10 @@ def run_core(core: CoreState, mem: MemoryImage, max_cycles: int,
              sink: Optional[Callable[[tuple], None]] = None) -> RunResult:
     """Step the pipeline until it halts or the cycle cap is reached.
 
-    With a sink, run_core calls it once per cycle with step_cycle's values
-    tuple (SIGNAL_SCHEMA order) as the cycle completes, so a caller can
-    stream the signals without holding them.  record_signals is a sink that
+    The sink goes to step_cycle, which calls it once per cycle, the
+    halting cycle included, with that cycle's values tuple (SIGNAL_SCHEMA
+    order), so a caller can stream the signals without holding them; a run
+    without a sink builds no signal values.  record_signals is a sink that
     keeps them: signals then holds one dict per cycle that maps every
     SIGNAL_SCHEMA name, in schema order, to its value; otherwise signals is
     None.  The two options do not combine.
@@ -566,9 +593,7 @@ def run_core(core: CoreState, mem: MemoryImage, max_cycles: int,
     commits: list[CommitRecord] = []
     commit_cycles: list[int] = []
     for _ in range(max_cycles):
-        commit, halt, values = step_cycle(core, mem)
-        if sink is not None:
-            sink(values)
+        commit, halt = step_cycle(core, mem, sink)
         if commit is not None:
             commits.append(commit)
             commit_cycles.append(core.cycle - 1)

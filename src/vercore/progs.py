@@ -381,6 +381,30 @@ def fib_program(n: int = 10) -> Program:
     return assemble(a.words(), f"fib_{n}")
 
 
+def fault_programs() -> list[Program]:
+    """Programs that end in a fault while older instructions are in flight.
+
+    Both models must commit every instruction older than the fault and halt
+    with the same ERROR message.  They are kept out of corpus(), whose
+    programs must all pass lockstep.
+    """
+    return [assemble(words, name) for name, words in (
+        ("fault_illegal", [ADDI(1, 0, 1), ADDI(2, 0, 2), ADDI(3, 0, 3),
+                           0xFFFFFFFF]),
+        ("fault_illegal_after_mul", [ADDI(1, 0, 6), ADDI(2, 0, 7),
+                                     MUL(3, 1, 2), 0xFFFFFFFF]),
+        ("fault_jalr_misaligned", [ADDI(1, 0, 1), ADDI(2, 0, 2), LUI(5, 2),
+                                   ADDI(5, 5, 2), JALR(0, 5, 0)]),
+        ("fault_branch_misaligned", [ADDI(1, 0, 1), ADDI(2, 0, 1),
+                                     encode(M.BEQ, rs1=1, rs2=2, imm=6)]),
+        ("fault_jal_misaligned", [ADDI(1, 0, 1), ADDI(2, 0, 2), JAL(0, 6)]),
+        # the load faults in MEM while the illegal word waits in ID
+        ("fault_lw_misaligned", [ADDI(1, 0, 1), ADDI(2, 0, 3), LW(3, 0, 2),
+                                 0xFFFFFFFF]),
+        ("fault_off_the_end", [ADDI(1, 0, 1), ADDI(2, 0, 2)]),
+    )]
+
+
 def corpus(random_count: int = 64, seed_base: int = 0) -> list[Program]:
     """Directed + random regression corpus (every instruction covered)."""
     progs = directed_isa_programs() + hazard_programs()

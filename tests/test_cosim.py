@@ -79,3 +79,44 @@ class TestMismatchReport:
             "L addr=0x00003000 data=0x00000007 w=4 got "
             "pc=0x00002008 [lw x5, 0(x1)] x5=0x00000007 "
             "L addr=0x00003004 data=0x00000007 w=4")
+
+
+# Instructions before the fault, all of which must commit.
+OLDER = {"fault_illegal": 3, "fault_illegal_after_mul": 3,
+         "fault_jalr_misaligned": 4, "fault_branch_misaligned": 2,
+         "fault_jal_misaligned": 2, "fault_lw_misaligned": 2,
+         "fault_off_the_end": 2}
+
+
+class TestPreciseFaults:
+    @pytest.mark.parametrize("latency", (1, 4))
+    @pytest.mark.parametrize("program", progs.fault_programs(),
+                             ids=lambda p: p.name)
+    def test_both_models_commit_the_same_and_halt_alike(self, program,
+                                                        latency):
+        v = lockstep(program, 1000, PipelineConfig(reset_pc=program.entry,
+                                                   mul_latency=latency),
+                     strict_pc=True)
+        assert v.mismatch is None  # same commits, pc included
+        assert v.retired == OLDER[program.name]
+        assert v.golden_halt.kind is HaltKind.ERROR
+        assert v.core_halt == v.golden_halt  # kind, code and message
+
+    def test_probes_cover_every_fault_program(self):
+        assert sorted(p.name for p in progs.fault_programs()) == sorted(OLDER)
+
+    def test_older_mem_fault_wins_over_a_waiting_id_fault(self):
+        (program,) = [p for p in progs.fault_programs()
+                      if p.name == "fault_lw_misaligned"]
+        v = lockstep(program, 1000)
+        assert v.core_halt.message == \
+            "misaligned access at pc=0x00002008: lw from 0x00000003 (width 4)"
+
+    def test_a_store_into_the_unwritten_next_word_is_executed(self):
+        # the sw at 0x200c writes an ecall to 0x2010, which was fetched
+        # unwritten while the sw was in ID; both models run that ecall
+        words = [progs.LUI(5, 2), progs.ADDI(6, 0, progs.ECALL()),
+                 progs.ADDI(10, 0, 9), progs.SW(6, 0x10, 5)]
+        v = lockstep(progs.assemble(words, "fill"), 1000, strict_pc=True)
+        assert v.passed, format_verdict(v)
+        assert v.core_halt == HaltCause(HaltKind.ECALL, code=9)

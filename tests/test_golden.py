@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vercore import progs
-from vercore.golden import (ArchState, HaltCause, HaltKind, export_commit_trace,
-                            export_reg_trace, run, step)
+from vercore.golden import (ArchState, CommitRecord, HaltCause, HaltKind,
+                            MemTxn, export_commit_trace, export_reg_trace, run,
+                            step)
 from vercore.progs import (ADDI, EBREAK, ECALL, JAL, JALR, LUI, LW, MUL, NOP,
                            SB, SH, SW, assemble)
 
@@ -230,3 +231,37 @@ class TestRunAndExports:
         trace, halt = run(st_, 10)
         assert st_.retired == 4  # nop, fence, taken beq, ecall
         assert len(trace) == 4
+
+
+class TestRecordContract:
+    TXN = MemTxn("load", 0x3000, 7, 4)
+    RECORD = CommitRecord(0x2008, 0x13, 5, 7, True, TXN)
+
+    def test_fields_in_order_with_defaults(self):
+        r = CommitRecord(1, 2, 3, 4, True)
+        assert (r.pc, r.instr, r.rd, r.wb_value, r.reg_write, r.mem) == \
+            (1, 2, 3, 4, True, None)
+        t = self.TXN
+        assert (t.kind, t.addr, t.data, t.width) == ("load", 0x3000, 7, 4)
+
+    @pytest.mark.parametrize("record", [RECORD, TXN])
+    def test_immutable(self, record):
+        with pytest.raises(AttributeError):
+            record.pc = 0
+        with pytest.raises(AttributeError):
+            record.extra = 0
+
+    def test_hashable_and_equal_by_value(self):
+        twin = CommitRecord(0x2008, 0x13, 5, 7, True,
+                            MemTxn("load", 0x3000, 7, 4))
+        assert twin == self.RECORD and hash(twin) == hash(self.RECORD)
+        assert len({self.RECORD, twin, self.TXN}) == 2
+
+    def test_repr_is_unchanged(self):
+        assert repr(self.RECORD) == (
+            "CommitRecord(pc=8200, instr=19, rd=5, wb_value=7, "
+            "reg_write=True, mem=MemTxn(kind='load', addr=12288, data=7, "
+            "width=4))")
+        assert repr(CommitRecord(1, 2, 0, 0, False)) == (
+            "CommitRecord(pc=1, instr=2, rd=0, wb_value=0, reg_write=False, "
+            "mem=None)")

@@ -20,11 +20,13 @@ SIG = "vercore_tb.u_vercore."
 
 
 def step(core, mem):
-    """One step_cycle: its commit and its signals by short name."""
-    commit, _, values = step_cycle(core, mem)
+    """One step_cycle: its commit and its signals by short name, as a sink
+    receives them."""
+    seen = []
+    commit, _ = step_cycle(core, mem, seen.append)
+    (values,) = seen
     return commit, {name.removeprefix(SIG): v
-                          for name, v in zip(SIGNAL_NAMES, values,
-                                             strict=True)}
+                    for name, v in zip(SIGNAL_NAMES, values, strict=True)}
 
 
 def run_words(words, name="t", mul_latency=4, max_cycles=10_000,
@@ -482,3 +484,37 @@ class TestReset:
         r2 = run_core(CoreState.reset(PipelineConfig(reset_pc=p.entry)),
                       p.image.clone(), 50_000)
         assert r1.commits == r2.commits and r1.cycles == r2.cycles
+
+
+class TestSignalSink:
+    @pytest.mark.parametrize("words", [
+        [ADDI(1, 0, 1), ECALL()],      # halts on an ecall commit
+        [ADDI(1, 0, 1), 0xFFFFFFFF],   # halts on an ID fault
+    ])
+    def test_one_call_per_step_including_the_halting_cycle(self, words):
+        program = assemble(words, "t")
+        core = CoreState.reset(PipelineConfig(reset_pc=program.entry))
+        seen = []
+        for cycle in range(100):
+            result = step_cycle(core, program.image, seen.append)
+            assert isinstance(result, tuple) and len(result) == 2
+            assert len(seen) == cycle + 1
+            assert len(seen[-1]) == len(SIGNAL_SCHEMA)
+            if result[1] is not None:
+                break
+        assert result[1].kind in (HaltKind.ECALL, HaltKind.ERROR)
+        assert [v[0] for v in seen] == list(range(core.cycle))
+
+    @pytest.mark.parametrize("latency", (1, 4))
+    def test_a_run_without_a_sink_matches_a_recorded_one(self, latency):
+        for program in [progs.benchmark_program(16)] + progs.corpus(16):
+            runs = []
+            for record in (False, True):
+                core = CoreState.reset(PipelineConfig(
+                    reset_pc=program.entry, mul_latency=latency))
+                result = run_core(core, program.image.clone(), 100_000,
+                                  record_signals=record)
+                runs.append((result.commits, result.commit_cycles,
+                             result.cycles, result.halt, core.regfile,
+                             core.uninit_fetches))
+            assert runs[0] == runs[1], program.name
