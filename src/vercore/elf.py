@@ -37,6 +37,10 @@ class TruncatedFile(ElfFormatError):
     pass
 
 
+class UnterminatedSymbolName(ElfFormatError):
+    pass
+
+
 @dataclass
 class Segment:
     vaddr: int
@@ -110,7 +114,10 @@ def load_elf(data: bytes, tohost_addr: Optional[int] = None) -> tuple[MemoryImag
             st_name, st_value = struct.unpack("<II", sym[:8])
             if st_name == 0 or st_name >= len(strtab):
                 continue
-            end = strtab.index(b"\x00", st_name)
+            end = strtab.find(b"\x00", st_name)
+            if end < 0:
+                raise UnterminatedSymbolName(
+                    f"symbol {j} name at strtab offset {st_name} has no NUL")
             name = strtab[st_name:end].decode("ascii", errors="replace")
             if name:
                 summary.symbols[name] = st_value

@@ -33,28 +33,29 @@ class MemoryImage:
     Initialization is tracked per byte: reads of never-written bytes return 0
     and bump `uninit_reads` so simulators can apply their own policy.  A full
     32-bit store to `tohost_addr` is reported back to the caller as a halt
-    request (the bare-metal test-exit convention).
+    request (the bare-metal test-exit convention).  `fetch_word` answers from
+    a per-image word cache; `write_byte`, which every byte write goes through,
+    drops its word's entry, so the next fetch sees a store.
     """
 
     def __init__(self, tohost_addr: Optional[int] = None):
         self._data: dict[int, bytearray] = {}
         self._init: dict[int, bytearray] = {}
+        self._words: dict[int, int] = {}  # fetch cache, never holds None
         self.tohost_addr = tohost_addr
         self.uninit_reads = 0
 
-    def _page(self, page: int) -> tuple[bytearray, bytearray]:
+    def write_byte(self, addr: int, value: int) -> None:
+        addr &= MASK32
+        page = addr >> PAGE_SHIFT
         data = self._data.get(page)
         if data is None:
             data = self._data[page] = bytearray(PAGE_SIZE)
             self._init[page] = bytearray(PAGE_SIZE)
-        return data, self._init[page]
-
-    def write_byte(self, addr: int, value: int) -> None:
-        addr &= MASK32
-        data, init = self._page(addr >> PAGE_SHIFT)
         off = addr & PAGE_MASK
         data[off] = value & 0xFF
-        init[off] = 1
+        self._init[page][off] = 1
+        self._words.pop(addr & ~0x3, None)
 
     def read_byte(self, addr: int) -> int:
         """Read one byte; uninitialized bytes read as 0 (not counted here)."""
@@ -96,13 +97,17 @@ class MemoryImage:
 
     def fetch_word(self, addr: int) -> Optional[int]:
         """The word at an aligned 32-bit addr, or None if any of its bytes
-        is unwritten.  Counts nothing: a fetch is not a data read."""
-        init = self._init.get(addr >> PAGE_SHIFT)
-        off = addr & PAGE_MASK
-        if init is None or init[off:off + 4] != _WORD_INIT:
-            return None
-        return int.from_bytes(self._data[addr >> PAGE_SHIFT][off:off + 4],
-                              "little")
+        is unwritten.  Counts nothing: a fetch is not a data read.  A word
+        is cached from its first fetch until a `write_byte` to it."""
+        word = self._words.get(addr)
+        if word is None:
+            init = self._init.get(addr >> PAGE_SHIFT)
+            off = addr & PAGE_MASK
+            if init is None or init[off:off + 4] != _WORD_INIT:
+                return None
+            word = self._words[addr] = int.from_bytes(
+                self._data[addr >> PAGE_SHIFT][off:off + 4], "little")
+        return word
 
     def write_bytes(self, addr: int, data: int, byte_en: int) -> Optional[int]:
         """Write the enabled bytes of a 32-bit lane to word address `addr`.
@@ -117,8 +122,7 @@ class MemoryImage:
         for i in range(4):
             if byte_en & (1 << i):
                 self.write_byte(addr + i, (data >> (8 * i)) & 0xFF)
-        if byte_en == 0b1111 and self.tohost_addr is not None \
-                and (addr & MASK32) == self.tohost_addr:
+        if byte_en == 0b1111 and (addr & MASK32) == self.tohost_addr:
             return data
         return None
 
@@ -156,8 +160,6 @@ def load_hex(text: str, base: int = 0, tohost_addr: Optional[int] = None) -> Mem
             if len(tok) > 8:
                 raise MalformedHexLine(
                     f"line {lineno}: {tok!r} wider than 32 bits")
-            word = int(tok, 16)
-            for i in range(4):
-                img.write_byte(addr + i, (word >> (8 * i)) & 0xFF)
+            img.load_bytes(addr, int(tok, 16).to_bytes(4, "little"))
             addr = (addr + 4) & MASK32
     return img

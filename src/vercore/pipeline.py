@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from . import mul as mulunit
 from .golden import (DEFAULT_RESET_PC, CommitRecord, HaltCause, HaltKind,
@@ -168,17 +168,6 @@ _FLUSH = HazardDecision(flush_ifid=True)
 _NO_HAZARD = HazardDecision()
 
 
-class FwdSource(NamedTuple):
-    """A stage's forwardable result: does it write, which rd, what value."""
-
-    writes: bool = False
-    rd: int = 0
-    value: int = 0
-
-
-_NO_FWD = FwdSource()
-
-
 @dataclass
 class CoreState:
     """Full sequential state of the pipeline."""
@@ -228,19 +217,20 @@ def forward_ex(rs: int, rs_val: int, exmem: ExMemReg, memwb: MemWbReg) -> int:
     return rs_val
 
 
-def forward_id(rs: int, regfile_val: int, ex_fwd: FwdSource,
-               mem_fwd: FwdSource, wb: MemWbReg) -> int:
+def forward_id(rs: int, regfile_val: int, ex_rd: int, ex_value: int,
+               mem_rd: int, mem_value: int, wb: MemWbReg) -> int:
     """ID branch/jalr operand forwarding, priority EX > MEM > WB > regfile.
 
-    The MEM source must carry load data when the MEM instruction is a load
-    (it is computed combinationally there this same cycle).
+    EX and MEM each offer their result as (rd, value), rd 0 forwarding
+    nothing.  The MEM value must be the load data when the MEM instruction
+    is a load (it is computed combinationally there this same cycle).
     """
     if rs == 0:
         return regfile_val
-    if ex_fwd.writes and ex_fwd.rd == rs:
-        return ex_fwd.value
-    if mem_fwd.writes and mem_fwd.rd == rs:
-        return mem_fwd.value
+    if ex_rd == rs:
+        return ex_value
+    if mem_rd == rs:
+        return mem_value
     if wb.reg_write and wb.d.rd == rs:
         return wb.wb_data
     return regfile_val
@@ -394,7 +384,7 @@ def step_cycle(core: CoreState, mem: MemoryImage,
     if issue is not None or unit.busy:  # an idle tick changes nothing
         core.mul = unit = mulunit.tick(unit, issue=issue, consumer_ready=fire)
 
-    ex_fwd = _NO_FWD
+    ex_rd = 0  # the rd EX forwards ex_result to; 0: none
     if d is not None:
         if ctrl.mul_en:
             if unit.out_valid:
@@ -410,9 +400,9 @@ def step_cycle(core: CoreState, mem: MemoryImage,
             op_b = b_fwd if d.fmt is Format.R else d.imm & MASK32
             ex_result = _ALU_OP.get(d.mnemonic, _add)(op_a, op_b)
         store_data = ex.rs2_val if cfg.inject_no_store_fwd else b_fwd
-        if ctrl.reg_write and d.rd != 0 and not ctrl.mem_read \
+        if ctrl.reg_write and not ctrl.mem_read \
                 and (unit.out_valid or not ctrl.mul_en):
-            ex_fwd = FwdSource(True, d.rd, ex_result)
+            ex_rd = d.rd
 
     # ---------------- MEM: single-issue dcache access, WB value select ----
     md = m.d
@@ -440,11 +430,9 @@ def step_cycle(core: CoreState, mem: MemoryImage,
                                    width)
         except MisalignedAccess as exc:
             halt = fault("misaligned access", m.pc, exc)
-    mem_writes = md is not None and md.ctrl.reg_write and md.rd != 0
+    mem_rd = md.rd if md is not None and md.ctrl.reg_write else 0
     wb_data_next = m.mem_data if md is not None and md.ctrl.mem_read \
         else m.alu_result
-    mem_fwd = FwdSource(True, md.rd, wb_data_next) if mem_writes \
-        else _NO_FWD
 
     # ---------------- ID: decode, capture with WB bypass, resolve branches -
     f = core.ifid
@@ -476,15 +464,18 @@ def step_cycle(core: CoreState, mem: MemoryImage,
             rs2_cap = wb.wb_data if wb.reg_write and wb_rd == id_d.rs2 \
                 else rf2
             if id_d.ctrl.is_branch:
-                s1 = forward_id(id_d.rs1, rf1, ex_fwd, mem_fwd, wb)
-                s2 = forward_id(id_d.rs2, rf2, ex_fwd, mem_fwd, wb)
+                s1 = forward_id(id_d.rs1, rf1, ex_rd, ex_result, mem_rd,
+                                wb_data_next, wb)
+                s2 = forward_id(id_d.rs2, rf2, ex_rd, ex_result, mem_rd,
+                                wb_data_next, wb)
                 id_taken = _BRANCH_TAKEN[id_d.mnemonic](s1, s2)
                 id_target = (f.pc + id_d.imm) & MASK32
             elif id_d.mnemonic is Mnemonic.JAL:
                 id_taken = True
                 id_target = (f.pc + id_d.imm) & MASK32
             elif id_d.mnemonic is Mnemonic.JALR:
-                s1 = forward_id(id_d.rs1, rf1, ex_fwd, mem_fwd, wb)
+                s1 = forward_id(id_d.rs1, rf1, ex_rd, ex_result, mem_rd,
+                                wb_data_next, wb)
                 id_taken = True
                 id_target = (s1 + id_d.imm) & ~1 & MASK32
 
@@ -536,7 +527,7 @@ def step_cycle(core: CoreState, mem: MemoryImage,
         # bubble clears only d (valid for IF/ID); its other fields are
         # never read.
         wb.d, wb.pc, wb.instr, wb.wb_data = md, m.pc, m.instr, wb_data_next
-        wb.reg_write, wb.mem_txn, wb.tohost = mem_writes, m.mem_txn, m.tohost
+        wb.reg_write, wb.mem_txn, wb.tohost = mem_rd != 0, m.mem_txn, m.tohost
         wb.committed = False
         m.d, m.pc, m.instr = d, ex.pc, ex.instr
         m.alu_result, m.store_data = ex_result, store_data

@@ -79,8 +79,9 @@ def link_riscv_elf(asm: str, tmpdir, text_addr: int = 0x2000) -> bytes:
 def build_elf32(segments: list[tuple[int, bytes, int]], entry: int,
                 symbols: dict[str, int] | None = None,
                 machine: int = 243, ei_class: int = 1,
-                ei_data: int = 1) -> bytes:
-    """segments: list of (vaddr, file contents, memsz)."""
+                ei_data: int = 1, strtab_short: int = 0) -> bytes:
+    """segments: list of (vaddr, file contents, memsz).  strtab_short
+    shrinks .strtab's sh_size by that many bytes."""
     symbols = symbols or {}
     ehsize, phentsize, shentsize = 52, 32, 40
     phoff = ehsize
@@ -112,8 +113,8 @@ def build_elf32(segments: list[tuple[int, bytes, int]], entry: int,
     shdrs = struct.pack("<IIIIIIIIII", 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
     shdrs += struct.pack("<IIIIIIIIII", 1, 2, 0, 0, symtab_off, len(syms),
                          2, 1, 4, 16)          # .symtab, link -> .strtab
-    shdrs += struct.pack("<IIIIIIIIII", 9, 3, 0, 0, strtab_off, len(strtab),
-                         0, 0, 1, 0)           # .strtab
+    shdrs += struct.pack("<IIIIIIIIII", 9, 3, 0, 0, strtab_off,
+                         len(strtab) - strtab_short, 0, 0, 1, 0)  # .strtab
     shdrs += struct.pack("<IIIIIIIIII", 17, 3, 0, 0, shstrtab_off,
                          len(shstrtab), 0, 0, 1, 0)  # .shstrtab
 

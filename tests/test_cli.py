@@ -6,6 +6,8 @@ from vercore import cli, cosim, progs
 from vercore.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_USAGE
 from vercore.tracetools import DEFAULT_COLUMNS
 
+from conftest import build_elf32
+
 FLUSH_BUG_REPORT = """\
 RESULT: FAIL flush_bug.hex
 MISMATCH: index=3 kind=reg pc=0x00002020 cycle=7 expected x2=0x00003224 got x5=0x0000300c
@@ -132,6 +134,15 @@ class TestMalformedInput:
                                ["010000002a", "01zz"]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(
             "input error: trace line 2: '01zz'")
+
+    def test_unterminated_elf_symbol_name(self, tmp_path, capsys):
+        elf = tmp_path / "bad.elf"
+        elf.write_bytes(build_elf32(
+            [(0x2000, progs.ECALL().to_bytes(4, "little"), 4)], entry=0x2000,
+            symbols={"tohost": 0x3000, "_start": 0x2000}, strtab_short=1))
+        assert vercore("run", elf) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "input error: symbol 2 name at strtab offset 8 has no NUL\n")
 
     @pytest.mark.parametrize("command", ["run", "sim", "cosim", "vcd2csv",
                                          "diff-trace"])

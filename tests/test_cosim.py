@@ -2,9 +2,10 @@
 
 import pytest
 
-from vercore import cosim, progs
+from vercore import cosim, golden, progs
 from vercore.cosim import Verdict, compare_traces, format_verdict, lockstep
 from vercore.golden import CommitRecord, HaltCause, HaltKind, MemTxn
+from vercore.isa import Mnemonic
 from vercore.pipeline import PipelineConfig
 
 
@@ -120,3 +121,39 @@ class TestPreciseFaults:
         v = lockstep(progs.assemble(words, "fill"), 1000, strict_pc=True)
         assert v.passed, format_verdict(v)
         assert v.core_halt == HaltCause(HaltKind.ECALL, code=9)
+
+
+class TestSelfModifyingCode:
+    @staticmethod
+    def program():
+        """Runs `addi x5,x5,1` at `loop`, stores `addi x5,x5,100` over it
+        and, three instructions after the store, branches back to run the
+        patched word; no fence.i is needed that far from the store."""
+        patch = progs.ADDI(5, 5, 100)
+        hi = (patch + 0x800) >> 12
+        words = (progs.Asm()
+                 .emit(progs.LUI(6, progs.BASE >> 12), progs.LUI(7, hi),
+                       progs.ADDI(7, 7, patch - (hi << 12)))
+                 .label("loop").emit(progs.ADDI(5, 5, 1))   # base + 0xc
+                 .branch(Mnemonic.BNE, 8, 0, "done")
+                 .emit(progs.ADDI(8, 0, 1), progs.SW(7, 0xC, 6),
+                       progs.NOP(), progs.NOP())
+                 .branch(Mnemonic.BEQ, 0, 0, "loop")
+                 .label("done").emit(progs.ADDI(10, 0, 0), progs.ECALL())
+                 .words())
+        return progs.assemble(words, "self_modifying")
+
+    def test_golden_runs_the_patched_word(self):
+        program = self.program()
+        state = golden.ArchState(pc=program.entry, mem=program.image.clone())
+        _, halt = golden.run(state, 1000)
+        assert halt.kind is HaltKind.ECALL
+        assert state.regs[5] == 101
+
+    @pytest.mark.parametrize("latency", (1, 4))
+    def test_pipeline_agrees(self, latency):
+        program = self.program()
+        v = lockstep(program, 1000, PipelineConfig(reset_pc=program.entry,
+                                                   mul_latency=latency),
+                     strict_pc=True)
+        assert v.passed, format_verdict(v)

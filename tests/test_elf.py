@@ -7,7 +7,7 @@ import subprocess
 import pytest
 
 from vercore.elf import (Not32Bit, NotElf, NotLittleEndian, NotRiscv,
-                         TruncatedFile, load_elf)
+                         TruncatedFile, UnterminatedSymbolName, load_elf)
 
 from conftest import READELF, build_elf32, link_riscv_elf, needs_clang
 
@@ -70,6 +70,13 @@ class TestLoadElf:
             load_elf(data[:40])
         with pytest.raises(TruncatedFile):
             load_elf(data[:100])
+
+    def test_unterminated_symbol_name(self):
+        # "_start" is the table's last name; its NUL falls outside sh_size.
+        data = _simple_elf(symbols={"tohost": 0x3000, "_start": 0x2000},
+                           strtab_short=1)
+        with pytest.raises(UnterminatedSymbolName, match="offset 8 "):
+            load_elf(data)
 
 
 _TOOLCHAIN_ASM = """

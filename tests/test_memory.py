@@ -94,6 +94,44 @@ class TestFetchWord:
             else:
                 assert fetched is None
 
+    @given(st.lists(st.tuples(st.integers(0, 3), st.one_of(
+        st.tuples(st.just("write_byte"), st.integers(0, 31),
+                  st.integers(0, 0xFF)),
+        st.tuples(st.just("write_bytes"), st.integers(0, 7),
+                  st.integers(0, 0xFFFFFFFF), st.integers(0, 0xF)),
+        st.tuples(st.just("load_bytes"), st.integers(0, 31),
+                  st.binary(max_size=8)),
+        st.tuples(st.just("clone")))), max_size=40))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_fetch_sees_every_write_after_it(self, steps):
+        """Each step writes to or clones one image, then every image fetches
+        every word, so a cached word is fetched again after each write."""
+        base = 0x1FF0  # eight words across a page boundary
+        images = [(MemoryImage(), {})]  # each with its written bytes
+        for which, (op, *args) in steps:
+            img, ref = images[which % len(images)]
+            if op == "write_byte":
+                img.write_byte(base + args[0], args[1])
+                ref[base + args[0]] = args[1]
+            elif op == "write_bytes":
+                addr, data, byte_en = base + 4 * args[0], args[1], args[2]
+                img.write_bytes(addr, data, byte_en)
+                ref.update((addr + i, (data >> (8 * i)) & 0xFF)
+                           for i in range(4) if byte_en & (1 << i))
+            elif op == "load_bytes":
+                img.load_bytes(base + args[0], args[1])
+                ref.update((base + args[0] + i, b)
+                           for i, b in enumerate(args[1]))
+            else:
+                images.append((img.clone(), dict(ref)))
+            for img, ref in images:
+                for addr in range(base, base + 32, 4):
+                    lanes = [ref.get(addr + i) for i in range(4)]
+                    assert img.fetch_word(addr) == (
+                        None if None in lanes
+                        else int.from_bytes(bytes(lanes), "little"))
+                assert img.uninit_reads == 0
+
 
 class TestTohost:
     def test_full_word_store_signals(self):

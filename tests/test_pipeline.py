@@ -11,7 +11,7 @@ from vercore.mul import MulUnitState
 from vercore.pipeline import (CoreState, ExMemReg, HazardDecision, IdExReg,
                               MemWbReg, PipelineConfig, SIGNAL_NAMES,
                               SIGNAL_SCHEMA, forward_ex, forward_id,
-                              FwdSource, hazard_detect, load_extract,
+                              hazard_detect, load_extract,
                               next_pc, run_core, step_cycle, store_align)
 from vercore.progs import (ADD, ADDI, ECALL, JAL, LUI, LW, MUL, NOP, SB, SW,
                            assemble)
@@ -78,19 +78,18 @@ class TestForwardEx:
 
 class TestForwardId:
     def test_priority_chain(self):
-        ex = FwdSource(True, 3, 0xE)
-        mem = FwdSource(True, 3, 0xA)
         wb = MemWbReg(d=decode(ADDI(3, 0, 0)), wb_data=0xB, reg_write=True)
-        assert forward_id(3, 0xF, ex, mem, wb) == 0xE
-        assert forward_id(3, 0xF, FwdSource(False, 0, 0), mem, wb) == 0xA
-        assert forward_id(3, 0xF, FwdSource(False, 0, 0),
-                          FwdSource(False, 0, 0), wb) == 0xB
-        assert forward_id(3, 0xF, FwdSource(False, 0, 0),
-                          FwdSource(False, 0, 0), MemWbReg()) == 0xF
+        assert forward_id(3, 0xF, 3, 0xE, 3, 0xA, wb) == 0xE
+        assert forward_id(3, 0xF, 0, 0, 3, 0xA, wb) == 0xA
+        assert forward_id(3, 0xF, 0, 0, 0, 0, wb) == 0xB
+        assert forward_id(3, 0xF, 0, 0, 0, 0, MemWbReg()) == 0xF
 
     def test_x0(self):
-        ex = FwdSource(True, 0, 99)
-        assert forward_id(0, 0, ex, ex, MemWbReg()) == 0
+        assert forward_id(0, 0, 0, 99, 0, 99, MemWbReg()) == 0
+
+    @pytest.mark.parametrize("rs", [1, 3, 31])
+    def test_rd_0_forwards_nothing(self, rs):
+        assert forward_id(rs, 0xF, 0, 0xE, 0, 0xA, MemWbReg()) == 0xF
 
 
 class TestHazardDetect:
