@@ -45,6 +45,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _word_aligned(text: str) -> int:
+    value = _parse_int(text)
+    if value & 0x3:
+        raise argparse.ArgumentTypeError(f"must be word-aligned, got {text}")
+    return value
+
+
 def load_program(path: str, fmt: str = "auto", base: Optional[int] = None,
                  reset_pc: Optional[int] = None,
                  tohost: Optional[int] = None) -> Program:
@@ -73,8 +80,11 @@ def load_program(path: str, fmt: str = "auto", base: Optional[int] = None,
 
 
 def _load_from_args(args, path: str) -> Program:
-    return load_program(path, fmt=args.fmt, base=args.base,
-                        reset_pc=args.reset_pc, tohost=args.tohost)
+    program = load_program(path, fmt=args.fmt, base=args.base,
+                           reset_pc=args.reset_pc, tohost=args.tohost)
+    if program.entry & 0x3:  # an ELF entry; --reset-pc was parsed aligned
+        raise ElfFormatError(f"entry 0x{program.entry:08x} is not word-aligned")
+    return program
 
 
 def _pipeline_config(args, entry: int) -> PipelineConfig:
@@ -94,12 +104,11 @@ def _halt_exit(halt: HaltCause) -> int:
     return EXIT_SIM
 
 
-def _write_trace_files(args, trace, reg_lines) -> None:
-    if args.trace:
-        Path(args.trace).write_text(
-            "\n".join(golden.export_commit_trace(trace)) + "\n")
-    if args.reg_trace:
-        Path(args.reg_trace).write_text("\n".join(reg_lines) + "\n")
+def _write_trace_files(args, trace) -> None:
+    for path, export in ((args.trace, golden.export_commit_trace),
+                         (args.reg_trace, golden.export_reg_trace)):
+        if path:
+            Path(path).write_text("\n".join(export(trace)) + "\n")
 
 
 @contextlib.contextmanager
@@ -117,7 +126,7 @@ def cmd_run(args) -> int:
     program = _load_from_args(args, args.program)
     state = golden.ArchState(pc=program.entry, mem=program.image)
     trace, halt = golden.run(state, args.max_steps)
-    _write_trace_files(args, trace, golden.export_reg_trace(trace))
+    _write_trace_files(args, trace)
     print(f"retired {len(trace)} instructions, halt: {halt.kind.value}")
     return _halt_exit(halt)
 
@@ -127,8 +136,7 @@ def cmd_sim(args) -> int:
     core = CoreState.reset(_pipeline_config(args, program.entry))
     with _vcd_sink(args.vcd) as sink:
         result = run_core(core, program.image, args.max_cycles, sink=sink)
-    _write_trace_files(args, result.commits,
-                       golden.export_reg_trace(result.commits))
+    _write_trace_files(args, result.commits)
     if result.commits:
         print(cpi(len(result.commits), result.cycles).line())
     return _halt_exit(result.halt)
@@ -228,7 +236,7 @@ def _add_common(sub, cycles: bool) -> None:
                      default="auto")
     sub.add_argument("--base", type=_parse_int, default=None,
                      help="load address for hex/bin (default: reset pc)")
-    sub.add_argument("--reset-pc", type=_parse_int, default=None,
+    sub.add_argument("--reset-pc", type=_word_aligned, default=None,
                      help="start pc (default: ELF entry, else "
                           f"{DEFAULT_RESET_PC:#x})")
     sub.add_argument("--tohost", type=_parse_int, default=None,

@@ -189,8 +189,7 @@ _EXECUTE: dict[Mnemonic, Handler] = {
     Mnemonic.AUIPC: lambda _, d, pc, a, b: ((pc + d.imm) & MASK32, pc + 4, None),
     Mnemonic.JAL: lambda _, d, pc, a, b: ((pc + 4) & MASK32, pc + d.imm, None),
     Mnemonic.JALR: lambda _, d, pc, a, b: ((pc + 4) & MASK32, (a + b) & ~1, None),
-    # Every write drops its word from the fetch cache, so stores stay visible
-    # to later fetches without fence.i; there is nothing for fence to order.
+    # Stores and fetches share one word store: fence has nothing to order.
     Mnemonic.FENCE: lambda _, d, pc, a, b: (0, pc + 4, None),
     Mnemonic.FENCE_I: lambda _, d, pc, a, b: (0, pc + 4, None),
     Mnemonic.ECALL: _halting(

@@ -1,4 +1,4 @@
-"""Sparse little-endian byte memory with byte-enable writes and hex loading."""
+"""Sparse little-endian word memory with byte-enable writes and hex loading."""
 
 from __future__ import annotations
 
@@ -6,11 +6,9 @@ from typing import Optional
 
 from .isa import MASK32
 
-PAGE_SHIFT = 12
-PAGE_SIZE = 1 << PAGE_SHIFT
-PAGE_MASK = PAGE_SIZE - 1
-_WORD_INIT = b"\x01" * 4  # init flags of a fully written word
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_LANES = tuple(sum(0xFF << 8 * i for i in range(4) if en >> i & 1)
+               for en in range(16))  # byte-enable -> bit mask of its lanes
 
 
 class MisalignedAccess(ValueError):
@@ -28,46 +26,58 @@ class MalformedHexLine(ValueError):
 
 
 class MemoryImage:
-    """Sparse map of 32-bit byte addresses to bytes, 4KiB pages, little-endian.
+    """Sparse 32-bit byte-addressed memory, held as aligned words.
 
-    Initialization is tracked per byte: reads of never-written bytes return 0
-    and bump `uninit_reads` so simulators can apply their own policy.  A full
-    32-bit store to `tohost_addr` is reported back to the caller as a halt
-    request (the bare-metal test-exit convention).  `fetch_word` answers from
-    a per-image word cache; `write_byte`, which every byte write goes through,
-    drops its word's entry, so the next fetch sees a store.
+    `_full` maps each aligned address whose four bytes are all written to
+    its word; `_part` maps the few partly written ones to (word, written-byte
+    mask).  So fetching or reading a written word is one lookup and `clone`
+    copies two dicts.  A word costs ~100 B, which suits programs that write
+    a few KiB: a fully written 64 KiB region takes ~1.6 MB.
+
+    Never-written bytes read as 0, and a word read touching one bumps
+    `uninit_reads` so simulators can apply their own policy.  A full 32-bit
+    store to `tohost_addr` is reported back to the caller as a halt request
+    (the bare-metal test-exit convention).
     """
 
     def __init__(self, tohost_addr: Optional[int] = None):
-        self._data: dict[int, bytearray] = {}
-        self._init: dict[int, bytearray] = {}
-        self._words: dict[int, int] = {}  # fetch cache, never holds None
+        self._full: dict[int, int] = {}
+        self._part: dict[int, tuple[int, int]] = {}
         self.tohost_addr = tohost_addr
         self.uninit_reads = 0
 
+    def _merge(self, addr: int, data: int, byte_en: int) -> None:
+        """Store data's enabled lanes into the aligned word at addr."""
+        lanes = _LANES[byte_en]
+        word = self._full.get(addr)
+        word, mask = (word, 0b1111) if word is not None \
+            else self._part.pop(addr, (0, 0))
+        word, mask = word & ~lanes | data & lanes, mask | byte_en
+        if mask == 0b1111:
+            self._full[addr] = word
+        elif mask:
+            self._part[addr] = word, mask
+
     def write_byte(self, addr: int, value: int) -> None:
         addr &= MASK32
-        page = addr >> PAGE_SHIFT
-        data = self._data.get(page)
-        if data is None:
-            data = self._data[page] = bytearray(PAGE_SIZE)
-            self._init[page] = bytearray(PAGE_SIZE)
-        off = addr & PAGE_MASK
-        data[off] = value & 0xFF
-        self._init[page][off] = 1
-        self._words.pop(addr & ~0x3, None)
+        lane = addr & 0x3
+        self._merge(addr ^ lane, (value & 0xFF) << 8 * lane, 1 << lane)
 
     def read_byte(self, addr: int) -> int:
         """Read one byte; uninitialized bytes read as 0 (not counted here)."""
         addr &= MASK32
-        data = self._data.get(addr >> PAGE_SHIFT)
-        return data[addr & PAGE_MASK] if data is not None else 0
+        lane = addr & 0x3
+        word = self._full.get(addr ^ lane)
+        if word is None:
+            word = self._part.get(addr ^ lane, (0, 0))[0]
+        return word >> 8 * lane & 0xFF
 
     def is_initialized(self, addr: int, size: int = 1) -> bool:
         for i in range(size):
             a = (addr + i) & MASK32
-            init = self._init.get(a >> PAGE_SHIFT)
-            if init is None or not init[a & PAGE_MASK]:
+            lane = a & 0x3
+            if a ^ lane not in self._full and not (
+                    self._part.get(a ^ lane, (0, 0))[1] >> lane & 1):
                 return False
         return True
 
@@ -77,37 +87,22 @@ class MemoryImage:
             self.write_byte(addr + i, b)
 
     def read_word(self, addr: int) -> int:
-        """Assemble 4 bytes little-endian; addr must be word-aligned.
-
-        Words touching uninitialized bytes read those bytes as 0 and count
-        one uninitialized read.  An aligned word never crosses a page.
-        """
+        """The word at aligned addr, little-endian.  Words touching
+        uninitialized bytes read those bytes as 0 and count one
+        uninitialized read."""
         if addr & 0x3:
             raise MisalignedAccess(f"word read from 0x{addr & MASK32:08x}")
         addr &= MASK32
-        page = addr >> PAGE_SHIFT
-        data = self._data.get(page)
-        if data is None:
+        word = self._full.get(addr)
+        if word is None:
             self.uninit_reads += 1
-            return 0
-        off = addr & PAGE_MASK
-        if self._init[page][off:off + 4] != _WORD_INIT:
-            self.uninit_reads += 1
-        return int.from_bytes(data[off:off + 4], "little")
+            return self._part.get(addr, (0, 0))[0]
+        return word
 
     def fetch_word(self, addr: int) -> Optional[int]:
         """The word at an aligned 32-bit addr, or None if any of its bytes
-        is unwritten.  Counts nothing: a fetch is not a data read.  A word
-        is cached from its first fetch until a `write_byte` to it."""
-        word = self._words.get(addr)
-        if word is None:
-            init = self._init.get(addr >> PAGE_SHIFT)
-            off = addr & PAGE_MASK
-            if init is None or init[off:off + 4] != _WORD_INIT:
-                return None
-            word = self._words[addr] = int.from_bytes(
-                self._data[addr >> PAGE_SHIFT][off:off + 4], "little")
-        return word
+        is unwritten.  Counts nothing: a fetch is not a data read."""
+        return self._full.get(addr)
 
     def write_bytes(self, addr: int, data: int, byte_en: int) -> Optional[int]:
         """Write the enabled bytes of a 32-bit lane to word address `addr`.
@@ -118,19 +113,18 @@ class MemoryImage:
         """
         if addr & 0x3:
             raise MisalignedAccess(f"byte-enable write to 0x{addr & MASK32:08x}")
+        addr &= MASK32
         data &= MASK32
-        for i in range(4):
-            if byte_en & (1 << i):
-                self.write_byte(addr + i, (data >> (8 * i)) & 0xFF)
-        if byte_en == 0b1111 and (addr & MASK32) == self.tohost_addr:
-            return data
-        return None
+        if byte_en == 0b1111 and addr not in self._part:
+            self._full[addr] = data
+        else:
+            self._merge(addr, data, byte_en & 0xF)
+        return data if byte_en == 0b1111 and addr == self.tohost_addr else None
 
     def clone(self) -> "MemoryImage":
         """Independent deep copy (co-simulation gives each core its own)."""
         img = MemoryImage(self.tohost_addr)
-        img._data = {p: bytearray(d) for p, d in self._data.items()}
-        img._init = {p: bytearray(d) for p, d in self._init.items()}
+        img._full, img._part = self._full.copy(), self._part.copy()
         return img
 
 
@@ -149,12 +143,12 @@ def load_hex(text: str, base: int = 0, tohost_addr: Optional[int] = None) -> Mem
         for tok in line.split():
             if tok.startswith("@"):
                 digits = tok[1:]
-                if not 0 < len(digits) <= 8 or not _HEX_DIGITS.issuperset(digits):
+                if not 0 < len(digits) <= 8 or not HEX_DIGITS.issuperset(digits):
                     raise MalformedHexLine(
                         f"line {lineno}: bad address directive {tok!r}")
                 addr = int(digits, 16)
                 continue
-            if not _HEX_DIGITS.issuperset(tok):
+            if not HEX_DIGITS.issuperset(tok):
                 raise MalformedHexLine(
                     f"line {lineno}: {tok!r} is not a hex word")
             if len(tok) > 8:

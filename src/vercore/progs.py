@@ -103,8 +103,7 @@ def assemble(words: list[int], name: str, base: int = BASE,
              tohost: Optional[int] = None) -> Program:
     img = MemoryImage(tohost)
     for i, w in enumerate(words):
-        for j in range(4):
-            img.write_byte(base + 4 * i + j, (w >> (8 * j)) & 0xFF)
+        img.write_bytes(base + 4 * i, w, 0b1111)
     return Program(img, base, name)
 
 

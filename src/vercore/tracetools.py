@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TextIO
 
+from .memory import HEX_DIGITS
 from .pipeline import SIGNAL_SCHEMA
 
 TIME_PER_CYCLE = 10000  # 1ps timescale units per pipeline clock
@@ -341,8 +342,7 @@ def parse_reg_trace(lines: Iterable[str]) -> list[tuple[int, int]]:
         line = raw.strip()
         if not line:
             continue
-        if len(line) != 10 or any(c not in "0123456789abcdefABCDEF"
-                                  for c in line):
+        if len(line) != 10 or not HEX_DIGITS.issuperset(line):
             raise MalformedTraceLine(
                 f"trace line {i}: {line!r} is not 10 hex characters")
         out.append((int(line[0:2], 16), int(line[2:10], 16)))

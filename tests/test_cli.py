@@ -2,7 +2,7 @@
 
 import pytest
 
-from vercore import cli, cosim, progs
+from vercore import cli, cosim, golden, progs
 from vercore.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_USAGE
 from vercore.tracetools import DEFAULT_COLUMNS
 
@@ -88,6 +88,77 @@ class TestCosim:
         assert len(calls) == 1
         assert vcd.read_text().startswith("$date")
 
+    @pytest.mark.parametrize("bound,verdict,code", [
+        ("1.5", "PASS", 0), ("1.2090", "PASS", 0),
+        ("1.2", "FAIL", EXIT_MISMATCH)])
+    def test_cpi_bound(self, bound, verdict, code, fib_hex, capsys):
+        assert vercore("cosim", fib_hex, "--cpi-bound", bound) == code
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "CPI: cycles=81 retired=67 cpi=1.2090",
+            f"CPI-BOUND: {verdict} bound={float(bound)}"]
+
+    def test_no_cpi_bound_line_after_a_mismatch(self, flush_bug_hex, capsys):
+        assert vercore("cosim", flush_bug_hex, "--inject", "no-flush",
+                       "--cpi-bound", "9") == EXIT_MISMATCH
+        assert "CPI-BOUND" not in capsys.readouterr().out
+
+
+class TestBench:
+    FIB = "BENCH: name=fib.hex retired=67 cycles=81 cpi=1.2090 result="
+    FLUSH = ("BENCH: name=flush_bug.hex retired=6 cycles=11 cpi=1.8333 "
+             "result=")
+
+    @pytest.mark.parametrize("bound,results,code", [
+        (None, ("pass", "pass"), 0),
+        ("1.5", ("pass", "FAIL"), EXIT_MISMATCH)])
+    def test_machine_lines(self, bound, results, code, fib_hex, flush_bug_hex,
+                           capsys):
+        argv = ["bench", fib_hex, flush_bug_hex, "--machine"]
+        assert vercore(*argv, *(["--cpi-bound", bound] if bound else [])) \
+            == code
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("BENCH:")] == [
+            self.FIB + results[0], self.FLUSH + results[1]]
+
+    def test_no_machine_lines_without_the_flag(self, fib_hex, capsys):
+        assert vercore("bench", fib_hex) == 0
+        assert "BENCH:" not in capsys.readouterr().out
+
+
+class TestMisalignedStartPc:
+    """A start pc off a word boundary is refused before either model runs."""
+
+    @pytest.fixture
+    def unaligned_elf(self, tmp_path):
+        code = b"".join(w.to_bytes(4, "little")
+                        for w in (progs.NOP(), progs.ADDI(10, 0, 7),
+                                  progs.ECALL()))
+        path = tmp_path / "entry.elf"
+        path.write_bytes(build_elf32([(0x2000, code, len(code))],
+                                     entry=0x2002))
+        return path
+
+    @pytest.mark.parametrize("command", ["run", "sim", "cosim", "bench"])
+    def test_reset_pc_is_a_usage_error(self, command, fib_hex, capsys):
+        assert vercore(command, fib_hex, "--reset-pc", "0x2002") == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"vercore {command}: error: argument --reset-pc: "
+            "must be word-aligned, got 0x2002")
+
+    @pytest.mark.parametrize("command", ["run", "sim", "cosim", "bench"])
+    def test_elf_entry_is_an_input_error(self, command, unaligned_elf,
+                                         capsys):
+        assert vercore(command, unaligned_elf) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "input error: entry 0x00002002 is not word-aligned\n"
+
+    def test_reset_pc_overrides_the_elf_entry(self, unaligned_elf, capsys):
+        assert vercore("sim", unaligned_elf, "--reset-pc", "0x2000") == 7
+        assert vercore("cosim", unaligned_elf, "--reset-pc", "0x2000") == 0
+
 
 class TestTraceRoundTrip:
     def test_sim_vcd_to_csv_to_diff_trace(self, fib_hex, tmp_path, capsys):
@@ -100,6 +171,30 @@ class TestTraceRoundTrip:
         assert len(csv.read_text().splitlines()) == 1 + cycles
         assert vercore("diff-trace", csv, reg) == 0
         assert "no mismatch" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "sim"])
+    @pytest.mark.parametrize("flag,exporter", [
+        ("--reg-trace", "export_reg_trace"),
+        ("--trace", "export_commit_trace"),
+        (None, None)])
+    def test_formats_only_the_trace_asked_for(self, command, flag, exporter,
+                                              fib_hex, tmp_path, monkeypatch):
+        path = tmp_path / "trace.txt"
+        if flag:
+            fib = progs.fib_program()
+            trace, _ = golden.run(golden.ArchState(pc=fib.entry,
+                                                   mem=fib.image), 10_000)
+            expected = "\n".join(getattr(golden, exporter)(trace)) + "\n"
+
+        def unasked(trace):
+            raise AssertionError("formatted a trace that was not asked for")
+
+        for name in {"export_reg_trace", "export_commit_trace"} - {exporter}:
+            monkeypatch.setattr(golden, name, unasked)
+        assert vercore(command, fib_hex, *([flag, path] if flag else [])) \
+            == FIB_EXIT
+        if flag:
+            assert path.read_text() == expected
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert vercore("vcd2csv", tmp_path / "absent.vcd",

@@ -140,6 +140,14 @@ class TestHaltConventions:
         assert halt.kind is HaltKind.ERROR
         assert "uninitialized" in halt.message
 
+    def test_misaligned_start_pc(self):
+        """Library callers can start the golden model anywhere: a pc off a
+        word boundary faults before anything is fetched."""
+        state = ArchState(pc=0x2002, mem=assemble([NOP(), ECALL()], "t").image)
+        trace, halt = run(state, 10)
+        assert trace == [] and halt.kind is HaltKind.ERROR
+        assert halt.message == "misaligned fetch at pc=0x00002002"
+
     def test_fence_is_noop(self):
         st_ = make_state([progs.FENCE(), ADDI(1, 0, 1), ECALL()])
         trace, halt = run(st_, 10)

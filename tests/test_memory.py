@@ -59,7 +59,7 @@ class TestFetchWord:
     def test_unwritten_word_is_none(self):
         img = MemoryImage()
         assert img.fetch_word(0x2000) is None
-        img.write_byte(0x2000, 0x13)  # same page, other word
+        img.write_byte(0x2000, 0x13)  # another word
         assert img.fetch_word(0x2004) is None
 
     @pytest.mark.parametrize("written", [1, 2, 3])
@@ -84,7 +84,7 @@ class TestFetchWord:
     def test_equals_read_word_when_fully_written(self, writes):
         img = MemoryImage()
         for offset, value in writes:
-            img.write_byte(0x1FF0 + offset, value)  # spans a page boundary
+            img.write_byte(0x1FF0 + offset, value)
         for addr in range(0x1FF0, 0x2010, 4):
             fetched = img.fetch_word(addr)
             if img.is_initialized(addr, 4):
@@ -105,8 +105,8 @@ class TestFetchWord:
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_fetch_sees_every_write_after_it(self, steps):
         """Each step writes to or clones one image, then every image fetches
-        every word, so a cached word is fetched again after each write."""
-        base = 0x1FF0  # eight words across a page boundary
+        every word, so each word is fetched again after each write."""
+        base = 0x1FF0
         images = [(MemoryImage(), {})]  # each with its written bytes
         for which, (op, *args) in steps:
             img, ref = images[which % len(images)]
@@ -131,6 +131,66 @@ class TestFetchWord:
                         None if None in lanes
                         else int.from_bytes(bytes(lanes), "little"))
                 assert img.uninit_reads == 0
+
+
+WRAP_BASE = 0xFFFFFFF0  # 32 bytes that wrap from 0xFFFFFFFF to 0
+
+
+def wrapped(offset):
+    return (WRAP_BASE + offset) & 0xFFFFFFFF
+
+
+class TestWordStore:
+    """Every reader against a flat byte model, across clones and the wrap at
+    0xFFFFFFFF."""
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.one_of(
+        st.tuples(st.just("write_byte"), st.integers(0, 31),
+                  st.integers(0, 0xFF)),
+        st.tuples(st.just("write_bytes"), st.integers(0, 7),
+                  st.integers(0, 0xFFFFFFFF), st.integers(0, 0xF)),
+        st.tuples(st.just("load_bytes"), st.integers(0, 31),
+                  st.binary(max_size=9)),
+        st.tuples(st.just("clone")))), max_size=30))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_matches_flat_byte_model(self, steps):
+        images = [(MemoryImage(), {}, [0])]  # image, written bytes, reads
+        for which, (op, *args) in steps:
+            img, ref, _ = images[which % len(images)]
+            if op == "write_byte":
+                img.write_byte(wrapped(args[0]), args[1])
+                ref[wrapped(args[0])] = args[1]
+            elif op == "write_bytes":
+                addr, data, byte_en = wrapped(4 * args[0]), args[1], args[2]
+                img.write_bytes(addr, data, byte_en)
+                ref.update(((addr + i) & 0xFFFFFFFF, data >> (8 * i) & 0xFF)
+                           for i in range(4) if byte_en & (1 << i))
+            elif op == "load_bytes":
+                img.load_bytes(wrapped(args[0]), args[1])
+                ref.update((wrapped(args[0] + i), b)
+                           for i, b in enumerate(args[1]))
+            else:
+                images.append((img.clone(), dict(ref), [0]))
+            for img, ref, reads in images:
+                self.check(img, ref, reads)
+
+    @staticmethod
+    def check(img, ref, reads):
+        for offset in range(32):
+            addr = wrapped(offset)
+            assert img.read_byte(addr) == ref.get(addr, 0)
+            for size in range(1, 5):
+                assert img.is_initialized(addr, size) == all(
+                    wrapped(offset + i) in ref for i in range(size))
+            if offset % 4:
+                continue
+            lanes = [ref.get(wrapped(offset + i)) for i in range(4)]
+            word = int.from_bytes(bytes(b or 0 for b in lanes), "little")
+            assert img.fetch_word(addr) == (None if None in lanes else word)
+            assert img.uninit_reads == reads[0]
+            assert img.read_word(addr) == word
+            reads[0] += None in lanes
+            assert img.uninit_reads == reads[0]
 
 
 class TestTohost:
