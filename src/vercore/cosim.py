@@ -16,7 +16,7 @@ from . import golden
 from .golden import CommitRecord, HaltCause, HaltKind, MemTxn
 from .isa import decode, disassemble
 from .memory import MemoryImage
-from .pipeline import CoreState, PipelineConfig, run_core
+from .pipeline import CoreState, PipelineConfig, check_reset_pc, run_core
 
 
 class ZeroRetired(ValueError):
@@ -141,7 +141,9 @@ def lockstep(program: Program, max_cycles: int,
 
     The pipeline runs once.  A sink is handed to run_core and sees that
     run's signal values, one tuple per cycle, while it runs (see run_core).
+    An entry that is not word-aligned raises ValueError before either runs.
     """
+    check_reset_pc(program.entry)
     pipe_config = pipe_config or PipelineConfig(reset_pc=program.entry)
     gstate = golden.ArchState(pc=program.entry, mem=program.image.clone())
     gtrace, ghalt = golden.run(gstate, max_steps or max_cycles)

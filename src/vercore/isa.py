@@ -2,6 +2,14 @@
 
 The multiply-only subset of M (mul/mulh/mulhsu/mulhu) is supported; division,
 CSRs, compressed instructions and privileged encodings are rejected.
+
+`decode` is table-driven: each mnemonic's "shape" (format, control, immediate
+extractor, kept registers) sits in one of four dicts derived from ENCODINGS,
+keyed on the bits its encoding fixes -- `word & 0xFE00707F` for R-type and
+immediate shifts, `word & 0x707F` for the other I/S/B, the opcode for U/J and
+the whole word for ecall/ebreak.  The dicts stay separate because the keys
+of different kinds collide: `0x40001013 & 0x707F` equals slli's fixed bits,
+and an R-type word with a junk funct7 would match sll's.
 """
 
 from __future__ import annotations
@@ -9,6 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 MASK32 = 0xFFFFFFFF
 
@@ -33,8 +42,7 @@ def sign_extend(value: int, bits: int) -> int:
 
 def to_signed(value: int) -> int:
     """Reinterpret a 32-bit pattern as a signed integer."""
-    value &= MASK32
-    return value - 0x100000000 if value & 0x80000000 else value
+    return ((value & MASK32) ^ 0x80000000) - 0x80000000
 
 
 class Format(enum.Enum):
@@ -111,7 +119,7 @@ class Control:
     uses_rs2: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodedInstr:
     """One decoded instruction: register indices, immediate, classification."""
 
@@ -201,72 +209,77 @@ MEM_WIDTH: dict[Mnemonic, int] = {
 _MULS = {Mnemonic.MUL, Mnemonic.MULH, Mnemonic.MULHSU, Mnemonic.MULHU}
 _SHIFTS_IMM = {Mnemonic.SLLI, Mnemonic.SRLI, Mnemonic.SRAI}
 _NO_EFFECT = {Mnemonic.FENCE, Mnemonic.FENCE_I, Mnemonic.ECALL, Mnemonic.EBREAK}
-# ecall and ebreak are whole fixed words, not fields.
 _SYSTEM_WORDS = {Mnemonic.ECALL: 0x00000073, Mnemonic.EBREAK: 0x00100073}
+
+
+# Which of rd, rs1 and rs2 each format keeps: the rest decode as x0.
+_KEEPS: dict[Format, tuple[bool, bool, bool]] = {
+    Format.R: (True, True, True), Format.I: (True, True, False),
+    Format.S: (False, True, True), Format.B: (False, True, True),
+    Format.U: (True, False, False), Format.J: (True, False, False)}
 
 
 def _control_for(mn: Mnemonic, enc: Encoding) -> Control:
     if mn in _NO_EFFECT:
         return Control()
-    fmt = enc.fmt
-    uses_rs1 = fmt in (Format.R, Format.I, Format.S, Format.B)
-    uses_rs2 = fmt in (Format.R, Format.S, Format.B)
-    return Control(
-        reg_write=fmt not in (Format.S, Format.B),
-        mem_read=enc.opcode == OP_LOAD,
-        mem_write=enc.opcode == OP_STORE,
-        is_branch=enc.opcode == OP_BRANCH,
-        is_jump=mn in (Mnemonic.JAL, Mnemonic.JALR),
-        mul_en=mn in _MULS,
-        uses_rs1=uses_rs1,
-        uses_rs2=uses_rs2,
-    )
+    reg_write, uses_rs1, uses_rs2 = _KEEPS[enc.fmt]
+    return Control(reg_write=reg_write, mem_read=enc.opcode == OP_LOAD,
+                   mem_write=enc.opcode == OP_STORE,
+                   is_branch=enc.opcode == OP_BRANCH,
+                   is_jump=mn in (Mnemonic.JAL, Mnemonic.JALR),
+                   mul_en=mn in _MULS, uses_rs1=uses_rs1, uses_rs2=uses_rs2)
 
 
-_CONTROL: dict[Mnemonic, Control] = {
-    mn: _control_for(mn, enc) for mn, enc in ENCODINGS.items()
+# Immediate extractors of a 32-bit word, one per format; (x ^ s) - s
+# sign-extends x from its sign bit s.  B and J bit 0 is zero by construction.
+_IMM: dict[Format, Callable[[int], int]] = {
+    Format.I: lambda w: ((w >> 20) ^ 0x800) - 0x800,
+    Format.S: lambda w: ((((w >> 20) & 0xFE0) | ((w >> 7) & 0x1F)) ^ 0x800) - 0x800,
+    Format.B: lambda w: ((((w >> 19) & 0x1000) | ((w << 4) & 0x800)
+                          | ((w >> 20) & 0x7E0) | ((w >> 7) & 0x1E))
+                         ^ 0x1000) - 0x1000,
+    Format.U: lambda w: ((w & 0xFFFFF000) ^ 0x80000000) - 0x80000000,
+    Format.J: lambda w: ((((w >> 11) & 0x100000) | (w & 0xFF000)
+                          | ((w >> 9) & 0x800) | ((w >> 20) & 0x7FE))
+                         ^ 0x100000) - 0x100000,
 }
-
-# Decode lookup tables, derived from ENCODINGS and _SYSTEM_WORDS so the two
-# directions cannot drift apart.  R-type and immediate shifts key on (funct3,
-# funct7); other I/S/B key on funct3 alone; U/J key on opcode alone; ecall
-# and ebreak key on the whole word.
-_BY_F3F7: dict[tuple[int, int, int], Mnemonic] = {}
-_BY_F3: dict[tuple[int, int], Mnemonic] = {}
-_BY_OP: dict[int, Mnemonic] = {}
-_BY_WORD = {word: mn for mn, word in _SYSTEM_WORDS.items()}
-for _mn, _enc in ENCODINGS.items():
-    if _mn in _SYSTEM_WORDS:
-        continue
-    if _enc.funct7 is not None:
-        _BY_F3F7[(_enc.opcode, _enc.funct3, _enc.funct7)] = _mn
-    elif _enc.funct3 is not None:
-        _BY_F3[(_enc.opcode, _enc.funct3)] = _mn
-    else:
-        _BY_OP[_enc.opcode] = _mn
 
 
 def gen_immediate(word: int, fmt: Format) -> int:
-    """Extract and sign-extend the immediate of `word` for format `fmt`.
+    """Extract and sign-extend the immediate of `word` for format `fmt`."""
+    imm_of = _IMM.get(fmt)
+    if imm_of is None:
+        raise ValueError(f"format {fmt} has no immediate")
+    return imm_of(word & MASK32)
 
-    B and J immediates have bit 0 forced to zero by construction.
-    """
-    word &= MASK32
-    if fmt == Format.I:
-        return sign_extend(word >> 20, 12)
-    if fmt == Format.S:
-        return sign_extend(((word >> 25) << 5) | ((word >> 7) & 0x1F), 12)
-    if fmt == Format.B:
-        imm = (((word >> 31) & 0x1) << 12) | (((word >> 7) & 0x1) << 11) \
-            | (((word >> 25) & 0x3F) << 5) | (((word >> 8) & 0xF) << 1)
-        return sign_extend(imm, 13)
-    if fmt == Format.U:
-        return to_signed(word & 0xFFFFF000)
-    if fmt == Format.J:
-        imm = (((word >> 31) & 0x1) << 20) | (((word >> 12) & 0xFF) << 12) \
-            | (((word >> 20) & 0x1) << 11) | (((word >> 21) & 0x3FF) << 1)
-        return sign_extend(imm, 21)
-    raise ValueError(f"format {fmt} has no immediate")
+
+# Decode tables of shapes, keyed on the bits each encoding fixes (see the
+# module docstring).  A shape is (mnemonic, fmt, ctrl, imm_of, rd_mask,
+# rs1_mask, rs2_mask): a register the format does not keep has mask 0.
+_BY_F3F7: dict[int, tuple] = {}  # word & 0xFE00707F: R-type, shifts
+_BY_F3: dict[int, tuple] = {}    # word & 0x707F: other I, S, B
+_BY_OP: dict[int, tuple] = {}    # word & 0x7F: U, J
+_BY_WORD: dict[int, tuple] = {}  # the whole word: ecall, ebreak
+for _mn, _enc in ENCODINGS.items():
+    # A shift's immediate is its shamt; R-type has none.
+    _imm_of = ((lambda w: (w >> 20) & 0x1F) if _mn in _SHIFTS_IMM
+               else _IMM.get(_enc.fmt, lambda w: 0))
+    _shape = (_mn, _enc.fmt, _control_for(_mn, _enc), _imm_of,
+              *(0x1F if keep else 0 for keep in _KEEPS[_enc.fmt]))
+    if _mn in _SYSTEM_WORDS:
+        _BY_WORD[_SYSTEM_WORDS[_mn]] = _shape
+    elif _enc.funct7 is not None:
+        _BY_F3F7[_enc.funct7 << 25 | _enc.funct3 << 12 | _enc.opcode] = _shape
+    elif _enc.funct3 is not None:
+        _BY_F3[_enc.funct3 << 12 | _enc.opcode] = _shape
+    else:
+        _BY_OP[_enc.opcode] = _shape
+
+# decode fills a bare DecodedInstr through its slot descriptors, which
+# costs about half of the frozen dataclass __init__.
+_new = object.__new__
+(_set_mnemonic, _set_rd, _set_rs1, _set_rs2, _set_imm, _set_fmt, _set_ctrl,
+ _set_funct3) = (getattr(DecodedInstr, f).__set__ for f in DecodedInstr.__slots__)
 
 
 @lru_cache(maxsize=8192)
@@ -279,43 +292,24 @@ def decode(word: int) -> DecodedInstr:
     word &= MASK32
     if word & 0b11 != 0b11:
         raise IllegalInstruction(f"compressed or invalid encoding 0x{word:08x}")
-    opcode = word & 0x7F
-    rd = (word >> 7) & 0x1F
-    funct3 = (word >> 12) & 0x7
-    rs1 = (word >> 15) & 0x1F
-    rs2 = (word >> 20) & 0x1F
-    funct7 = (word >> 25) & 0x7F
-
-    mn: Mnemonic | None
-    if opcode == OP_SYSTEM:
-        mn = _BY_WORD.get(word)
-        if mn is None:
-            raise IllegalInstruction(f"unsupported system/CSR encoding 0x{word:08x}")
-    else:
-        mn = (_BY_F3F7.get((opcode, funct3, funct7))
-              or _BY_F3.get((opcode, funct3))
-              or _BY_OP.get(opcode))
-        if mn is None:
-            raise IllegalInstruction(f"unknown encoding 0x{word:08x}")
-
-    enc = ENCODINGS[mn]
-    fmt = enc.fmt
-    if fmt == Format.R or mn in _SHIFTS_IMM:
-        imm = rs2 if mn in _SHIFTS_IMM else 0
-    else:
-        imm = gen_immediate(word, fmt)
-    if fmt in (Format.U, Format.J):
-        rs1 = rs2 = 0
-    elif fmt == Format.I:
-        rs2 = 0
-    if fmt in (Format.S, Format.B):
-        rd = 0
-    return DecodedInstr(mn, rd, rs1, rs2, imm, fmt, _CONTROL[mn], funct3)
-
-
-def _check_reg(name: str, idx: int) -> None:
-    if not 0 <= idx <= 31:
-        raise InvalidOperandForFormat(f"{name}=x{idx} is not a valid register")
+    system = word & 0x7F == OP_SYSTEM
+    shape = (_BY_WORD.get(word) if system
+             else _BY_F3F7.get(word & 0xFE00707F) or _BY_F3.get(word & 0x707F)
+             or _BY_OP.get(word & 0x7F))
+    if shape is None:
+        kind = "unsupported system/CSR" if system else "unknown"
+        raise IllegalInstruction(f"{kind} encoding 0x{word:08x}")
+    mn, fmt, ctrl, imm_of, rd_mask, rs1_mask, rs2_mask = shape
+    d = _new(DecodedInstr)
+    _set_mnemonic(d, mn)
+    _set_rd(d, (word >> 7) & rd_mask)
+    _set_rs1(d, (word >> 15) & rs1_mask)
+    _set_rs2(d, (word >> 20) & rs2_mask)
+    _set_imm(d, imm_of(word))
+    _set_fmt(d, fmt)
+    _set_ctrl(d, ctrl)
+    _set_funct3(d, (word >> 12) & 0x7)
+    return d
 
 
 def encode(mnemonic: Mnemonic, rd: int = 0, rs1: int = 0, rs2: int = 0,
@@ -325,7 +319,8 @@ def encode(mnemonic: Mnemonic, rd: int = 0, rs1: int = 0, rs2: int = 0,
     fmt = enc.fmt
     op = enc.opcode
     for name, idx in (("rd", rd), ("rs1", rs1), ("rs2", rs2)):
-        _check_reg(name, idx)
+        if not 0 <= idx <= 31:
+            raise InvalidOperandForFormat(f"{name}=x{idx} is not a valid register")
 
     if mnemonic in _SYSTEM_WORDS:
         return _SYSTEM_WORDS[mnemonic]
@@ -365,16 +360,15 @@ def encode(mnemonic: Mnemonic, rd: int = 0, rs1: int = 0, rs2: int = 0,
         if not -(1 << 31) <= imm < (1 << 32):
             raise OutOfRangeImmediate(f"U-type immediate {imm} out of range")
         return (imm & 0xFFFFF000) | (rd << 7) | op
-    if fmt == Format.J:
-        if imm & 1:
-            raise InvalidOperandForFormat(f"jump offset {imm} is odd")
-        if not -1048576 <= imm <= 1048574:
-            raise OutOfRangeImmediate(f"J-type offset {imm} out of range")
-        i = imm & 0x1FFFFF
-        return (((i >> 20) & 0x1) << 31) | (((i >> 1) & 0x3FF) << 21) \
-            | (((i >> 11) & 0x1) << 20) | (((i >> 12) & 0xFF) << 12) \
-            | (rd << 7) | op
-    raise AssertionError(f"unhandled format {fmt}")
+    # Format.J
+    if imm & 1:
+        raise InvalidOperandForFormat(f"jump offset {imm} is odd")
+    if not -1048576 <= imm <= 1048574:
+        raise OutOfRangeImmediate(f"J-type offset {imm} out of range")
+    i = imm & 0x1FFFFF
+    return (((i >> 20) & 0x1) << 31) | (((i >> 1) & 0x3FF) << 21) \
+        | (((i >> 11) & 0x1) << 20) | (((i >> 12) & 0xFF) << 12) \
+        | (rd << 7) | op
 
 
 def disassemble(d: DecodedInstr) -> str:
@@ -397,6 +391,4 @@ def disassemble(d: DecodedInstr) -> str:
         return f"{name} x{d.rs1}, x{d.rs2}, {d.imm}"
     if d.fmt == Format.U:
         return f"{name} x{d.rd}, 0x{(d.imm >> 12) & 0xFFFFF:x}"
-    if d.fmt == Format.J:
-        return f"{name} x{d.rd}, {d.imm}"
-    raise AssertionError(f"unhandled format {d.fmt}")
+    return f"{name} x{d.rd}, {d.imm}"  # Format.J

@@ -191,9 +191,15 @@ class CoreState:
 
     @staticmethod
     def reset(config: PipelineConfig = PipelineConfig()) -> "CoreState":
-        assert config.reset_pc % 4 == 0
+        check_reset_pc(config.reset_pc)
         return CoreState(config=config, pc_f=config.reset_pc,
                          mul=MulUnitState.idle(config.mul_latency))
+
+
+def check_reset_pc(pc: int) -> None:
+    """Refuse a start pc that no instruction fetch could use."""
+    if pc & 0x3:
+        raise ValueError(f"reset pc 0x{pc:08x} is not word-aligned")
 
 
 def next_pc(cur: CoreState, branch_taken: bool, target: int, stall: bool) -> int:

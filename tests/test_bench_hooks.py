@@ -33,3 +33,20 @@ def test_traced_layer_is_a_vercore_function(layer, module_name, path):
         f"{layer}: {module_name}.{path} is gone"
     assert fn.__module__ == module_name, \
         f"{layer}: {module_name}.{path} is defined in {fn.__module__}"
+
+
+def test_decode_is_the_one_cache_the_benchmark_counts():
+    """The benchmark clears and reads isa.decode's lru_cache to report its
+    hit ratio, so every model must decode through that one cache."""
+    from vercore import cosim, golden, isa, pipeline
+    decode = isa.decode
+    assert inspect.isfunction(decode.__wrapped__)
+    assert decode.cache_info().maxsize == 8192
+    assert golden.decode is pipeline.decode is cosim.decode is decode
+    first = decode(0x00A00513)
+    decode.cache_clear()
+    again = decode(0x00A00513)
+    assert again == first and again is not first  # no second memo
+    assert decode(0x00A00513) is again
+    info = decode.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)

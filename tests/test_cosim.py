@@ -1,9 +1,12 @@
 """Lockstep co-simulation: one pipeline run per call, mismatch reporting."""
 
+import dataclasses
+
 import pytest
 
 from vercore import cosim, golden, progs
-from vercore.cosim import Verdict, compare_traces, format_verdict, lockstep
+from vercore.cosim import (Program, Verdict, ZeroRetired, compare_traces,
+                           format_verdict, lockstep)
 from vercore.golden import CommitRecord, HaltCause, HaltKind, MemTxn
 from vercore.isa import Mnemonic
 from vercore.pipeline import PipelineConfig
@@ -80,6 +83,86 @@ class TestMismatchReport:
             "L addr=0x00003000 data=0x00000007 w=4 got "
             "pc=0x00002008 [lw x5, 0(x1)] x5=0x00000007 "
             "L addr=0x00003004 data=0x00000007 w=4")
+
+
+def commit(pc, rd=5, value=1):
+    return CommitRecord(pc, progs.ADDI(rd, 0, value), rd, value, True)
+
+
+class TestCompareTraces:
+    def test_a_shorter_actual_trace_is_missing_a_commit(self):
+        trace = [commit(0x2000), commit(0x2004)]
+        mm = compare_traces(trace, trace[:1])
+        assert (mm.index, mm.kind, mm.pc) == (1, "missing", 0x2004)
+        assert (mm.expected, mm.actual) == (trace[1], None)
+
+    def test_a_longer_actual_trace_has_an_extra_commit(self):
+        trace = [commit(0x2000), commit(0x2004)]
+        mm = compare_traces(trace[:1], trace, actual_cycles=[5, 6])
+        assert (mm.index, mm.kind, mm.pc, mm.cycle) == (1, "extra", 0x2004, 6)
+        assert (mm.expected, mm.actual) == (None, trace[1])
+
+    def test_pc_counts_only_in_strict_mode(self):
+        expected, actual = [commit(0x2000)], [commit(0x2008)]
+        assert compare_traces(expected, actual) is None
+        mm = compare_traces(expected, actual, strict_pc=True,
+                            actual_cycles=[4])
+        assert (mm.index, mm.kind, mm.pc, mm.cycle) == (0, "reg", 0x2000, 4)
+
+
+class TestHalts:
+    def test_capped_halts_agree_across_kinds(self):
+        loop = progs.assemble([progs.JAL(0, 0)], "loop")
+        retired = lockstep(loop, 50).retired
+        v = lockstep(loop, 50, max_steps=retired)
+        assert v.golden_halt.kind is HaltKind.MAX_STEPS
+        assert v.core_halt.kind is HaltKind.MAX_CYCLES
+        assert v.passed and v.mismatch is None and v.note == ""
+
+    def test_halt_mismatch_note(self, monkeypatch):
+        real = cosim.run_core
+
+        def wrong_exit_code(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return dataclasses.replace(result, halt=HaltCause(HaltKind.ECALL,
+                                                              code=4))
+
+        monkeypatch.setattr(cosim, "run_core", wrong_exit_code)
+        program = progs.assemble([progs.ADDI(10, 0, 3), progs.ECALL()], "t")
+        v = lockstep(program, 1000)
+        assert not v.passed and v.mismatch is None
+        assert format_verdict(v).splitlines()[:2] == [
+            "RESULT: FAIL t",
+            "RESULT-NOTE: halt mismatch: golden=ecall(3) pipeline=ecall(4)"]
+
+
+def test_cpi_of_nothing_retired_is_undefined():
+    with pytest.raises(ZeroRetired):
+        cosim.cpi(0, 10)
+
+
+class TestUnalignedEntry:
+    def test_refused_before_either_model_runs(self, monkeypatch,
+                                              run_core_calls):
+        def golden_run(*args, **kwargs):
+            raise AssertionError("golden model ran")
+
+        monkeypatch.setattr(golden, "run", golden_run)
+        program = Program(progs.fib_program().image, 0x2002, "x")
+        with pytest.raises(ValueError) as exc:
+            lockstep(program, 1000)
+        assert str(exc.value) == "reset pc 0x00002002 is not word-aligned"
+        assert run_core_calls == []
+
+
+def test_an_undecodable_word_is_described_by_its_bits():
+    bad = CommitRecord(0x2000, 0xFFFFFFFF, 0, 0, False)
+    halt = HaltCause(HaltKind.ECALL)
+    v = Verdict(False, "p", halt, halt, 0, 5,
+                mismatch=compare_traces([bad], []))
+    assert format_verdict(v).splitlines()[1] == (
+        "MISMATCH: index=0 kind=missing pc=0x00002000 cycle=0 expected "
+        "pc=0x00002000 [instr=0xffffffff] (no effects) got <none>")
 
 
 # Instructions before the fault, all of which must commit.

@@ -1,11 +1,15 @@
 """Decoder/encoder/disassembler tests, cross-checked against clang's RISC-V
 assembler where available."""
 
+import hashlib
+import random
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vercore.isa import (ENCODINGS, Format, IllegalInstruction,
+from vercore.isa import (ENCODINGS, DecodedInstr, Format, IllegalInstruction,
                          InvalidOperandForFormat, Mnemonic,
                          OutOfRangeImmediate, decode, disassemble, encode,
                          gen_immediate)
@@ -109,6 +113,55 @@ class TestDecodeErrors:
                 decode(word)
 
 
+# sha256 of decode over one word per (opcode, funct3, funct7), its other bits
+# from random.Random(12): each word adds the repr of its DecodedInstr, or
+# "<exception type>: <message>", and a newline.  Taken from the if-chain
+# decoder that the table-driven one replaced.
+SWEEP_DIGEST = "54cf3b4e3bbdd2b465e876cfa7e60d763e6f249d004390f4d782fc5a3723ce5c"
+
+
+def _sweep_digest() -> str:
+    rng = random.Random(12)
+    h = hashlib.sha256()
+    for key in range(1 << 17):  # funct7 << 10 | funct3 << 7 | opcode
+        word = (rng.getrandbits(32) & 0x01FF8F80) | ((key >> 10) << 25) \
+            | (((key >> 7) & 0x7) << 12) | (key & 0x7F)
+        try:
+            text = repr(decode.__wrapped__(word))  # uncached: no eviction
+        except Exception as exc:
+            text = f"{type(exc).__name__}: {exc}"
+        h.update(text.encode() + b"\n")
+    return h.hexdigest()
+
+
+class TestDecodeSweep:
+    def test_every_opcode_funct3_funct7_decodes_as_pinned(self):
+        assert _sweep_digest() == SWEEP_DIGEST
+
+
+class TestDecodedInstrValue:
+    """Decoded instructions are cached and shared by both models."""
+
+    def test_cached_instance_is_frozen(self):
+        d = decode(0x405251B3)
+        for f in fields(DecodedInstr):
+            with pytest.raises(FrozenInstanceError):
+                setattr(d, f.name, getattr(d, f.name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(d, f.name)
+
+    @pytest.mark.parametrize("word,mn,ops", KNOWN_WORDS,
+                             ids=[m.value for _, m, _ in KNOWN_WORDS])
+    def test_equals_a_fresh_decode_and_a_constructed_one(self, word, mn, ops):
+        cached, fresh = decode(word), decode.__wrapped__(word)
+        built = DecodedInstr(**{f.name: getattr(cached, f.name)
+                                for f in fields(DecodedInstr)})
+        for other in (fresh, built):
+            assert other is not cached and other == cached
+            assert hash(other) == hash(cached)
+            assert repr(other) == repr(cached)
+
+
 # Independent immediate oracle: rebuild immediates through string slicing of
 # the binary representation, per the base ISA bit maps.
 def _imm_oracle(word: int, fmt: Format) -> int:
@@ -145,6 +198,8 @@ class TestImmediates:
         assert gen_immediate(0x0000A037, Format.U) == 0x0000A037 & ~0xFFF
         for fmt in (Format.I, Format.S, Format.B, Format.U, Format.J):
             assert gen_immediate(0x00000033, fmt) == 0  # all imm bits zero
+        with pytest.raises(ValueError, match="has no immediate"):
+            gen_immediate(0x00000033, Format.R)
 
     @given(st.integers(min_value=0, max_value=0xFFFFFFFF))
     @settings(max_examples=200)
@@ -228,6 +283,10 @@ class TestEncodeErrors:
         with pytest.raises(OutOfRangeImmediate):
             encode(Mnemonic.SLLI, rd=1, rs1=0, imm=32)
         with pytest.raises(OutOfRangeImmediate):
+            encode(Mnemonic.SW, rs1=0, rs2=0, imm=2048)
+        with pytest.raises(OutOfRangeImmediate):
+            encode(Mnemonic.LUI, rd=1, imm=1 << 32)
+        with pytest.raises(OutOfRangeImmediate):
             encode(Mnemonic.BEQ, rs1=0, rs2=0, imm=4096)
         with pytest.raises(OutOfRangeImmediate):
             encode(Mnemonic.JAL, rd=0, imm=1 << 21)
@@ -252,6 +311,7 @@ class TestDisassemble:
         (0x0021A423, "sw x2, 8(x3)"),
         (0xFE208EE3, "beq x1, x2, -4"),
         (0x010100E7, "jalr x1, 16(x2)"),
+        (0x41F65593, "srai x11, x12, 31"),
     ])
     def test_renderings(self, word, text):
         assert disassemble(decode(word)) == text

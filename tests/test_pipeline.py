@@ -484,6 +484,11 @@ class TestReset:
                       p.image.clone(), 50_000)
         assert r1.commits == r2.commits and r1.cycles == r2.cycles
 
+    def test_unaligned_reset_pc_is_refused(self):
+        with pytest.raises(ValueError) as exc:
+            CoreState.reset(PipelineConfig(reset_pc=0x2002))
+        assert str(exc.value) == "reset pc 0x00002002 is not word-aligned"
+
 
 class TestSignalSink:
     @pytest.mark.parametrize("words", [
