@@ -87,13 +87,6 @@ def _load_from_args(args, path: str) -> Program:
     return program
 
 
-def _pipeline_config(args, entry: int) -> PipelineConfig:
-    inject = getattr(args, "inject", None)  # only cosim has --inject
-    return PipelineConfig(reset_pc=entry, mul_latency=args.mul_latency,
-                          inject_no_flush=inject == "no-flush",
-                          inject_no_store_fwd=inject == "no-store-fwd")
-
-
 def _halt_exit(halt: HaltCause) -> int:
     if halt.kind in (HaltKind.ECALL, HaltKind.TOHOST):
         return halt.code & 0xFF
@@ -133,7 +126,7 @@ def cmd_run(args) -> int:
 
 def cmd_sim(args) -> int:
     program = _load_from_args(args, args.program)
-    core = CoreState.reset(_pipeline_config(args, program.entry))
+    core = CoreState.reset(PipelineConfig(program.entry, args.mul_latency))
     with _vcd_sink(args.vcd) as sink:
         result = run_core(core, program.image, args.max_cycles, sink=sink)
     _write_trace_files(args, result.commits)
@@ -146,7 +139,7 @@ def cmd_cosim(args) -> int:
     program = _load_from_args(args, args.program)
     with _vcd_sink(args.vcd) as sink:
         verdict = lockstep(program, args.max_cycles,
-                           _pipeline_config(args, program.entry),
+                           mul_latency=args.mul_latency,
                            strict_pc=args.strict_pc,
                            compare_loads=not args.ignore_load_txns,
                            max_steps=args.max_steps, sink=sink)
@@ -197,8 +190,7 @@ def cmd_diff_trace(args) -> int:
 def _bench_one(args, path: str) -> tuple[str, int, int, float, bool]:
     program = _load_from_args(args, path)
     verdict = lockstep(program, args.max_cycles,
-                       _pipeline_config(args, program.entry),
-                       max_steps=args.max_steps)
+                       mul_latency=args.mul_latency, max_steps=args.max_steps)
     cpi_value = verdict.cpi_report.cpi if verdict.cpi_report else float("nan")
     return (program.name, verdict.retired, verdict.cycles, cpi_value,
             verdict.passed)
@@ -281,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--ignore-load-txns", action="store_true",
                     help="compare stores only, not load transactions")
     co.add_argument("--vcd", help="write pipeline signals as VCD")
-    co.add_argument("--inject", choices=("no-flush", "no-store-fwd"),
-                    help="fault injection for harness validation")
     co.set_defaults(fn=cmd_cosim)
 
     v2c = subs.add_parser("vcd2csv", help="tabulate a VCD into CSV")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import golden
+from . import golden, mul
 from .golden import CommitRecord, HaltCause, HaltKind, MemTxn
 from .isa import decode, disassemble
 from .memory import MemoryImage
@@ -132,23 +132,23 @@ def _halts_agree(g: HaltCause, p: HaltCause) -> bool:
 
 
 def lockstep(program: Program, max_cycles: int,
-             pipe_config: Optional[PipelineConfig] = None,
+             mul_latency: int = mul.DEFAULT_LATENCY,
              strict_pc: bool = False, compare_loads: bool = True,
              max_steps: Optional[int] = None,
              sink: Optional[Callable[[tuple], None]] = None) -> Verdict:
     """Run golden and pipeline on separate copies of the program memory and
     compare their commit traces; error halts on either side are failures.
 
-    The pipeline runs once.  A sink is handed to run_core and sees that
-    run's signal values, one tuple per cycle, while it runs (see run_core).
-    An entry that is not word-aligned raises ValueError before either runs.
+    Both models start at program.entry.  The pipeline runs once.  A sink is
+    handed to run_core and sees that run's signal values, one tuple per
+    cycle, while it runs (see run_core).  An entry that is not word-aligned
+    raises ValueError before either runs.
     """
     check_reset_pc(program.entry)
-    pipe_config = pipe_config or PipelineConfig(reset_pc=program.entry)
     gstate = golden.ArchState(pc=program.entry, mem=program.image.clone())
     gtrace, ghalt = golden.run(gstate, max_steps or max_cycles)
 
-    core = CoreState.reset(pipe_config)
+    core = CoreState.reset(PipelineConfig(program.entry, mul_latency))
     pmem = program.image.clone()
     result = run_core(core, pmem, max_cycles, sink=sink)
 

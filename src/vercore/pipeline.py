@@ -51,10 +51,6 @@ from .mul import MulOp, MulRequest, MulUnitState
 class PipelineConfig:
     reset_pc: int = DEFAULT_RESET_PC
     mul_latency: int = mulunit.DEFAULT_LATENCY
-    # Test-only fault injections used to prove the verification harness
-    # actually catches broken designs.
-    inject_no_flush: bool = False
-    inject_no_store_fwd: bool = False
 
 
 def _add(a: int, b: int) -> int:
@@ -172,7 +168,6 @@ _NO_HAZARD = HazardDecision()
 class CoreState:
     """Full sequential state of the pipeline."""
 
-    config: PipelineConfig = field(default_factory=PipelineConfig)
     pc_f: int = DEFAULT_RESET_PC
     ifid: IfIdReg = field(default_factory=IfIdReg)
     idex: IdExReg = field(default_factory=IdExReg)
@@ -192,7 +187,7 @@ class CoreState:
     @staticmethod
     def reset(config: PipelineConfig = PipelineConfig()) -> "CoreState":
         check_reset_pc(config.reset_pc)
-        return CoreState(config=config, pc_f=config.reset_pc,
+        return CoreState(pc_f=config.reset_pc,
                          mul=MulUnitState.idle(config.mul_latency))
 
 
@@ -273,11 +268,10 @@ def store_align(funct3: int, addr: int, rs2_val: int) -> tuple[int, int]:
         if addr & 0x1:
             raise misaligned("sh", addr, 2, store=True)
         return (0b1100 if addr & 0x2 else 0b0011), (rs2_val << (8 * off)) & MASK32
-    if funct3 == 0b010:
-        if addr & 0x3:
-            raise misaligned("sw", addr, 4, store=True)
-        return 0b1111, rs2_val & MASK32
-    raise ValueError(f"not a store funct3: {funct3}")
+    # sw: decode admits no other store funct3
+    if addr & 0x3:
+        raise misaligned("sw", addr, 4, store=True)
+    return 0b1111, rs2_val & MASK32
 
 
 def load_extract(funct3: int, addr: int, mem_word: int) -> int:
@@ -298,11 +292,10 @@ def load_extract(funct3: int, addr: int, mem_word: int) -> int:
         if addr & 0x1:
             raise misaligned("lhu", addr, 2, store=False)
         return (mem_word >> (8 * off)) & 0xFFFF
-    if funct3 == 0b010:  # lw
-        if addr & 0x3:
-            raise misaligned("lw", addr, 4, store=False)
-        return mem_word & MASK32
-    raise ValueError(f"not a load funct3: {funct3}")
+    # lw: decode admits no other load funct3
+    if addr & 0x3:
+        raise misaligned("lw", addr, 4, store=False)
+    return mem_word & MASK32
 
 
 # The per-cycle signals, in the order step_cycle returns their values.
@@ -349,7 +342,6 @@ def step_cycle(core: CoreState, mem: MemoryImage,
     order, 1-bit signals as 0/1, sampled after IF and before the latch;
     without one it builds no values.
     """
-    cfg = core.config
     halt: Optional[HaltCause] = None
 
     # ---------------- WB: commit exactly once per retiring instruction ----
@@ -405,7 +397,7 @@ def step_cycle(core: CoreState, mem: MemoryImage,
             op_a = ex.pc if d.mnemonic is Mnemonic.AUIPC else a_fwd
             op_b = b_fwd if d.fmt is Format.R else d.imm & MASK32
             ex_result = _ALU_OP.get(d.mnemonic, _add)(op_a, op_b)
-        store_data = ex.rs2_val if cfg.inject_no_store_fwd else b_fwd
+        store_data = b_fwd
         if ctrl.reg_write and not ctrl.mem_read \
                 and (unit.out_valid or not ctrl.mul_en):
             ex_rd = d.rd
@@ -546,8 +538,7 @@ def step_cycle(core: CoreState, mem: MemoryImage,
             if id_halt is not None:
                 core.halt_fetch = True
         if not hz.stall_ifid:  # else IF/ID holds
-            f.valid = not ((redirect and not cfg.inject_no_flush)
-                           or core.halt_fetch)
+            f.valid = not (redirect or core.halt_fetch)
             f.pc, f.instr = ic_va, fetched
         core.pc_f = next_pc(core, redirect, id_target,
                             hz.stall_pc or core.halt_fetch or fetched is None)

@@ -1,0 +1,49 @@
+"""Named source mutants of `pipeline.step_cycle`: the broken designs that
+the verification harness must catch.
+
+A mutant replaces one source fragment of `step_cycle` and compiles the
+edited function in a copy of the pipeline module's globals.  A test
+installs one with
+
+    monkeypatch.setattr(pipeline, "step_cycle", mutant("no_flush"))
+
+and `run_core`, `cosim.lockstep` and `cli.main` all run it, since they call
+`step_cycle` through the module global.
+"""
+
+from __future__ import annotations
+
+import __future__
+import inspect
+
+from vercore import pipeline
+
+# name -> (fragment of step_cycle's source, its replacement)
+MUTANTS: dict[str, tuple[str, str]] = {
+    # A taken branch or jump no longer squashes the word fetched behind it.
+    "no_flush": ("f.valid = not (redirect or core.halt_fetch)",
+                 "f.valid = not core.halt_fetch"),
+    # A store writes the rs2 value captured in ID, not the forwarded one.
+    "no_store_fwd": ("store_data = b_fwd", "store_data = ex.rs2_val"),
+    # An ecall's exit code is read from a1 instead of a0.
+    "ecall_code_from_a1": ("code=core.regfile[10]", "code=core.regfile[11]"),
+}
+
+# Read once, at import: after a test has installed a mutant,
+# pipeline.step_cycle is no longer the function whose lines these are.
+ORIGINAL_SOURCE = inspect.getsource(pipeline.step_cycle)
+
+
+def mutant(name: str):
+    """step_cycle with the named fragment replaced."""
+    fragment, replacement = MUTANTS[name]
+    count = ORIGINAL_SOURCE.count(fragment)
+    assert count == 1, \
+        f"mutant {name}: {fragment!r} occurs {count} times in step_cycle"
+    code = compile(ORIGINAL_SOURCE.replace(fragment, replacement),
+                   f"<mutant {name}>", "exec",
+                   flags=__future__.annotations.compiler_flag,
+                   dont_inherit=True)
+    namespace = dict(vars(pipeline))
+    exec(code, namespace)
+    return namespace["step_cycle"]

@@ -2,11 +2,12 @@
 
 import pytest
 
-from vercore import cli, cosim, golden, progs
-from vercore.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_USAGE
+from vercore import cli, cosim, golden, pipeline, progs
+from vercore.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_SIM, EXIT_USAGE
 from vercore.tracetools import DEFAULT_COLUMNS
 
 from conftest import build_elf32
+from mutants import mutant
 
 FLUSH_BUG_REPORT = """\
 RESULT: FAIL flush_bug.hex
@@ -39,13 +40,18 @@ def vercore(*argv) -> int:
         return exc.code
 
 
-def write_hex(path, program):
+def program_words(program):
+    """The written words from the entry on."""
     words = []
     addr = program.entry
     while program.image.is_initialized(addr, 4):
         words.append(program.image.read_word(addr))
         addr += 4
-    path.write_text(progs.to_hex(words, program.entry))
+    return words
+
+
+def write_hex(path, program):
+    path.write_text(progs.to_hex(program_words(program), program.entry))
     return path
 
 
@@ -59,10 +65,16 @@ def fib_hex(tmp_path):
     return write_hex(tmp_path / "fib.hex", progs.fib_program())
 
 
+@pytest.fixture
+def no_flush(monkeypatch):
+    """A pipeline whose taken branches and jumps do not flush."""
+    monkeypatch.setattr(pipeline, "step_cycle", mutant("no_flush"))
+
+
 class TestCosim:
-    def test_injected_flush_bug_is_a_mismatch(self, flush_bug_hex, capsys):
-        assert vercore("cosim", flush_bug_hex, "--inject", "no-flush") \
-            == EXIT_MISMATCH
+    def test_injected_flush_bug_is_a_mismatch(self, no_flush, flush_bug_hex,
+                                              capsys):
+        assert vercore("cosim", flush_bug_hex) == EXIT_MISMATCH
         assert capsys.readouterr().out == FLUSH_BUG_REPORT
 
     def test_vcd_matches_sim(self, fib_hex, tmp_path, capsys):
@@ -71,8 +83,8 @@ class TestCosim:
         assert vercore("sim", fib_hex, "--vcd", sim) == FIB_EXIT
         assert co.read_text() == sim.read_text()
 
-    def test_vcd_runs_the_pipeline_once(self, flush_bug_hex, tmp_path,
-                                        monkeypatch, capsys):
+    def test_vcd_runs_the_pipeline_once(self, no_flush, flush_bug_hex,
+                                        tmp_path, monkeypatch, capsys):
         calls = []
         real = cosim.run_core
 
@@ -83,8 +95,7 @@ class TestCosim:
         monkeypatch.setattr(cosim, "run_core", counting)
         monkeypatch.setattr(cli, "run_core", counting)
         vcd = tmp_path / "fail.vcd"
-        assert vercore("cosim", flush_bug_hex, "--inject", "no-flush",
-                       "--vcd", vcd) == EXIT_MISMATCH
+        assert vercore("cosim", flush_bug_hex, "--vcd", vcd) == EXIT_MISMATCH
         assert len(calls) == 1
         assert vcd.read_text().startswith("$date")
 
@@ -97,10 +108,21 @@ class TestCosim:
             "CPI: cycles=81 retired=67 cpi=1.2090",
             f"CPI-BOUND: {verdict} bound={float(bound)}"]
 
-    def test_no_cpi_bound_line_after_a_mismatch(self, flush_bug_hex, capsys):
-        assert vercore("cosim", flush_bug_hex, "--inject", "no-flush",
-                       "--cpi-bound", "9") == EXIT_MISMATCH
+    def test_no_cpi_bound_line_after_a_mismatch(self, no_flush, flush_bug_hex,
+                                                capsys):
+        assert vercore("cosim", flush_bug_hex, "--cpi-bound", "9") \
+            == EXIT_MISMATCH
         assert "CPI-BOUND" not in capsys.readouterr().out
+
+    def test_halt_mismatch_note(self, fib_hex, monkeypatch, capsys):
+        monkeypatch.setattr(pipeline, "step_cycle",
+                            mutant("ecall_code_from_a1"))
+        assert vercore("cosim", fib_hex) == EXIT_SIM
+        assert capsys.readouterr().out.splitlines() == [
+            "RESULT: FAIL fib.hex",
+            f"RESULT-NOTE: halt mismatch: golden=ecall({FIB_EXIT}) "
+            "pipeline=ecall(0)",
+            "CPI: cycles=81 retired=67 cpi=1.2090"]
 
 
 class TestBench:
@@ -123,6 +145,36 @@ class TestBench:
     def test_no_machine_lines_without_the_flag(self, fib_hex, capsys):
         assert vercore("bench", fib_hex) == 0
         assert "BENCH:" not in capsys.readouterr().out
+
+    def test_jobs_print_the_same_lines(self, fib_hex, flush_bug_hex, capsys):
+        outs = []
+        for jobs in ("1", "2"):
+            assert vercore("bench", fib_hex, flush_bug_hex, "--machine",
+                           "--jobs", jobs) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[0]
+        assert [line for line in outs[1].splitlines()
+                if line.startswith("BENCH:")] == [self.FIB + "pass",
+                                                  self.FLUSH + "pass"]
+
+
+class TestSim:
+    @pytest.mark.parametrize("name,fmt", [("fib.img", ["--fmt", "bin"]),
+                                          ("fib.bin", [])])
+    def test_raw_binary(self, name, fmt, tmp_path, capsys):
+        """--fmt bin, or auto on a .bin file (auto reads other names as
+        hex)."""
+        image = tmp_path / name
+        image.write_bytes(b"".join(w.to_bytes(4, "little") for w in
+                                   program_words(progs.fib_program())))
+        assert vercore("sim", image, *fmt) == FIB_EXIT
+        assert capsys.readouterr().out == \
+            "CPI: cycles=81 retired=67 cpi=1.2090\n"
+
+    def test_unclean_halt(self, fib_hex, capsys):
+        assert vercore("sim", fib_hex, "--max-cycles", "5") == EXIT_SIM
+        assert capsys.readouterr().err == \
+            "simulation did not terminate cleanly: max_cycles\n"
 
 
 class TestMisalignedStartPc:
@@ -195,6 +247,28 @@ class TestTraceRoundTrip:
             == FIB_EXIT
         if flag:
             assert path.read_text() == expected
+
+    def test_diff_trace_column_overrides(self, fib_hex, tmp_path, capsys):
+        reg, vcd, csv = (tmp_path / n for n in
+                         ("reg_trace.hex", "wave.vcd", "wave.csv"))
+        assert vercore("run", fib_hex, "--reg-trace", reg) == FIB_EXIT
+        assert vercore("sim", fib_hex, "--vcd", vcd) == FIB_EXIT
+        assert vercore("vcd2csv", vcd, csv) == 0
+        header, rest = csv.read_text().split("\n", 1)
+        short = {DEFAULT_COLUMNS[k]: k for k in DEFAULT_COLUMNS}
+        csv.write_text(",".join(short.get(c, c) for c in header.split(","))
+                       + "\n" + rest)
+        overrides = ("--col-reg-write", "reg_write", "--col-rd", "rd",
+                     "--col-data", "data", "--col-pc", "pc")
+        capsys.readouterr()
+        assert vercore("diff-trace", csv, reg) == EXIT_INPUT
+        assert vercore("diff-trace", csv, reg, *overrides) == 0
+        assert "no mismatch" in capsys.readouterr().out
+        first, *others = reg.read_text().splitlines()
+        reg.write_text("\n".join([first[:2] + "deadbeef", *others]) + "\n")
+        assert vercore("diff-trace", csv, reg, *overrides) == EXIT_MISMATCH
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "  got:      x15 = 0x00003000 (time=40000, pc=0x2010)"
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert vercore("vcd2csv", tmp_path / "absent.vcd",

@@ -1,15 +1,17 @@
 """Lockstep co-simulation: one pipeline run per call, mismatch reporting."""
 
 import dataclasses
+from functools import partial
 
 import pytest
 
-from vercore import cosim, golden, progs
+from vercore import cosim, golden, pipeline, progs
 from vercore.cosim import (Program, Verdict, ZeroRetired, compare_traces,
                            format_verdict, lockstep)
 from vercore.golden import CommitRecord, HaltCause, HaltKind, MemTxn
 from vercore.isa import Mnemonic
-from vercore.pipeline import PipelineConfig
+
+from mutants import mutant
 
 
 @pytest.fixture
@@ -26,11 +28,12 @@ def run_core_calls(monkeypatch):
     return calls
 
 
-def flush_bug_verdict(**kwargs):
-    program = progs.flush_bug_program()
-    return lockstep(program, 1000, PipelineConfig(reset_pc=program.entry,
-                                                  inject_no_flush=True),
-                    **kwargs)
+@pytest.fixture
+def flush_bug_verdict(monkeypatch):
+    """lockstep of the flush-bug program on a pipeline whose taken branches
+    and jumps do not flush."""
+    monkeypatch.setattr(pipeline, "step_cycle", mutant("no_flush"))
+    return partial(lockstep, progs.flush_bug_program(), 1000)
 
 
 class TestOneRun:
@@ -38,12 +41,14 @@ class TestOneRun:
         assert lockstep(progs.fib_program(), 10_000).passed
         assert len(run_core_calls) == 1
 
-    def test_mismatch_runs_the_pipeline_once(self, run_core_calls):
+    def test_mismatch_runs_the_pipeline_once(self, flush_bug_verdict,
+                                             run_core_calls):
         v = flush_bug_verdict()
         assert not v.passed and v.mismatch is not None
         assert len(run_core_calls) == 1
 
-    def test_signals_only_when_asked(self, run_core_calls):
+    def test_signals_only_when_asked(self, flush_bug_verdict,
+                                     run_core_calls):
         flush_bug_verdict()
         seen = []
         v = flush_bug_verdict(sink=seen.append)
@@ -52,7 +57,8 @@ class TestOneRun:
 
 
 class TestMismatchReport:
-    def test_context_windows_come_from_the_failing_run(self):
+    def test_context_windows_come_from_the_failing_run(self,
+                                                       flush_bug_verdict):
         v = flush_bug_verdict()
         mm = v.mismatch
         assert (mm.index, mm.kind, mm.pc, mm.cycle) == (3, "reg", 0x2020, 7)
@@ -60,7 +66,7 @@ class TestMismatchReport:
         assert len(v.context.actual_window) == 7
         assert v.context.actual_window[3].pc == 0x200C  # the leaked auipc
 
-    def test_report_lines(self):
+    def test_report_lines(self, flush_bug_verdict):
         lines = format_verdict(flush_bug_verdict()).splitlines()
         assert lines[0] == "RESULT: FAIL flush_bug_scenario"
         assert lines[1] == ("MISMATCH: index=3 kind=reg pc=0x00002020 "
@@ -141,6 +147,15 @@ def test_cpi_of_nothing_retired_is_undefined():
         cosim.cpi(0, 10)
 
 
+def test_both_models_start_at_the_program_entry():
+    words = [progs.LUI(5, 4), progs.ADDI(10, 0, 3), progs.JAL(1, 8),
+             progs.NOP(), progs.ECALL()]
+    v = lockstep(progs.assemble(words, "at_4000", base=0x4000), 1000,
+                 mul_latency=2, strict_pc=True)
+    assert v.passed, format_verdict(v)
+    assert v.core_halt == HaltCause(HaltKind.ECALL, code=3)
+
+
 class TestUnalignedEntry:
     def test_refused_before_either_model_runs(self, monkeypatch,
                                               run_core_calls):
@@ -178,9 +193,7 @@ class TestPreciseFaults:
                              ids=lambda p: p.name)
     def test_both_models_commit_the_same_and_halt_alike(self, program,
                                                         latency):
-        v = lockstep(program, 1000, PipelineConfig(reset_pc=program.entry,
-                                                   mul_latency=latency),
-                     strict_pc=True)
+        v = lockstep(program, 1000, mul_latency=latency, strict_pc=True)
         assert v.mismatch is None  # same commits, pc included
         assert v.retired == OLDER[program.name]
         assert v.golden_halt.kind is HaltKind.ERROR
@@ -235,8 +248,6 @@ class TestSelfModifyingCode:
 
     @pytest.mark.parametrize("latency", (1, 4))
     def test_pipeline_agrees(self, latency):
-        program = self.program()
-        v = lockstep(program, 1000, PipelineConfig(reset_pc=program.entry,
-                                                   mul_latency=latency),
+        v = lockstep(self.program(), 1000, mul_latency=latency,
                      strict_pc=True)
         assert v.passed, format_verdict(v)

@@ -96,8 +96,12 @@ class TestDecodeErrors:
     def test_bad_funct_combinations(self):
         with pytest.raises(IllegalInstruction):
             decode(0x00002063)  # branch funct3=2
-        with pytest.raises(IllegalInstruction):
-            decode(0x00003003)  # load funct3=3
+        # reserved load (3, 6, 7) and store (3-7) widths: the pipeline's
+        # store_align and load_extract take their last case as sw and lw
+        for opcode, funct3s in ((0x03, (3, 6, 7)), (0x23, (3, 4, 5, 6, 7))):
+            for funct3 in funct3s:
+                with pytest.raises(IllegalInstruction):
+                    decode(funct3 << 12 | opcode)
         with pytest.raises(IllegalInstruction):
             decode(0x40001033 | (1 << 25))  # R-type with junk funct7
         with pytest.raises(IllegalInstruction):

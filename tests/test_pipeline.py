@@ -3,7 +3,7 @@ store/load lane formulas and stall/flush signal behavior."""
 
 import pytest
 
-from vercore import golden, progs
+from vercore import golden, pipeline, progs
 from vercore.golden import HaltKind
 from vercore.isa import decode
 from vercore.memory import MisalignedAccess
@@ -15,6 +15,8 @@ from vercore.pipeline import (CoreState, ExMemReg, HazardDecision, IdExReg,
                               next_pc, run_core, step_cycle, store_align)
 from vercore.progs import (ADD, ADDI, ECALL, JAL, LUI, LW, MUL, NOP, SB, SW,
                            assemble)
+
+from mutants import mutant
 
 SIG = "vercore_tb.u_vercore."
 
@@ -30,11 +32,9 @@ def step(core, mem):
 
 
 def run_words(words, name="t", mul_latency=4, max_cycles=10_000,
-              record_signals=False, config=None):
+              record_signals=False):
     program = assemble(list(words), name)
-    cfg = config or PipelineConfig(reset_pc=program.entry,
-                                   mul_latency=mul_latency)
-    core = CoreState.reset(cfg)
+    core = CoreState.reset(PipelineConfig(program.entry, mul_latency))
     result = run_core(core, program.image, max_cycles,
                       record_signals=record_signals)
     return result, core
@@ -286,10 +286,10 @@ class TestRedirectAndFetch:
         assert events[4]["ic_va[31:0]"] == 0x2020
         assert not core.ifid.valid or core.ifid.pc != 0x200C
 
-    def test_flush_disabled_executes_shadow(self):
+    def test_flush_disabled_executes_shadow(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "step_cycle", mutant("no_flush"))
         program = progs.flush_bug_program()
-        core = CoreState.reset(PipelineConfig(reset_pc=program.entry,
-                                              inject_no_flush=True))
+        core = CoreState.reset(PipelineConfig(reset_pc=program.entry))
         result = run_core(core, program.image.clone(), 100)
         written = [(c.rd, c.wb_value) for c in result.commits if c.reg_write]
         assert (5, 0x300C) in written  # the shadowed auipc leaked
@@ -324,12 +324,10 @@ class TestStoreDataForwarding:
         assert stores[0].data == 0x77
         assert core.regfile[2] == 0x77
 
-    def test_injected_store_fwd_bug_detected_in_data(self):
-        words = [LUI(15, 3), ADDI(1, 0, 0x77), SW(1, 0, 15), ECALL()]
-        program = assemble(words, "bug")
-        cfg = PipelineConfig(reset_pc=program.entry, inject_no_store_fwd=True)
-        core = CoreState.reset(cfg)
-        result = run_core(core, program.image, 100)
+    def test_injected_store_fwd_bug_detected_in_data(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "step_cycle", mutant("no_store_fwd"))
+        result, _ = run_words([LUI(15, 3), ADDI(1, 0, 0x77), SW(1, 0, 15),
+                               ECALL()])
         stores = [c.mem for c in result.commits if c.mem is not None]
         assert stores[0].data == 0  # stale captured rs2, not the forwarded 0x77
 
