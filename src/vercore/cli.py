@@ -1,9 +1,10 @@
 """Command-line driver: golden runs, pipeline runs, lockstep co-simulation,
 VCD-to-CSV conversion, register-trace diffing and batch benchmarking.
 
-Exit codes are a stable contract: 0 success, 1 verification mismatch or a
-missed CPI bound, 2 usage error, 3 input/parse error or a file that cannot be
-read or written, 4 simulation error.
+Exit codes are a stable contract: 0 success, 1 verification mismatch (of the
+commit traces, or of two clean halts) or a missed CPI bound, 2 usage error,
+3 input/parse error or a file that cannot be read or written, 4 simulation
+error (either model halted with an error).
 `run`/`sim` propagate the guest exit code (a0 at ecall, or the tohost word).
 """
 
@@ -145,7 +146,9 @@ def cmd_cosim(args) -> int:
                            max_steps=args.max_steps, sink=sink)
     print(format_verdict(verdict))
     if not verdict.passed:
-        return EXIT_SIM if (verdict.mismatch is None and verdict.note)  \
+        faulted = HaltKind.ERROR in (verdict.golden_halt.kind,
+                                     verdict.core_halt.kind)
+        return EXIT_SIM if verdict.mismatch is None and faulted \
             else EXIT_MISMATCH
     if args.cpi_bound is not None:
         if verdict.cpi_report is None or verdict.cpi_report.cpi > args.cpi_bound:

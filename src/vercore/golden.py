@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
 from .isa import (Format, IllegalInstruction, MASK32, MEM_WIDTH, Mnemonic,
@@ -68,6 +69,11 @@ class CommitRecord(NamedTuple):
     wb_value: int
     reg_write: bool
     mem: Optional[MemTxn] = None
+
+
+# CommitRecord from one 6-tuple, without the Python-level __new__ of the
+# class call: record-keeping that both models share.
+commit_record = partial(tuple.__new__, CommitRecord)
 
 
 @dataclass
@@ -236,8 +242,8 @@ def step(state: ArchState) -> Union[CommitRecord, HaltCause]:
     state.retired += 1
     if d.ctrl.reg_write and d.rd != 0:
         regs[d.rd] = wb
-        return CommitRecord(pc, word, d.rd, wb, True, txn)
-    return CommitRecord(pc, word, 0, 0, False, txn)
+        return commit_record((pc, word, d.rd, wb, True, txn))
+    return commit_record((pc, word, 0, 0, False, txn))
 
 
 def run(state: ArchState, max_steps: int) -> tuple[list[CommitRecord], HaltCause]:

@@ -22,14 +22,18 @@ SIGNAL_SCHEMA values after IF, before the latch, and hands them to its
 sink as one tuple; without a sink it builds no tuple.  `run_core` passes
 its sink down, so a run that records nothing pays nothing for signals.
 
-Control is decoded once, in ID.  IF/ID carries the fetched word and its pc.
-ID/EX, EX/MEM and MEM/WB each carry the instruction as `isa.decode` returned
-it, in field `d`, with its pc and raw word; `d is None` is a bubble.  Later
-stages read the register indices, immediate, funct3, mnemonic and
-`isa.Control` flags from `d` and pick the ALU operation, branch comparator,
+Control is decoded once, in ID.  Each instruction travels in one `Slot`,
+and the four pipeline registers refer to the slots of the instructions in
+them: the latch moves those references downstream and copies no field.
+The slot leaving WB is refilled by IF, or becomes the ID/EX bubble of a
+hold.  The facts later stages need are written on the slot once: rd (0 for
+no register write) and the halt kind as it enters ID/EX, the EX result and
+the write-back value in EX, which a load's data replaces in MEM.  Field d
+holds the instruction as `isa.decode` returned it; `d is None` is a bubble.
+Later stages read register indices, immediate, funct3, mnemonic and
+`isa.Control` flags from d, and take the EX result, branch comparator,
 multiplier operation and halt kind from this module's own per-mnemonic
-tables, never from the golden model's.  The four pipeline registers are
-long-lived objects that the latch overwrites in place, downstream first.
+tables, never from the golden model's.
 """
 
 from __future__ import annotations
@@ -40,9 +44,9 @@ from typing import Callable, Optional
 
 from . import mul as mulunit
 from .golden import (DEFAULT_RESET_PC, CommitRecord, HaltCause, HaltKind,
-                     MemTxn, fault)
-from .isa import (DecodedInstr, Format, IllegalInstruction, MASK32, MEM_WIDTH,
-                  Mnemonic, decode, to_signed)
+                     MemTxn, commit_record, fault)
+from .isa import (ENCODINGS, DecodedInstr, Format, IllegalInstruction, MASK32,
+                  MEM_WIDTH, Mnemonic, decode, to_signed)
 from .memory import MemoryImage, MisalignedAccess, misaligned
 from .mul import MulOp, MulRequest, MulUnitState
 
@@ -93,56 +97,56 @@ _HALT_MNEMONICS = {Mnemonic.ECALL: HaltKind.ECALL,
                    Mnemonic.EBREAK: HaltKind.EBREAK}
 
 
+def _ex_result(mn: Mnemonic, fmt: Format) -> Callable[[int, int, int, int], int]:
+    """EX's value from (pc, rs1 value, rs2 value, imm) for one mnemonic: a
+    jump's link, auipc's pc + imm, else the ALU operation on rs1 and rs2
+    (R format) or the immediate.  lui's rs1 is x0 by decode."""
+    if mn in (Mnemonic.JAL, Mnemonic.JALR):
+        return lambda pc, a, b, imm: (pc + 4) & MASK32
+    if mn is Mnemonic.AUIPC:
+        return lambda pc, a, b, imm: (pc + imm) & MASK32
+    op = _ALU_OP.get(mn, _add)
+    if fmt is Format.R:
+        return lambda pc, a, b, imm: op(a, b)
+    if op is _add:  # one call, not two, for addi, lui, loads and stores
+        return lambda pc, a, b, imm: (a + imm) & MASK32
+    return lambda pc, a, b, imm: op(a, imm & MASK32)
+
+
+# The multiplies take their value from the multiplier instead.
+_EX_RESULT = {mn: _ex_result(mn, enc.fmt) for mn, enc in ENCODINGS.items()
+              if mn not in _MUL_OP}
+
+
 @dataclass(slots=True)
-class IfIdReg:
-    """Fetched word and its pc; valid is False for a bubble.  A valid entry
-    with instr None is a fetch from unwritten memory, which faults in ID."""
+class Slot:
+    """One instruction's place in the pipe, from fetch to write-back.
+
+    IF fills valid, pc and instr (a valid slot with instr None is a fetch
+    from unwritten memory, which faults in ID); ID the operand values.
+    Entering ID/EX, the slot gets d (None: bubble), rd (0: no register
+    write) and halt (the ecall/ebreak kind).  EX writes alu_result (ALU or
+    multiplier value, address or jump link), store_data and mem_data, the
+    write-back value that a load's data replaces in MEM.  mem_issued is set
+    once no dcache access is left to make, committed once nothing is left
+    to retire; a bubble has both, as its slot has already passed WB.
+    """
 
     valid: bool = False
     pc: int = 0
     instr: Optional[int] = 0
-
-
-@dataclass(slots=True)
-class IdExReg:
-    """Decoded instruction (None: bubble) and the operand values read in ID."""
-
     d: Optional[DecodedInstr] = None
-    pc: int = 0
-    instr: int = 0
     rs1_val: int = 0
     rs2_val: int = 0
-
-
-@dataclass(slots=True)
-class ExMemReg:
-    """Decoded instruction (None: bubble), EX result and store data."""
-
-    d: Optional[DecodedInstr] = None
-    pc: int = 0
-    instr: int = 0
-    alu_result: int = 0  # ALU or multiplier value, address, or jump link
+    rd: int = 0
+    halt: Optional[HaltKind] = None
+    alu_result: int = 0
     store_data: int = 0
-    # Memory access bookkeeping: the dcache is touched exactly once per
-    # operation even when a global stall parks the instruction in MEM.
-    mem_issued: bool = False
     mem_data: int = 0
+    mem_issued: bool = True
     mem_txn: Optional[MemTxn] = None
     tohost: Optional[int] = None
-
-
-@dataclass(slots=True)
-class MemWbReg:
-    """Decoded instruction (None: bubble) and its write-back value."""
-
-    d: Optional[DecodedInstr] = None
-    pc: int = 0
-    instr: int = 0
-    wb_data: int = 0
-    reg_write: bool = False  # d writes a register other than x0
-    mem_txn: Optional[MemTxn] = None
-    tohost: Optional[int] = None
-    committed: bool = False
+    committed: bool = True
 
 
 @dataclass(frozen=True)
@@ -169,10 +173,10 @@ class CoreState:
     """Full sequential state of the pipeline."""
 
     pc_f: int = DEFAULT_RESET_PC
-    ifid: IfIdReg = field(default_factory=IfIdReg)
-    idex: IdExReg = field(default_factory=IdExReg)
-    exmem: ExMemReg = field(default_factory=ExMemReg)
-    memwb: MemWbReg = field(default_factory=MemWbReg)
+    ifid: Slot = field(default_factory=Slot)
+    idex: Slot = field(default_factory=Slot)
+    exmem: Slot = field(default_factory=Slot)
+    memwb: Slot = field(default_factory=Slot)
     regfile: list[int] = field(default_factory=lambda: [0] * 32)
     mul: MulUnitState = field(default_factory=MulUnitState.idle)
     mul_fire: bool = False  # consumer_ready for the unit's next tick
@@ -206,20 +210,19 @@ def next_pc(cur: CoreState, branch_taken: bool, target: int, stall: bool) -> int
     return (cur.pc_f + 4) & MASK32
 
 
-def forward_ex(rs: int, rs_val: int, exmem: ExMemReg, memwb: MemWbReg) -> int:
+def forward_ex(rs: int, rs_val: int, exmem: Slot, memwb: Slot) -> int:
     """EX operand forwarding, priority EX/MEM -> MEM/WB; x0 never forwards."""
     if rs == 0:
         return rs_val
-    d = exmem.d
-    if d is not None and d.ctrl.reg_write and d.rd == rs:
+    if exmem.rd == rs:
         return exmem.alu_result
-    if memwb.reg_write and memwb.d.rd == rs:
-        return memwb.wb_data
+    if memwb.rd == rs:
+        return memwb.mem_data
     return rs_val
 
 
 def forward_id(rs: int, regfile_val: int, ex_rd: int, ex_value: int,
-               mem_rd: int, mem_value: int, wb: MemWbReg) -> int:
+               mem_rd: int, mem_value: int, wb: Slot) -> int:
     """ID branch/jalr operand forwarding, priority EX > MEM > WB > regfile.
 
     EX and MEM each offer their result as (rd, value), rd 0 forwarding
@@ -232,12 +235,12 @@ def forward_id(rs: int, regfile_val: int, ex_rd: int, ex_value: int,
         return ex_value
     if mem_rd == rs:
         return mem_value
-    if wb.reg_write and wb.d.rd == rs:
-        return wb.wb_data
+    if wb.rd == rs:
+        return wb.mem_data
     return regfile_val
 
 
-def hazard_detect(id_instr: Optional[DecodedInstr], idex: IdExReg,
+def hazard_detect(id_instr: Optional[DecodedInstr], idex: Slot,
                   mul: MulUnitState, branch_in_id: bool) -> HazardDecision:
     """Stall/flush policy for one cycle.
 
@@ -346,28 +349,25 @@ def step_cycle(core: CoreState, mem: MemoryImage,
 
     # ---------------- WB: commit exactly once per retiring instruction ----
     wb = core.memwb
-    wd = wb.d
-    wb_fire = wd is not None and not wb.committed
-    wb_rd = wd.rd if wb.reg_write else 0
+    wb_rd = 0  # the register WB writes this cycle; 0: none
     commit: Optional[CommitRecord] = None
-    if wb_fire:
+    if not wb.committed:
         wb.committed = True
-        commit = CommitRecord(wb.pc, wb.instr, wb_rd,
-                              wb.wb_data if wb.reg_write else 0,
-                              wb.reg_write, wb.mem_txn)
-        wb_halt = _HALT_MNEMONICS.get(wd.mnemonic)
+        wb_rd = wb.rd
+        commit = commit_record((wb.pc, wb.instr, wb_rd,
+                                wb.mem_data if wb_rd else 0, wb_rd != 0,
+                                wb.mem_txn))
+        wb_halt = wb.halt
         if wb_halt is not None:  # a0 is the exit code of an ecall only
             halt = HaltCause(wb_halt, code=core.regfile[10]
                              if wb_halt is HaltKind.ECALL else 0)
         elif wb.tohost is not None:
             halt = HaltCause(HaltKind.TOHOST, code=wb.tohost)
-    wb_write = wb_fire and wb.reg_write
 
     # ---------------- EX: forwarded operands, ALU, multiplier handshake ---
     ex = core.idex
     d = ex.d
     m = core.exmem
-    ex_result = store_data = 0
 
     fire = core.mul_fire
     core.mul_fire = False
@@ -382,55 +382,46 @@ def step_cycle(core: CoreState, mem: MemoryImage,
     if issue is not None or unit.busy:  # an idle tick changes nothing
         core.mul = unit = mulunit.tick(unit, issue=issue, consumer_ready=fire)
 
-    ex_rd = 0  # the rd EX forwards ex_result to; 0: none
+    ex_rd = ex_result = 0  # EX forwards ex_result to ex_rd; 0: none
     if d is not None:
         if ctrl.mul_en:
             if unit.out_valid:
                 ex_result = unit.result
+                ex_rd = ex.rd
                 core.mul_fire = True  # handshake completes on the next tick
-        elif ctrl.is_jump:
-            # Jumps latch their link value as the EX result so the plain
-            # alu_result forwarding paths stay correct for them.
-            ex_result = (ex.pc + 4) & MASK32
         else:
-            # lui's rs1 is forced to x0 by decode, so it adds imm to 0.
-            op_a = ex.pc if d.mnemonic is Mnemonic.AUIPC else a_fwd
-            op_b = b_fwd if d.fmt is Format.R else d.imm & MASK32
-            ex_result = _ALU_OP.get(d.mnemonic, _add)(op_a, op_b)
-        store_data = b_fwd
-        if ctrl.reg_write and not ctrl.mem_read \
-                and (unit.out_valid or not ctrl.mul_en):
-            ex_rd = d.rd
+            ex_result = _EX_RESULT[d.mnemonic](ex.pc, a_fwd, b_fwd, d.imm)
+            if not ctrl.mem_read:
+                ex_rd = ex.rd
+        # Written on the slot, which carries them on into EX/MEM; a stalled
+        # EX writes them again the next cycle.
+        ex.alu_result = ex.mem_data = ex_result
+        ex.store_data = b_fwd
 
-    # ---------------- MEM: single-issue dcache access, WB value select ----
-    md = m.d
-    dc_valid = False
-    dc_va = dc_byte_en = dc_d_out = dc_d_in = 0
-    if md is not None and (md.ctrl.mem_read or md.ctrl.mem_write) \
-            and not m.mem_issued and halt is None:
+    # ---------------- MEM: single-issue dcache access ---------------------
+    dc = (0, 0, 0, 0, 0)  # (va, valid, byte_en, d_out, d_in) for a sink
+    if not m.mem_issued and halt is None:
         m.mem_issued = True
+        md = m.d
         addr = m.alu_result
-        dc_valid = True
-        dc_va = addr
         width = MEM_WIDTH[md.mnemonic]
         lane = (1 << (8 * width)) - 1
+        d_in = 0
         try:
             if md.ctrl.mem_write:
-                dc_byte_en, dc_d_out = store_align(md.funct3, addr,
-                                                   m.store_data)
-                m.tohost = mem.write_bytes(addr & ~0x3, dc_d_out, dc_byte_en)
+                byte_en, d_out = store_align(md.funct3, addr, m.store_data)
+                dc = (addr, 1, byte_en, d_out, 0)
+                m.tohost = mem.write_bytes(addr & ~0x3, d_out, byte_en)
                 m.mem_txn = MemTxn("store", addr, m.store_data & lane, width)
             else:
-                dc_d_in = mem.read_word(addr & ~0x3)
-                m.mem_data = load_extract(md.funct3, addr, dc_d_in)
+                d_in = mem.read_word(addr & ~0x3)
+                dc = (addr, 1, 0, 0, d_in)
+                m.mem_data = load_extract(md.funct3, addr, d_in)
                 m.mem_txn = MemTxn("load", addr,
-                                   (dc_d_in >> (8 * (addr & 0x3))) & lane,
-                                   width)
+                                   (d_in >> (8 * (addr & 0x3))) & lane, width)
         except MisalignedAccess as exc:
+            dc = (addr, 1, 0, 0, d_in)
             halt = fault("misaligned access", m.pc, exc)
-    mem_rd = md.rd if md is not None and md.ctrl.reg_write else 0
-    wb_data_next = m.mem_data if md is not None and md.ctrl.mem_read \
-        else m.alu_result
 
     # ---------------- ID: decode, capture with WB bypass, resolve branches -
     f = core.ifid
@@ -438,12 +429,12 @@ def step_cycle(core: CoreState, mem: MemoryImage,
     id_halt: Optional[HaltKind] = None
     id_fault: Optional[HaltCause] = None
     id_taken = False
-    id_target = rs1_cap = rs2_cap = 0
+    id_target = 0
     if f.valid and f.instr is None:
         # An unwritten word faults once nothing older is left in EX or MEM.
         # Until then pc_f holds and IF fetches the word again, so a word
         # that an older store writes meanwhile is executed, not faulted.
-        if d is None and md is None:
+        if d is None and m.d is None:
             halt = halt or fault("fetch from uninitialized memory", f.pc)
     elif f.valid:
         try:
@@ -456,24 +447,22 @@ def step_cycle(core: CoreState, mem: MemoryImage,
             rf1 = regs[id_d.rs1]
             rf2 = regs[id_d.rs2]
             # Flip-flop register file: this cycle's WB write is not readable
-            # yet, so bypass it into the captured operand values.
-            rs1_cap = wb.wb_data if wb.reg_write and wb_rd == id_d.rs1 \
-                else rf1
-            rs2_cap = wb.wb_data if wb.reg_write and wb_rd == id_d.rs2 \
-                else rf2
+            # yet, so bypass it into the operand values the slot captures.
+            f.rs1_val = wb.mem_data if wb_rd and wb_rd == id_d.rs1 else rf1
+            f.rs2_val = wb.mem_data if wb_rd and wb_rd == id_d.rs2 else rf2
             if id_d.ctrl.is_branch:
-                s1 = forward_id(id_d.rs1, rf1, ex_rd, ex_result, mem_rd,
-                                wb_data_next, wb)
-                s2 = forward_id(id_d.rs2, rf2, ex_rd, ex_result, mem_rd,
-                                wb_data_next, wb)
+                s1 = forward_id(id_d.rs1, rf1, ex_rd, ex_result, m.rd,
+                                m.mem_data, wb)
+                s2 = forward_id(id_d.rs2, rf2, ex_rd, ex_result, m.rd,
+                                m.mem_data, wb)
                 id_taken = _BRANCH_TAKEN[id_d.mnemonic](s1, s2)
                 id_target = (f.pc + id_d.imm) & MASK32
             elif id_d.mnemonic is Mnemonic.JAL:
                 id_taken = True
                 id_target = (f.pc + id_d.imm) & MASK32
             elif id_d.mnemonic is Mnemonic.JALR:
-                s1 = forward_id(id_d.rs1, rf1, ex_rd, ex_result, mem_rd,
-                                wb_data_next, wb)
+                s1 = forward_id(id_d.rs1, rf1, ex_rd, ex_result, m.rd,
+                                m.mem_data, wb)
                 id_taken = True
                 id_target = (s1 + id_d.imm) & ~1 & MASK32
 
@@ -485,7 +474,7 @@ def step_cycle(core: CoreState, mem: MemoryImage,
     if id_fault is not None and not hz.global_stall:
         # Precise: the fault is raised once nothing older is left in EX or
         # MEM (an older MEM or WB halt wins); until then ID holds.
-        if d is None and md is None:
+        if d is None and m.d is None:
             halt = halt or id_fault
         else:
             hz = _HOLD_ID
@@ -500,46 +489,44 @@ def step_cycle(core: CoreState, mem: MemoryImage,
     fetched = None if fetch_off else mem.fetch_word(ic_va)
     if fetched is None and not fetch_off:
         core.uninit_fetches += 1
-    ic_d_in = fetched or 0
 
     if sink is not None:
-        sink((core.cycle, ic_va, ic_va, 1, ic_d_in, dc_va, int(dc_valid),
-              dc_byte_en, dc_d_out, dc_d_in, wb_rd if wb_write else 0,
-              int(wb_write), wb.wb_data if wb_write else 0, int(redirect),
+        sink((core.cycle, ic_va, ic_va, 1, fetched or 0, *dc, wb_rd,
+              int(wb_rd != 0), wb.mem_data if wb_rd else 0, int(redirect),
               id_target, int(hz.stall_pc), int(hz.stall_ifid),
               int(hz.flush_ifid), int(hz.bubble_idex), int(hz.global_stall),
-              int(f.valid), int(d is not None), int(md is not None),
-              int(wd is not None)))
+              int(f.valid), int(d is not None), int(m.d is not None),
+              int(wb.d is not None)))
 
     if halt is not None:
         core.cycle += 1
         return commit, halt
 
     # ---------------- latch at the cycle boundary -------------------------
-    if wb_write:
-        core.regfile[wb_rd] = wb.wb_data  # readable from the next cycle on
+    if wb_rd:
+        core.regfile[wb_rd] = wb.mem_data  # readable from the next cycle on
 
     if not hz.global_stall:
-        # In place, each register from its upstream one before that one is
-        # overwritten: MEM/WB <- EX/MEM <- ID/EX <- IF/ID <- fetch.  A
-        # bubble clears only d (valid for IF/ID); its other fields are
-        # never read.
-        wb.d, wb.pc, wb.instr, wb.wb_data = md, m.pc, m.instr, wb_data_next
-        wb.reg_write, wb.mem_txn, wb.tohost = mem_rd != 0, m.mem_txn, m.tohost
-        wb.committed = False
-        m.d, m.pc, m.instr = d, ex.pc, ex.instr
-        m.alu_result, m.store_data = ex_result, store_data
-        m.mem_issued, m.mem_data, m.mem_txn, m.tohost = False, 0, None, None
-        if hz.bubble_idex or id_d is None:
-            ex.d = None
+        # The slots move downstream with their instructions; the one leaving
+        # WB is refilled by IF, or is the ID/EX bubble of a hold.
+        core.memwb, core.exmem = m, ex
+        if hz.stall_ifid:  # IF/ID holds
+            core.idex = wb
+            wb.d, wb.rd, wb.halt = None, 0, None
         else:
-            ex.d, ex.pc, ex.instr = id_d, f.pc, f.instr
-            ex.rs1_val, ex.rs2_val = rs1_cap, rs2_cap
-            if id_halt is not None:
-                core.halt_fetch = True
-        if not hz.stall_ifid:  # else IF/ID holds
-            f.valid = not (redirect or core.halt_fetch)
-            f.pc, f.instr = ic_va, fetched
+            core.idex, core.ifid = f, wb
+            if id_d is None:
+                f.d, f.rd, f.halt = None, 0, None
+            else:
+                f.d = id_d
+                f.rd = id_d.rd if id_d.ctrl.reg_write else 0
+                f.halt, f.committed = id_halt, False
+                f.mem_issued = id_d.mnemonic not in MEM_WIDTH
+                f.mem_txn = f.tohost = None
+                if id_halt is not None:
+                    core.halt_fetch = True
+            wb.valid, wb.pc, wb.instr = \
+                not (redirect or core.halt_fetch), ic_va, fetched
         core.pc_f = next_pc(core, redirect, id_target,
                             hz.stall_pc or core.halt_fetch or fetched is None)
 

@@ -79,9 +79,11 @@ def link_riscv_elf(asm: str, tmpdir, text_addr: int = 0x2000) -> bytes:
 def build_elf32(segments: list[tuple[int, bytes, int]], entry: int,
                 symbols: dict[str, int] | None = None,
                 machine: int = 243, ei_class: int = 1,
-                ei_data: int = 1, strtab_short: int = 0) -> bytes:
+                ei_data: int = 1, strtab_short: int = 0,
+                p_types: tuple[int, ...] = ()) -> bytes:
     """segments: list of (vaddr, file contents, memsz).  strtab_short
-    shrinks .strtab's sh_size by that many bytes."""
+    shrinks .strtab's sh_size by that many bytes.  p_types gives the
+    program header types in segment order; the rest are PT_LOAD (1)."""
     symbols = symbols or {}
     ehsize, phentsize, shentsize = 52, 32, 40
     phoff = ehsize
@@ -89,8 +91,9 @@ def build_elf32(segments: list[tuple[int, bytes, int]], entry: int,
 
     blobs = []
     phdrs = b""
-    for vaddr, contents, memsz in segments:
-        phdrs += struct.pack("<IIIIIIII", 1, off, vaddr, vaddr,
+    for i, (vaddr, contents, memsz) in enumerate(segments):
+        p_type = p_types[i] if i < len(p_types) else 1
+        phdrs += struct.pack("<IIIIIIII", p_type, off, vaddr, vaddr,
                              len(contents), memsz, 7, 4)
         blobs.append((off, contents))
         off += len(contents)

@@ -21,12 +21,22 @@ from vercore import pipeline
 # name -> (fragment of step_cycle's source, its replacement)
 MUTANTS: dict[str, tuple[str, str]] = {
     # A taken branch or jump no longer squashes the word fetched behind it.
-    "no_flush": ("f.valid = not (redirect or core.halt_fetch)",
-                 "f.valid = not core.halt_fetch"),
+    "no_flush": ("not (redirect or core.halt_fetch), ic_va, fetched",
+                 "not core.halt_fetch, ic_va, fetched"),
     # A store writes the rs2 value captured in ID, not the forwarded one.
     "no_store_fwd": ("store_data = b_fwd", "store_data = ex.rs2_val"),
     # An ecall's exit code is read from a1 instead of a0.
     "ecall_code_from_a1": ("code=core.regfile[10]", "code=core.regfile[11]"),
+    # The bubble of a hold keeps the rd of the slot's last instruction, so
+    # EX and ID forward that instruction's stale value to its readers.
+    "hold_bubble_keeps_rd": ("wb.d, wb.rd, wb.halt = None, 0, None",
+                             "wb.d, wb.halt = None, None"),
+    # An instruction that makes no dcache access retires with the memory
+    # transaction of its slot's last instruction.
+    "stale_mem_txn": ("f.mem_txn = f.tohost = None", "f.tohost = None"),
+    # A store counts as issued when it enters ID/EX, so it never writes.
+    "store_counts_as_issued": ("f.mem_issued = id_d.mnemonic not in MEM_WIDTH",
+                               "f.mem_issued = not id_d.ctrl.mem_read"),
 }
 
 # Read once, at import: after a test has installed a mutant,

@@ -115,14 +115,28 @@ class TestCosim:
         assert "CPI-BOUND" not in capsys.readouterr().out
 
     def test_halt_mismatch_note(self, fib_hex, monkeypatch, capsys):
+        """Both models halt cleanly and disagree: a verification mismatch."""
         monkeypatch.setattr(pipeline, "step_cycle",
                             mutant("ecall_code_from_a1"))
-        assert vercore("cosim", fib_hex) == EXIT_SIM
+        assert vercore("cosim", fib_hex) == EXIT_MISMATCH
         assert capsys.readouterr().out.splitlines() == [
             "RESULT: FAIL fib.hex",
             f"RESULT-NOTE: halt mismatch: golden=ecall({FIB_EXIT}) "
             "pipeline=ecall(0)",
             "CPI: cycles=81 retired=67 cpi=1.2090"]
+
+    def test_a_faulting_program_is_a_simulation_error(self, tmp_path, capsys):
+        (program,) = [p for p in progs.fault_programs()
+                      if p.name == "fault_illegal"]
+        path = write_hex(tmp_path / "fault.hex", program)
+        assert vercore("cosim", path) == EXIT_SIM
+        fault = ("error illegal instruction at pc=0x0000200c: unknown "
+                 "encoding 0xffffffff")
+        assert capsys.readouterr().out.splitlines() == [
+            "RESULT: FAIL fault.hex",
+            f"RESULT-NOTE: simulation error: golden={fault} / "
+            f"pipeline={fault}",
+            "CPI: cycles=7 retired=3 cpi=2.3333"]
 
 
 class TestBench:
@@ -297,6 +311,13 @@ class TestMalformedInput:
     def test_csv_time_not_decimal(self, tmp_path, capsys):
         assert self.diff_trace(tmp_path, ["0x10,1,01,0000002a"]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("input error: row 1:")
+
+    def test_empty_csv(self, tmp_path, capsys):
+        csv, reg = tmp_path / "wave.csv", tmp_path / "reg_trace.hex"
+        csv.write_text("")
+        reg.write_text("010000002a\n")
+        assert vercore("diff-trace", csv, reg) == EXIT_INPUT
+        assert capsys.readouterr().err == "input error: empty CSV\n"
 
     def test_reg_trace_names_the_bad_line(self, tmp_path, capsys):
         assert self.diff_trace(tmp_path, ["0,1,01,0000002a"],

@@ -36,6 +36,9 @@ class TestCompleteness:
                      and not _ctrl(mn).mul_en and not _ctrl(mn).is_jump)
         assert set(pipeline._ALU_OP) == alu
 
+    def test_ex_table_covers_every_mnemonic_but_the_multiplies(self):
+        assert set(pipeline._EX_RESULT) == set(Mnemonic) - set(pipeline._MUL_OP)
+
     def test_branch_table_covers_the_branches(self):
         assert set(pipeline._BRANCH_TAKEN) == \
             _where(lambda mn: _ctrl(mn).is_branch)

@@ -35,6 +35,15 @@ class TestLoadElf:
         assert img.is_initialized(0x3000, 32)  # memsz tail is initialized
         assert not img.is_initialized(0x3020)
 
+    def test_only_pt_load_headers_are_loaded(self):
+        pt_note = 4
+        data = build_elf32([(0x4000, b"\xBB" * 8, 8), (0x3000, b"\xAA" * 8, 8)],
+                           entry=0x3000, p_types=(pt_note,))
+        img, summary = load_elf(data)
+        assert [s.vaddr for s in summary.segments] == [0x3000]
+        assert img.is_initialized(0x3000, 8)
+        assert not img.is_initialized(0x4000)
+
     def test_tohost_symbol(self):
         data = build_elf32([(0x2000, b"\x00" * 16, 16)], entry=0x2000,
                            symbols={"tohost": 0x80001000, "_start": 0x2000})

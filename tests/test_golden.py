@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from vercore import progs
 from vercore.golden import (ArchState, CommitRecord, HaltCause, HaltKind,
-                            MemTxn, export_commit_trace, export_reg_trace, run,
-                            step)
+                            MemTxn, commit_record, export_commit_trace,
+                            export_reg_trace, run, step)
 from vercore.progs import (ADDI, EBREAK, ECALL, JAL, JALR, LUI, LW, MUL, NOP,
                            SB, SH, SW, assemble)
 
@@ -273,3 +273,14 @@ class TestRecordContract:
         assert repr(CommitRecord(1, 2, 0, 0, False)) == (
             "CommitRecord(pc=1, instr=2, rd=0, wb_value=0, reg_write=False, "
             "mem=None)")
+
+    def test_commit_record_builds_what_the_class_call_builds(self):
+        built = commit_record((0x2008, 0x13, 5, 7, True, self.TXN))
+        assert type(built) is CommitRecord
+        assert built._asdict() == self.RECORD._asdict()
+        assert built == self.RECORD and hash(built) == hash(self.RECORD)
+        assert repr(built) == repr(self.RECORD)
+        with pytest.raises(AttributeError):
+            built.pc = 0
+        with pytest.raises(AttributeError):
+            built.extra = 0

@@ -8,9 +8,17 @@ import pytest
 from mutants import MUTANTS, ORIGINAL_SOURCE, mutant
 from vercore import pipeline, progs
 from vercore.cosim import lockstep
+from vercore.progs import ADD, ADDI, ECALL, LUI, LW, NOP, SW
+
+# A load-use hold whose bubble takes the slot of a load to x5 that has just
+# retired; the add after the hold reads x5 while the bubble is in EX/MEM.
+HOLD_AFTER_LOAD = progs.assemble(
+    [LUI(1, 3), ADDI(2, 0, 77), SW(2, 0, 1), LW(5, 0, 1), NOP(), LW(6, 0, 1),
+     ADD(7, 5, 6), ECALL()], "hold_after_load")
 
 PROGRAMS = (progs.directed_isa_programs() + progs.hazard_programs()
-            + [progs.fib_program(), progs.flush_bug_program()])
+            + [progs.fib_program(), progs.flush_bug_program(),
+               HOLD_AFTER_LOAD])
 
 
 def test_the_source_is_the_original_step_cycle():

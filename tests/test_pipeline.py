@@ -8,10 +8,9 @@ from vercore.golden import HaltKind
 from vercore.isa import decode
 from vercore.memory import MisalignedAccess
 from vercore.mul import MulUnitState
-from vercore.pipeline import (CoreState, ExMemReg, HazardDecision, IdExReg,
-                              MemWbReg, PipelineConfig, SIGNAL_NAMES,
-                              SIGNAL_SCHEMA, forward_ex, forward_id,
-                              hazard_detect, load_extract,
+from vercore.pipeline import (CoreState, HazardDecision, PipelineConfig,
+                              SIGNAL_NAMES, SIGNAL_SCHEMA, Slot, forward_ex,
+                              forward_id, hazard_detect, load_extract,
                               next_pc, run_core, step_cycle, store_align)
 from vercore.progs import (ADD, ADDI, ECALL, JAL, LUI, LW, MUL, NOP, SB, SW,
                            assemble)
@@ -57,11 +56,10 @@ class TestNextPc:
 
 class TestForwardEx:
     def _exmem(self, rd, value):
-        return ExMemReg(d=decode(ADDI(rd, 0, 0)), alu_result=value)
+        return Slot(d=decode(ADDI(rd, 0, 0)), rd=rd, alu_result=value)
 
     def _memwb(self, rd, value):
-        return MemWbReg(d=decode(ADDI(rd, 0, 0)), wb_data=value,
-                        reg_write=rd != 0)
+        return Slot(d=decode(ADDI(rd, 0, 0)), rd=rd, mem_data=value)
 
     def test_exmem_beats_memwb(self):
         assert forward_ex(5, 0, self._exmem(5, 111), self._memwb(5, 222)) == 111
@@ -73,31 +71,31 @@ class TestForwardEx:
         assert forward_ex(0, 77, self._exmem(0, 111), self._memwb(0, 222)) == 77
 
     def test_no_producer(self):
-        assert forward_ex(5, 42, ExMemReg(), MemWbReg()) == 42
+        assert forward_ex(5, 42, Slot(), Slot()) == 42
 
 
 class TestForwardId:
     def test_priority_chain(self):
-        wb = MemWbReg(d=decode(ADDI(3, 0, 0)), wb_data=0xB, reg_write=True)
+        wb = Slot(d=decode(ADDI(3, 0, 0)), rd=3, mem_data=0xB)
         assert forward_id(3, 0xF, 3, 0xE, 3, 0xA, wb) == 0xE
         assert forward_id(3, 0xF, 0, 0, 3, 0xA, wb) == 0xA
         assert forward_id(3, 0xF, 0, 0, 0, 0, wb) == 0xB
-        assert forward_id(3, 0xF, 0, 0, 0, 0, MemWbReg()) == 0xF
+        assert forward_id(3, 0xF, 0, 0, 0, 0, Slot()) == 0xF
 
     def test_x0(self):
-        assert forward_id(0, 0, 0, 99, 0, 99, MemWbReg()) == 0
+        assert forward_id(0, 0, 0, 99, 0, 99, Slot()) == 0
 
     @pytest.mark.parametrize("rs", [1, 3, 31])
     def test_rd_0_forwards_nothing(self, rs):
-        assert forward_id(rs, 0xF, 0, 0xE, 0, 0xA, MemWbReg()) == 0xF
+        assert forward_id(rs, 0xF, 0, 0xE, 0, 0xA, Slot()) == 0xF
 
 
 class TestHazardDetect:
     def _load_idex(self, rd):
-        return IdExReg(d=decode(LW(rd, 0, 0)))
+        return Slot(d=decode(LW(rd, 0, 0)))
 
     def _mul_idex(self):
-        return IdExReg(d=decode(MUL(3, 0, 0)))
+        return Slot(d=decode(MUL(3, 0, 0)))
 
     def test_load_use_stalls(self):
         d = decode(ADD(3, 5, 6))
@@ -125,7 +123,7 @@ class TestHazardDetect:
         assert hz.global_stall and hz.stall_pc and not hz.flush_ifid
 
     def test_taken_branch_flushes(self):
-        hz = hazard_detect(decode(JAL(0, 8)), IdExReg(), MulUnitState.idle(),
+        hz = hazard_detect(decode(JAL(0, 8)), Slot(), MulUnitState.idle(),
                            True)
         assert hz.flush_ifid and not hz.stall_ifid
 
@@ -393,6 +391,33 @@ class TestBusAndStallSignals:
         assert len(seen) == result.cycles == recorded.cycles
         assert seen == [tuple(s.values()) for s in recorded.signals]
         assert result.signals is None
+
+
+class TestSlots:
+    """The latch moves slots, never copies them: after every cycle the four
+    pipeline registers are four distinct slots, and a bubble from ID/EX on
+    writes no register, halts nothing and has nothing left to issue or
+    retire."""
+
+    PROGRAMS = [progs.benchmark_program(16)] + progs.corpus(8)
+
+    @pytest.mark.parametrize("latency", [1, 4])
+    def test_invariants_hold_after_every_cycle(self, latency):
+        for program in self.PROGRAMS:
+            core = CoreState.reset(PipelineConfig(program.entry, latency))
+            mem = program.image.clone()
+            for _ in range(100_000):
+                _, halt = step_cycle(core, mem)
+                slots = (core.ifid, core.idex, core.exmem, core.memwb)
+                assert len({id(s) for s in slots}) == 4, program.name
+                for s in slots[1:]:
+                    if s.d is None:
+                        assert (s.rd, s.halt, s.mem_issued, s.committed) \
+                            == (0, None, True, True), program.name
+                if halt is not None:
+                    break
+            assert halt.kind in (HaltKind.ECALL, HaltKind.EBREAK), \
+                program.name
 
 
 class TestHaltBehavior:

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from vercore.pipeline import SIGNAL_NAMES, SIGNAL_SCHEMA
 from vercore.tracetools import (DEFAULT_COLUMNS, TIME_PER_CYCLE,
-                                MalformedVcd, diff_reg_trace, pipeline_decls,
-                                read_csv, vcd_parse, vcd_to_csv, vcd_write)
+                                MalformedVcd, diff_reg_trace, parse_reg_trace,
+                                pipeline_decls, read_csv, vcd_parse,
+                                vcd_to_csv, vcd_write)
 
 WIDTHS = [width for _, width in SIGNAL_SCHEMA]
 
@@ -149,6 +150,19 @@ def test_declarations_do_not_read_the_body():
     assert decls == pipeline_decls()
     with pytest.raises(AssertionError, match="body read"):
         next(changes)
+
+
+def test_a_change_before_the_definitions_end_comes_first():
+    decls, changes = vcd_parse(io.StringIO(
+        "$var wire 1 ! clk $end\n1!\n$enddefinitions $end\n#5\n0!\n"))
+    assert [d.name for d in decls] == ["clk"]
+    assert list(changes) == [(0, "!", "1"), (5, "!", "0")]
+
+
+def test_blank_lines_are_skipped():
+    assert list(read_csv(["time,a\n", "\n", "  \n", "0,1\n"])) == [
+        ["time", "a"], ["0", "1"]]
+    assert parse_reg_trace(["010000002a\n", "\n", "  \n"]) == [(1, 0x2A)]
 
 
 def test_body_fault_raises_from_the_changes():
