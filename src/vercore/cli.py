@@ -141,8 +141,6 @@ def cmd_cosim(args) -> int:
     with _vcd_sink(args.vcd) as sink:
         verdict = lockstep(program, args.max_cycles,
                            mul_latency=args.mul_latency,
-                           strict_pc=args.strict_pc,
-                           compare_loads=not args.ignore_load_txns,
                            max_steps=args.max_steps, sink=sink)
     print(format_verdict(verdict))
     if not verdict.passed:
@@ -226,7 +224,7 @@ def cmd_bench(args) -> int:
 PROGRAM_HELP = "ELF32, readmemh hex, or raw binary"
 
 
-def _add_common(sub, cycles: bool) -> None:
+def _add_common(sub, steps: bool = True, cycles: bool = True) -> None:
     sub.add_argument("--fmt", choices=("auto", "elf", "hex", "bin"),
                      default="auto")
     sub.add_argument("--base", type=_parse_int, default=None,
@@ -236,7 +234,8 @@ def _add_common(sub, cycles: bool) -> None:
                           f"{DEFAULT_RESET_PC:#x})")
     sub.add_argument("--tohost", type=_parse_int, default=None,
                      help="halt-on-store address (default: ELF symbol)")
-    sub.add_argument("--max-steps", type=_positive_int, default=1_000_000)
+    if steps:  # the golden model's cap; the pipeline's is --max-cycles
+        sub.add_argument("--max-steps", type=_positive_int, default=1_000_000)
     if cycles:
         sub.add_argument("--max-cycles", type=_positive_int,
                          default=2_000_000)
@@ -260,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = subs.add_parser("sim", help="execute on the pipeline model only")
     sim.add_argument("program", help=PROGRAM_HELP)
-    _add_common(sim, cycles=True)
+    _add_common(sim, steps=False)
     sim.add_argument("--trace", help="write commit trace text file")
     sim.add_argument("--reg-trace", help="write reg_trace.hex file")
     sim.add_argument("--vcd", help="write per-cycle signals as VCD")
@@ -268,13 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     co = subs.add_parser("cosim", help="lockstep pipeline vs golden model")
     co.add_argument("program", help=PROGRAM_HELP)
-    _add_common(co, cycles=True)
+    _add_common(co)
     co.add_argument("--cpi-bound", type=float, default=None,
                     help="fail unless measured CPI <= bound")
-    co.add_argument("--strict-pc", action="store_true",
-                    help="also compare commit pc values")
-    co.add_argument("--ignore-load-txns", action="store_true",
-                    help="compare stores only, not load transactions")
     co.add_argument("--vcd", help="write pipeline signals as VCD")
     co.set_defaults(fn=cmd_cosim)
 
@@ -296,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = subs.add_parser("bench",
                             help="cosim + CPI table over a program list")
     bench.add_argument("programs", nargs="+", help=PROGRAM_HELP)
-    _add_common(bench, cycles=True)
+    _add_common(bench)
     bench.add_argument("--cpi-bound", type=float, default=None)
     bench.add_argument("--jobs", type=_positive_int, default=1)
     bench.add_argument("--machine", action="store_true",

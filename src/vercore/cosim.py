@@ -1,10 +1,10 @@
 """Lockstep verification of the pipeline against the golden model, plus CPI.
 
 Both simulators run the same program on independent memory copies; their
-commit traces are compared in retirement order.  Register writes compare on
-(rd, value) -- pc only in strict mode -- and memory transactions on
-(kind, addr, data, width).  The first divergence is reported with the
-commits around it on both sides, taken from the one pipeline run.
+commit traces are compared in retirement order, each commit record whole:
+pc, instruction word, register write and memory transaction.  The first
+divergence is reported with the commits around it on both sides, taken from
+the one pipeline run.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import golden, mul
-from .golden import CommitRecord, HaltCause, HaltKind, MemTxn
+from .golden import CommitRecord, HaltCause, HaltKind
 from .isa import decode, disassemble
 from .memory import MemoryImage
 from .pipeline import CoreState, PipelineConfig, check_reset_pc, run_core
@@ -61,44 +61,25 @@ def cpi(retired: int, cycles: int) -> CpiReport:
     return CpiReport(cycles, retired, cycles / retired)
 
 
-def _compared_txn(c: CommitRecord, compare_loads: bool) -> Optional[MemTxn]:
-    m = c.mem
-    return None if not compare_loads and m is not None and m.kind == "load" \
-        else m
-
-
 def compare_traces(expected: list[CommitRecord], actual: list[CommitRecord],
-                   strict_pc: bool = False, compare_loads: bool = True,
                    actual_cycles: Optional[list[int]] = None) -> Optional[Mismatch]:
     """First divergence between two commit traces, or None if equivalent.
 
-    A shorter actual trace reports a missing write at the first absent
-    index; the scan never looks past the first differing element.  Equal
-    traces return at once: records that are equal differ in no field.
+    The first index whose records differ in any field is a `mem` mismatch
+    when only the memory transaction differs, and a `reg` one otherwise.  A
+    shorter actual trace is `missing` a commit at its first absent index, a
+    longer one has an `extra` one.  Equal traces return at once.
     """
     if expected == actual:
         return None
-    n = max(len(expected), len(actual))
-    for i in range(n):
-        if i >= len(actual):
-            return Mismatch(i, expected[i], None, pc=expected[i].pc,
-                            kind="missing")
-        if i >= len(expected):
-            a = actual[i]
-            return Mismatch(i, None, a, pc=a.pc, kind="extra",
-                            cycle=actual_cycles[i] if actual_cycles else 0)
-        e, a = expected[i], actual[i]
-        cyc = actual_cycles[i] if actual_cycles else 0
-        if strict_pc and e.pc != a.pc:
-            return Mismatch(i, e, a, cyc, e.pc, "reg")
-        if (e.reg_write, e.rd if e.reg_write else 0,
-                e.wb_value if e.reg_write else 0) != \
-                (a.reg_write, a.rd if a.reg_write else 0,
-                 a.wb_value if a.reg_write else 0):
-            return Mismatch(i, e, a, cyc, e.pc, "reg")
-        if _compared_txn(e, compare_loads) != _compared_txn(a, compare_loads):
-            return Mismatch(i, e, a, cyc, e.pc, "mem")
-    return None
+    n = min(len(expected), len(actual))
+    i = next((i for i in range(n) if expected[i] != actual[i]), n)
+    e = expected[i] if i < len(expected) else None
+    a = actual[i] if i < len(actual) else None
+    kind = ("extra" if e is None else "missing" if a is None
+            else "mem" if e[:-1] == a[:-1] else "reg")  # mem: the last field
+    cycle = actual_cycles[i] if actual_cycles and a is not None else 0
+    return Mismatch(i, e, a, cycle, (a if e is None else e).pc, kind)
 
 
 @dataclass
@@ -133,11 +114,10 @@ def _halts_agree(g: HaltCause, p: HaltCause) -> bool:
 
 def lockstep(program: Program, max_cycles: int,
              mul_latency: int = mul.DEFAULT_LATENCY,
-             strict_pc: bool = False, compare_loads: bool = True,
              max_steps: Optional[int] = None,
              sink: Optional[Callable[[tuple], None]] = None) -> Verdict:
     """Run golden and pipeline on separate copies of the program memory and
-    compare their commit traces; error halts on either side are failures.
+    compare their commit records whole; error halts on either side fail.
 
     Both models start at program.entry.  The pipeline runs once.  A sink is
     handed to run_core and sees that run's signal values, one tuple per
@@ -155,8 +135,7 @@ def lockstep(program: Program, max_cycles: int,
     retired = len(result.commits)
     report = cpi(retired, result.cycles) if retired else None
 
-    mismatch = compare_traces(gtrace, result.commits, strict_pc=strict_pc,
-                              compare_loads=compare_loads,
+    mismatch = compare_traces(gtrace, result.commits,
                               actual_cycles=result.commit_cycles)
     note = ""
     passed = mismatch is None
@@ -187,13 +166,13 @@ def _describe(c: Optional[CommitRecord]) -> str:
         parts.append(f"[{disassemble(decode(c.instr))}]")
     except Exception:
         parts.append(f"[instr=0x{c.instr:08x}]")
-    if c.reg_write:
+    if c.rd:
         parts.append(f"x{c.rd}=0x{c.wb_value:08x}")
     if c.mem is not None:
         tag = "S" if c.mem.kind == "store" else "L"
         parts.append(f"{tag} addr=0x{c.mem.addr:08x} data=0x{c.mem.data:08x} "
                      f"w={c.mem.width}")
-    if not c.reg_write and c.mem is None:
+    if not c.rd and c.mem is None:
         parts.append("(no effects)")
     return " ".join(parts)
 
@@ -205,11 +184,13 @@ def format_verdict(v: Verdict, show_context: bool = True) -> str:
         lines.append(f"RESULT-NOTE: {v.note}")
     mm = v.mismatch
     if mm is not None:
-        # A register write shows as its value; a memory mismatch, or a side
-        # that writes no register, shows the whole commit.
+        # A register write shows as its value when the two writes differ;
+        # otherwise, or on a side that writes no register, the whole commit.
+        e, a = mm.expected, mm.actual
+        differ = None in (e, a) or (e.rd, e.wb_value) != (a.rd, a.wb_value)
         exp, got = (f"x{c.rd}=0x{c.wb_value:08x}"
-                    if c is not None and c.reg_write and mm.kind != "mem"
-                    else _describe(c) for c in (mm.expected, mm.actual))
+                    if differ and c is not None and c.rd
+                    else _describe(c) for c in (e, a))
         lines.append(f"MISMATCH: index={mm.index} kind={mm.kind} "
                      f"pc=0x{mm.pc:08x} cycle={mm.cycle} "
                      f"expected {exp} got {got}")

@@ -59,19 +59,19 @@ class MemTxn(NamedTuple):
 class CommitRecord(NamedTuple):
     """Externally visible effects of one retired instruction.
 
-    Records are tuples, so two traces compare equal element by element at C
-    speed; every field takes part in that equality.
+    A commit that writes no register has rd 0 and wb_value 0.  Records are
+    tuples, so two traces compare equal element by element at C speed; every
+    field takes part in that equality.
     """
 
     pc: int
     instr: int
     rd: int
     wb_value: int
-    reg_write: bool
     mem: Optional[MemTxn] = None
 
 
-# CommitRecord from one 6-tuple, without the Python-level __new__ of the
+# CommitRecord from one 5-tuple, without the Python-level __new__ of the
 # class call: record-keeping that both models share.
 commit_record = partial(tuple.__new__, CommitRecord)
 
@@ -242,8 +242,8 @@ def step(state: ArchState) -> Union[CommitRecord, HaltCause]:
     state.retired += 1
     if d.ctrl.reg_write and d.rd != 0:
         regs[d.rd] = wb
-        return commit_record((pc, word, d.rd, wb, True, txn))
-    return commit_record((pc, word, 0, 0, False, txn))
+        return commit_record((pc, word, d.rd, wb, txn))
+    return commit_record((pc, word, 0, 0, txn))
 
 
 def run(state: ArchState, max_steps: int) -> tuple[list[CommitRecord], HaltCause]:
@@ -265,7 +265,7 @@ def export_reg_trace(trace: list[CommitRecord]) -> list[str]:
 
     Writes to x0 are never reported; non-writing commits produce no line.
     """
-    return [f"{c.rd:02x}{c.wb_value:08x}" for c in trace if c.reg_write]
+    return [f"{c.rd:02x}{c.wb_value:08x}" for c in trace if c.rd]
 
 
 def export_commit_trace(trace: list[CommitRecord]) -> list[str]:

@@ -355,8 +355,7 @@ def step_cycle(core: CoreState, mem: MemoryImage,
         wb.committed = True
         wb_rd = wb.rd
         commit = commit_record((wb.pc, wb.instr, wb_rd,
-                                wb.mem_data if wb_rd else 0, wb_rd != 0,
-                                wb.mem_txn))
+                                wb.mem_data if wb_rd else 0, wb.mem_txn))
         wb_halt = wb.halt
         if wb_halt is not None:  # a0 is the exit code of an ecall only
             halt = HaltCause(wb_halt, code=core.regfile[10]
@@ -377,7 +376,7 @@ def step_cycle(core: CoreState, mem: MemoryImage,
         ctrl = d.ctrl
         a_fwd = forward_ex(d.rs1, ex.rs1_val, m, wb)
         b_fwd = forward_ex(d.rs2, ex.rs2_val, m, wb)
-        if ctrl.mul_en and (not unit.busy or (unit.out_valid and fire)):
+        if ctrl.mul_en and (not unit.busy or fire):
             issue = MulRequest(_MUL_OP[d.mnemonic], a_fwd, b_fwd)
     if issue is not None or unit.busy:  # an idle tick changes nothing
         core.mul = unit = mulunit.tick(unit, issue=issue, consumer_ready=fire)

@@ -404,3 +404,13 @@ class TestUsageErrors:
                                                    capsys):
         assert vercore(*argv[:1], fib_hex, *argv[1:]) == EXIT_USAGE
         assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("sim", "--max-steps", "1"),
+        ("cosim", "--strict-pc"),
+        ("cosim", "--ignore-load-txns"),
+    ])
+    def test_unknown_option_is_a_usage_error(self, argv, fib_hex, capsys):
+        assert vercore(*argv[:1], fib_hex, *argv[1:]) == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in \
+            capsys.readouterr().err

@@ -76,9 +76,9 @@ class TestMismatchReport:
     def test_memory_mismatch_shows_both_transactions(self):
         # same register write, different load address
         word = progs.LW(5, 0, 1)
-        expected = CommitRecord(0x2008, word, 5, 7, True,
+        expected = CommitRecord(0x2008, word, 5, 7,
                                 MemTxn("load", 0x3000, 7, 4))
-        actual = CommitRecord(0x2008, word, 5, 7, True,
+        actual = CommitRecord(0x2008, word, 5, 7,
                               MemTxn("load", 0x3004, 7, 4))
         mm = compare_traces([expected], [actual])
         halt = HaltCause(HaltKind.ECALL)
@@ -90,9 +90,39 @@ class TestMismatchReport:
             "pc=0x00002008 [lw x5, 0(x1)] x5=0x00000007 "
             "L addr=0x00003004 data=0x00000007 w=4")
 
+    def test_a_commit_from_the_wrong_place_is_a_mismatch(self, monkeypatch):
+        # no_flush retires the nop the jal skips: the same effects as the
+        # nop after it, at the wrong pc
+        monkeypatch.setattr(pipeline, "step_cycle", mutant("no_flush"))
+        words = [progs.JAL(0, 8), progs.NOP(), progs.NOP(),
+                 progs.ADDI(5, 0, 1), progs.ADDI(10, 0, 0), progs.ECALL()]
+        v = lockstep(progs.assemble(words, "jal_shadow"), 1000)
+        assert format_verdict(v).splitlines()[1] == (
+            "MISMATCH: index=1 kind=reg pc=0x00002008 cycle=5 expected "
+            "pc=0x00002008 [addi x0, x0, 0] (no effects) got "
+            "pc=0x00002004 [addi x0, x0, 0] (no effects)")
+
+    def test_a_moved_pc_with_the_same_values_fails(self, monkeypatch):
+        real = cosim.run_core
+
+        def moved_pc(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.commits[1] = result.commits[1]._replace(pc=0x2104)
+            return result
+
+        monkeypatch.setattr(cosim, "run_core", moved_pc)
+        words = [progs.ADDI(5, 0, 1), progs.ADDI(6, 0, 2),
+                 progs.ADDI(10, 0, 0), progs.ECALL()]
+        v = lockstep(progs.assemble(words, "moved"), 1000)
+        assert format_verdict(v).splitlines()[:2] == [
+            "RESULT: FAIL moved",
+            "MISMATCH: index=1 kind=reg pc=0x00002004 cycle=5 expected "
+            "pc=0x00002004 [addi x6, x0, 2] x6=0x00000002 got "
+            "pc=0x00002104 [addi x6, x0, 2] x6=0x00000002"]
+
 
 def commit(pc, rd=5, value=1):
-    return CommitRecord(pc, progs.ADDI(rd, 0, value), rd, value, True)
+    return CommitRecord(pc, progs.ADDI(rd, 0, value), rd, value)
 
 
 class TestCompareTraces:
@@ -108,12 +138,19 @@ class TestCompareTraces:
         assert (mm.index, mm.kind, mm.pc, mm.cycle) == (1, "extra", 0x2004, 6)
         assert (mm.expected, mm.actual) == (None, trace[1])
 
-    def test_pc_counts_only_in_strict_mode(self):
+    def test_pc_always_counts(self):
         expected, actual = [commit(0x2000)], [commit(0x2008)]
-        assert compare_traces(expected, actual) is None
-        mm = compare_traces(expected, actual, strict_pc=True,
-                            actual_cycles=[4])
+        mm = compare_traces(expected, actual, actual_cycles=[4])
         assert (mm.index, mm.kind, mm.pc, mm.cycle) == (0, "reg", 0x2000, 4)
+        assert (mm.expected, mm.actual) == (expected[0], actual[0])
+
+
+@pytest.mark.parametrize("latency", (1, 2, 4, 7))
+def test_generated_programs_pass_at_every_latency(latency):
+    programs = [progs.benchmark_program()] + progs.corpus(64)
+    failed = [p.name for p in programs
+              if not lockstep(p, 200_000, mul_latency=latency).passed]
+    assert failed == []
 
 
 class TestHalts:
@@ -151,7 +188,7 @@ def test_both_models_start_at_the_program_entry():
     words = [progs.LUI(5, 4), progs.ADDI(10, 0, 3), progs.JAL(1, 8),
              progs.NOP(), progs.ECALL()]
     v = lockstep(progs.assemble(words, "at_4000", base=0x4000), 1000,
-                 mul_latency=2, strict_pc=True)
+                 mul_latency=2)
     assert v.passed, format_verdict(v)
     assert v.core_halt == HaltCause(HaltKind.ECALL, code=3)
 
@@ -171,7 +208,7 @@ class TestUnalignedEntry:
 
 
 def test_an_undecodable_word_is_described_by_its_bits():
-    bad = CommitRecord(0x2000, 0xFFFFFFFF, 0, 0, False)
+    bad = CommitRecord(0x2000, 0xFFFFFFFF, 0, 0)
     halt = HaltCause(HaltKind.ECALL)
     v = Verdict(False, "p", halt, halt, 0, 5,
                 mismatch=compare_traces([bad], []))
@@ -193,7 +230,7 @@ class TestPreciseFaults:
                              ids=lambda p: p.name)
     def test_both_models_commit_the_same_and_halt_alike(self, program,
                                                         latency):
-        v = lockstep(program, 1000, mul_latency=latency, strict_pc=True)
+        v = lockstep(program, 1000, mul_latency=latency)
         assert v.mismatch is None  # same commits, pc included
         assert v.retired == OLDER[program.name]
         assert v.golden_halt.kind is HaltKind.ERROR
@@ -214,7 +251,7 @@ class TestPreciseFaults:
         # unwritten while the sw was in ID; both models run that ecall
         words = [progs.LUI(5, 2), progs.ADDI(6, 0, progs.ECALL()),
                  progs.ADDI(10, 0, 9), progs.SW(6, 0x10, 5)]
-        v = lockstep(progs.assemble(words, "fill"), 1000, strict_pc=True)
+        v = lockstep(progs.assemble(words, "fill"), 1000)
         assert v.passed, format_verdict(v)
         assert v.core_halt == HaltCause(HaltKind.ECALL, code=9)
 
@@ -248,6 +285,5 @@ class TestSelfModifyingCode:
 
     @pytest.mark.parametrize("latency", (1, 4))
     def test_pipeline_agrees(self, latency):
-        v = lockstep(self.program(), 1000, mul_latency=latency,
-                     strict_pc=True)
+        v = lockstep(self.program(), 1000, mul_latency=latency)
         assert v.passed, format_verdict(v)

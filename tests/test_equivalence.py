@@ -23,7 +23,7 @@ PINNED = "84abc1ef657520a93459b69bb9bb6c3be56fb77cb7308925a667ea8780131558"
 def _commit(c) -> tuple:
     m = c.mem
     txn = () if m is None else (m.kind, m.addr, m.data, m.width)
-    return (c.pc, c.instr, c.rd, c.wb_value, int(c.reg_write), txn)
+    return (c.pc, c.instr, c.rd, c.wb_value, int(c.rd != 0), txn)
 
 
 def _halt(h) -> tuple:

@@ -32,7 +32,7 @@ class TestStepBasics:
     def test_addi(self):
         st_ = make_state([ADDI(1, 0, 5)])
         c = step(st_)
-        assert c.reg_write and c.rd == 1 and c.wb_value == 5
+        assert c.rd == 1 and c.wb_value == 5
         assert st_.pc == 0x2004 and st_.regs[1] == 5
 
     def test_mul_design_review_operands(self):
@@ -56,7 +56,7 @@ class TestStepBasics:
     def test_x0_never_written(self):
         st_ = make_state([ADDI(0, 0, 7), JAL(0, 8), MUL(0, 1, 1)])
         c = step(st_)
-        assert not c.reg_write and c.rd == 0 and st_.regs[0] == 0
+        assert c.rd == 0 and c.wb_value == 0 and st_.regs[0] == 0
 
     def test_branch_taken_and_not(self):
         words = [progs.encode(progs.M.BNE, rs1=1, rs2=0, imm=8), NOP(),
@@ -66,7 +66,7 @@ class TestStepBasics:
         assert st_.pc == 0x2008  # taken, skips the nop
         st2 = make_state(words, regs={1: 0})
         c = step(st2)
-        assert st2.pc == 0x2004 and not c.reg_write
+        assert st2.pc == 0x2004 and c.rd == 0
 
 
 class TestMemoryOps:
@@ -243,12 +243,12 @@ class TestRunAndExports:
 
 class TestRecordContract:
     TXN = MemTxn("load", 0x3000, 7, 4)
-    RECORD = CommitRecord(0x2008, 0x13, 5, 7, True, TXN)
+    RECORD = CommitRecord(0x2008, 0x13, 5, 7, TXN)
 
     def test_fields_in_order_with_defaults(self):
-        r = CommitRecord(1, 2, 3, 4, True)
-        assert (r.pc, r.instr, r.rd, r.wb_value, r.reg_write, r.mem) == \
-            (1, 2, 3, 4, True, None)
+        r = CommitRecord(1, 2, 3, 4)
+        assert (r.pc, r.instr, r.rd, r.wb_value, r.mem) == (1, 2, 3, 4, None)
+        assert CommitRecord._fields == ("pc", "instr", "rd", "wb_value", "mem")
         t = self.TXN
         assert (t.kind, t.addr, t.data, t.width) == ("load", 0x3000, 7, 4)
 
@@ -260,7 +260,7 @@ class TestRecordContract:
             record.extra = 0
 
     def test_hashable_and_equal_by_value(self):
-        twin = CommitRecord(0x2008, 0x13, 5, 7, True,
+        twin = CommitRecord(0x2008, 0x13, 5, 7,
                             MemTxn("load", 0x3000, 7, 4))
         assert twin == self.RECORD and hash(twin) == hash(self.RECORD)
         assert len({self.RECORD, twin, self.TXN}) == 2
@@ -268,14 +268,12 @@ class TestRecordContract:
     def test_repr_is_unchanged(self):
         assert repr(self.RECORD) == (
             "CommitRecord(pc=8200, instr=19, rd=5, wb_value=7, "
-            "reg_write=True, mem=MemTxn(kind='load', addr=12288, data=7, "
-            "width=4))")
-        assert repr(CommitRecord(1, 2, 0, 0, False)) == (
-            "CommitRecord(pc=1, instr=2, rd=0, wb_value=0, reg_write=False, "
-            "mem=None)")
+            "mem=MemTxn(kind='load', addr=12288, data=7, width=4))")
+        assert repr(CommitRecord(1, 2, 0, 0)) == (
+            "CommitRecord(pc=1, instr=2, rd=0, wb_value=0, mem=None)")
 
     def test_commit_record_builds_what_the_class_call_builds(self):
-        built = commit_record((0x2008, 0x13, 5, 7, True, self.TXN))
+        built = commit_record((0x2008, 0x13, 5, 7, self.TXN))
         assert type(built) is CommitRecord
         assert built._asdict() == self.RECORD._asdict()
         assert built == self.RECORD and hash(built) == hash(self.RECORD)

@@ -265,7 +265,7 @@ class TestCycleCounts:
         program = progs.flush_bug_program()
         core = CoreState.reset(PipelineConfig(reset_pc=program.entry))
         result = run_core(core, program.image.clone(), 100)
-        written = [(c.rd, c.wb_value) for c in result.commits if c.reg_write]
+        written = [(c.rd, c.wb_value) for c in result.commits if c.rd]
         assert written == [(2, 0x3000), (3, 7), (1, 0x200C), (2, 0x3224),
                            (10, 0)]
 
@@ -289,7 +289,7 @@ class TestRedirectAndFetch:
         program = progs.flush_bug_program()
         core = CoreState.reset(PipelineConfig(reset_pc=program.entry))
         result = run_core(core, program.image.clone(), 100)
-        written = [(c.rd, c.wb_value) for c in result.commits if c.reg_write]
+        written = [(c.rd, c.wb_value) for c in result.commits if c.rd]
         assert (5, 0x300C) in written  # the shadowed auipc leaked
 
 
@@ -309,7 +309,7 @@ class TestRegfileTiming:
         words = [ADDI(0, 0, 5), JAL(0, 8), NOP(), MUL(0, 0, 0), ECALL()]
         result, core = run_words(words)
         assert core.regfile[0] == 0
-        assert all(not c.reg_write for c in result.commits)
+        assert all(c.rd == 0 and c.wb_value == 0 for c in result.commits)
 
 
 class TestStoreDataForwarding:
