@@ -234,7 +234,7 @@ def _add_common(sub, steps: bool = True, cycles: bool = True) -> None:
                           f"{DEFAULT_RESET_PC:#x})")
     sub.add_argument("--tohost", type=_parse_int, default=None,
                      help="halt-on-store address (default: ELF symbol)")
-    if steps:  # the golden model's cap; the pipeline's is --max-cycles
+    if steps:  # caps commits; the pipeline's cycles are capped by --max-cycles
         sub.add_argument("--max-steps", type=_positive_int, default=1_000_000)
     if cycles:
         sub.add_argument("--max-cycles", type=_positive_int,

@@ -16,7 +16,8 @@ from . import golden, mul
 from .golden import CommitRecord, HaltCause, HaltKind
 from .isa import decode, disassemble
 from .memory import MemoryImage
-from .pipeline import CoreState, PipelineConfig, check_reset_pc, run_core
+from .pipeline import (CoreState, PipelineConfig, RunResult, check_reset_pc,
+                       run_core)
 
 
 class ZeroRetired(ValueError):
@@ -122,15 +123,20 @@ def lockstep(program: Program, max_cycles: int,
     Both models start at program.entry.  The pipeline runs once.  A sink is
     handed to run_core and sees that run's signal values, one tuple per
     cycle, while it runs (see run_core).  An entry that is not word-aligned
-    raises ValueError before either runs.
+    raises ValueError before either runs.  max_steps caps both models'
+    commits; the sink sees the pipeline's whole run.
     """
     check_reset_pc(program.entry)
     gstate = golden.ArchState(pc=program.entry, mem=program.image.clone())
     gtrace, ghalt = golden.run(gstate, max_steps or max_cycles)
 
     core = CoreState.reset(PipelineConfig(program.entry, mul_latency))
-    pmem = program.image.clone()
-    result = run_core(core, pmem, max_cycles, sink=sink)
+    result = run_core(core, program.image.clone(), max_cycles, sink=sink)
+    n = len(gtrace)
+    if ghalt.kind is HaltKind.MAX_STEPS and len(result.commits) > n:
+        # max_steps caps both models: the pipeline's run ends at commit n
+        result = RunResult(result.commits[:n], result.commit_cycles[:n],
+                           result.commit_cycles[n - 1] + 1, ghalt, None)
 
     retired = len(result.commits)
     report = cpi(retired, result.cycles) if retired else None

@@ -83,7 +83,6 @@ class ArchState:
     pc: int = DEFAULT_RESET_PC
     regs: list[int] = field(default_factory=lambda: [0] * 32)
     mem: MemoryImage = field(default_factory=MemoryImage)
-    retired: int = 0
     halted: Optional[HaltCause] = None
 
 
@@ -129,11 +128,6 @@ _BRANCH_SEMANTICS = {
 # Whether each load sign-extends; the other MEM_WIDTH entries are stores.
 _LOAD_SIGNED = {Mnemonic.LB: True, Mnemonic.LH: True, Mnemonic.LW: True,
                 Mnemonic.LBU: False, Mnemonic.LHU: False}
-
-
-def branch_taken(mn: Mnemonic, a: int, b: int) -> bool:
-    """Branch comparison on 32-bit patterns (signed for BLT/BGE)."""
-    return _BRANCH_SEMANTICS[mn](a, b)
 
 
 def _alu(op: Callable[[int, int], int]) -> Handler:
@@ -195,7 +189,7 @@ _EXECUTE: dict[Mnemonic, Handler] = {
     Mnemonic.AUIPC: lambda _, d, pc, a, b: ((pc + d.imm) & MASK32, pc + 4, None),
     Mnemonic.JAL: lambda _, d, pc, a, b: ((pc + 4) & MASK32, pc + d.imm, None),
     Mnemonic.JALR: lambda _, d, pc, a, b: ((pc + 4) & MASK32, (a + b) & ~1, None),
-    # Stores and fetches share one word store: fence has nothing to order.
+    # No-ops: every store reaches the next fetch, stricter than Zifencei asks.
     Mnemonic.FENCE: lambda _, d, pc, a, b: (0, pc + 4, None),
     Mnemonic.FENCE_I: lambda _, d, pc, a, b: (0, pc + 4, None),
     Mnemonic.ECALL: _halting(
@@ -239,7 +233,6 @@ def step(state: ArchState) -> Union[CommitRecord, HaltCause]:
         return fault(f"misaligned control transfer to 0x{next_pc:08x}", pc)
 
     state.pc = next_pc
-    state.retired += 1
     if d.ctrl.reg_write and d.rd != 0:
         regs[d.rd] = wb
         return commit_record((pc, word, d.rd, wb, txn))

@@ -113,7 +113,6 @@ class Control:
     mem_read: bool = False
     mem_write: bool = False
     is_branch: bool = False
-    is_jump: bool = False
     mul_en: bool = False
     uses_rs1: bool = False
     uses_rs2: bool = False
@@ -206,7 +205,7 @@ ENCODINGS: dict[Mnemonic, Encoding] = {
 MEM_WIDTH: dict[Mnemonic, int] = {
     Mnemonic.LB: 1, Mnemonic.LBU: 1, Mnemonic.LH: 2, Mnemonic.LHU: 2,
     Mnemonic.LW: 4, Mnemonic.SB: 1, Mnemonic.SH: 2, Mnemonic.SW: 4}
-_MULS = {Mnemonic.MUL, Mnemonic.MULH, Mnemonic.MULHSU, Mnemonic.MULHU}
+MULS = {Mnemonic.MUL, Mnemonic.MULH, Mnemonic.MULHSU, Mnemonic.MULHU}
 _SHIFTS_IMM = {Mnemonic.SLLI, Mnemonic.SRLI, Mnemonic.SRAI}
 _NO_EFFECT = {Mnemonic.FENCE, Mnemonic.FENCE_I, Mnemonic.ECALL, Mnemonic.EBREAK}
 _SYSTEM_WORDS = {Mnemonic.ECALL: 0x00000073, Mnemonic.EBREAK: 0x00100073}
@@ -226,8 +225,7 @@ def _control_for(mn: Mnemonic, enc: Encoding) -> Control:
     return Control(reg_write=reg_write, mem_read=enc.opcode == OP_LOAD,
                    mem_write=enc.opcode == OP_STORE,
                    is_branch=enc.opcode == OP_BRANCH,
-                   is_jump=mn in (Mnemonic.JAL, Mnemonic.JALR),
-                   mul_en=mn in _MULS, uses_rs1=uses_rs1, uses_rs2=uses_rs2)
+                   mul_en=mn in MULS, uses_rs1=uses_rs1, uses_rs2=uses_rs2)
 
 
 # Immediate extractors of a 32-bit word, one per format; (x ^ s) - s
@@ -243,14 +241,6 @@ _IMM: dict[Format, Callable[[int], int]] = {
                           | ((w >> 9) & 0x800) | ((w >> 20) & 0x7FE))
                          ^ 0x100000) - 0x100000,
 }
-
-
-def gen_immediate(word: int, fmt: Format) -> int:
-    """Extract and sign-extend the immediate of `word` for format `fmt`."""
-    imm_of = _IMM.get(fmt)
-    if imm_of is None:
-        raise ValueError(f"format {fmt} has no immediate")
-    return imm_of(word & MASK32)
 
 
 # Decode tables of shapes, keyed on the bits each encoding fixes (see the

@@ -4,16 +4,16 @@ The datapath is radix-4 Booth recoding of a 33-bit multiplier (one extension
 bit handles all four signedness variants), 17 partial products, a Wallace
 tree of 3:2 carry-save compressors (17->12->8->6->4->3->2) and one final
 carry-propagate add.  All intermediates live in the 66-bit ring so every
-reduction layer preserves the product value mod 2**66.
+reduction layer preserves the product value mod 2**66.  A request names its
+operation by its `isa.Mnemonic`.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .isa import MASK32, sign_extend
+from .isa import MASK32, Mnemonic, sign_extend
 
 MASK33 = (1 << 33) - 1
 MASK64 = (1 << 64) - 1
@@ -26,34 +26,11 @@ class IssueWhileBusy(RuntimeError):
     """Raised when a request is issued while a previous one is still in flight."""
 
 
-class MulOp(enum.Enum):
-    MUL = "mul"
-    MULH = "mulh"
-    MULHSU = "mulhsu"
-    MULHU = "mulhu"
-
-
 @dataclass(frozen=True, slots=True)
 class MulRequest:
-    op: MulOp
+    op: Mnemonic  # one of isa.MULS
     a: int  # rs1 value
     b: int  # rs2 value
-
-
-@dataclass(frozen=True, slots=True)
-class BoothDigits:
-    """17 radix-4 digits in {-2,-1,0,+1,+2}; sum(d[i]*4**i) reconstructs the
-    signed value of the 33-bit recoded multiplier."""
-
-    digits: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class CsaPair:
-    """Carry-save pair; sum + carry mod 2**66 is the represented value."""
-
-    sum: int
-    carry: int
 
 
 # Triplet (b[2i+1], b[2i], b[2i-1]) -> digit, i.e. b[2i-1] + b[2i] - 2*b[2i+1].
@@ -68,8 +45,9 @@ def extend33(value: int, signed: bool) -> int:
     return value
 
 
-def booth_encode(multiplier: int) -> BoothDigits:
-    """Radix-4 overlapping-triplet recoding of a 33-bit multiplier pattern.
+def booth_encode(multiplier: int) -> tuple[int, ...]:
+    """Radix-4 overlapping-triplet recoding of a 33-bit multiplier pattern
+    into 17 digits in {-2..2}; sum(d[i]*4**i) is the pattern's signed value.
 
     An implicit 0 sits below bit 0 and the pattern is sign-extended above
     bit 32 so the 17th digit sees a well-defined triplet.
@@ -78,15 +56,15 @@ def booth_encode(multiplier: int) -> BoothDigits:
     m |= ((m >> 32) & 1) << 33  # sign-extend to 34 bits
     m <<= 1                     # implicit zero below bit 0
     t = _BOOTH_TABLE
-    return BoothDigits((
+    return (
         t[m & 7], t[(m >> 2) & 7], t[(m >> 4) & 7], t[(m >> 6) & 7],
         t[(m >> 8) & 7], t[(m >> 10) & 7], t[(m >> 12) & 7], t[(m >> 14) & 7],
         t[(m >> 16) & 7], t[(m >> 18) & 7], t[(m >> 20) & 7],
         t[(m >> 22) & 7], t[(m >> 24) & 7], t[(m >> 26) & 7],
-        t[(m >> 28) & 7], t[(m >> 30) & 7], t[(m >> 32) & 7]))
+        t[(m >> 28) & 7], t[(m >> 30) & 7], t[(m >> 32) & 7])
 
 
-def gen_partial_products(multiplicand: int, digits: BoothDigits) -> list[int]:
+def gen_partial_products(multiplicand: int, digits: tuple[int, ...]) -> list[int]:
     """17 digit-weighted copies of the multiplicand, 66-bit two's complement.
 
     Their sum mod 2**66 equals the product of the signed 33-bit multiplicand
@@ -94,17 +72,14 @@ def gen_partial_products(multiplicand: int, digits: BoothDigits) -> list[int]:
     """
     mc = sign_extend(multiplicand, 33)
     return [((d * mc) << (2 * i)) & MASK66 if d else 0
-            for i, d in enumerate(digits.digits)]
+            for i, d in enumerate(digits)]
 
 
-def _csa3(a, b, c, m=MASK66):
+def csa(a: int, b: int, c: int, m: int = MASK66) -> tuple[int, int]:
+    """3:2 compressor: (sum, carry) = (a^b^c, majority(a,b,c) << 1), mod
+    2**66; m only binds MASK66 as a local."""
     t = a ^ b
     return t ^ c, (((a & b) | (t & c)) << 1) & m
-
-
-def csa(a: int, b: int, c: int) -> CsaPair:
-    """3:2 compressor: sum = a^b^c, carry = majority(a,b,c) << 1, mod 2**66."""
-    return CsaPair(*_csa3(a, b, c))
 
 
 def wallace_layers(pps):
@@ -114,39 +89,37 @@ def wallace_layers(pps):
         n3 = len(vals) - len(vals) % 3
         nxt = []
         for i in range(0, n3, 3):
-            pair = csa(vals[i], vals[i + 1], vals[i + 2])
-            nxt.append(pair.sum)
-            nxt.append(pair.carry)
+            nxt.extend(csa(vals[i], vals[i + 1], vals[i + 2]))
         nxt.extend(vals[n3:])
         vals = nxt
         yield vals
 
 
-def wallace_reduce(pps) -> CsaPair:
-    """Compress the 17 partial products to two addends, value-preserving
-    mod 2**66.
+def wallace_reduce(pps) -> tuple[int, int]:
+    """Compress the 17 partial products to a (sum, carry) pair,
+    value-preserving mod 2**66.
 
     The 17-input tree is a fixed datapath, unrolled with exactly the
     wallace_layers 3:2 grouping (17->12->8->6->4->3->2).
     """
     p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, \
         p15, p16 = pps
-    s1, c1 = _csa3(p0, p1, p2)
-    s2, c2 = _csa3(p3, p4, p5)
-    s3, c3 = _csa3(p6, p7, p8)
-    s4, c4 = _csa3(p9, p10, p11)
-    s5, c5 = _csa3(p12, p13, p14)
-    t1, d1 = _csa3(s1, c1, s2)
-    t2, d2 = _csa3(c2, s3, c3)
-    t3, d3 = _csa3(s4, c4, s5)
-    t4, d4 = _csa3(c5, p15, p16)
-    u1, e1 = _csa3(t1, d1, t2)
-    u2, e2 = _csa3(d2, t3, d3)
-    v1, f1 = _csa3(u1, e1, u2)
-    v2, f2 = _csa3(e2, t4, d4)
-    w1, g1 = _csa3(v1, f1, v2)
-    x1, h1 = _csa3(w1, g1, f2)
-    return CsaPair(x1, h1)
+    s1, c1 = csa(p0, p1, p2)
+    s2, c2 = csa(p3, p4, p5)
+    s3, c3 = csa(p6, p7, p8)
+    s4, c4 = csa(p9, p10, p11)
+    s5, c5 = csa(p12, p13, p14)
+    t1, d1 = csa(s1, c1, s2)
+    t2, d2 = csa(c2, s3, c3)
+    t3, d3 = csa(s4, c4, s5)
+    t4, d4 = csa(c5, p15, p16)
+    u1, e1 = csa(t1, d1, t2)
+    u2, e2 = csa(d2, t3, d3)
+    v1, f1 = csa(u1, e1, u2)
+    v2, f2 = csa(e2, t4, d4)
+    w1, g1 = csa(v1, f1, v2)
+    x1, h1 = csa(w1, g1, f2)
+    return x1, h1
 
 
 def mul_result(req: MulRequest) -> int:
@@ -154,11 +127,11 @@ def mul_result(req: MulRequest) -> int:
     Wallace reduction, final carry-propagate add; MUL takes bits [31:0] of
     the 64-bit product, the MULH variants bits [63:32]."""
     op = req.op
-    a33 = extend33(req.a, op is not MulOp.MULHU)
-    b33 = extend33(req.b, op is MulOp.MUL or op is MulOp.MULH)
-    pair = wallace_reduce(gen_partial_products(a33, booth_encode(b33)))
-    product = (pair.sum + pair.carry) & MASK64
-    if op is MulOp.MUL:
+    a33 = extend33(req.a, op is not Mnemonic.MULHU)
+    b33 = extend33(req.b, op is Mnemonic.MUL or op is Mnemonic.MULH)
+    total, carry = wallace_reduce(gen_partial_products(a33, booth_encode(b33)))
+    product = (total + carry) & MASK64
+    if op is Mnemonic.MUL:
         return product & MASK32
     return product >> 32
 

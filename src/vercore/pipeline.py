@@ -18,7 +18,7 @@ writes it meanwhile is seen, and a flush squashes it.  There is no reset
 input: `CoreState.reset` builds the state a run starts from.
 
 Signals are produced only for a sink.  `step_cycle` samples the cycle's
-SIGNAL_SCHEMA values after IF, before the latch, and hands them to its
+SIGNAL_NAMES values after IF, before the latch, and hands them to its
 sink as one tuple; without a sink it builds no tuple.  `run_core` passes
 its sink down, so a run that records nothing pays nothing for signals.
 
@@ -31,9 +31,9 @@ no register write) and the halt kind as it enters ID/EX, the EX result and
 the write-back value in EX, which a load's data replaces in MEM.  Field d
 holds the instruction as `isa.decode` returned it; `d is None` is a bubble.
 Later stages read register indices, immediate, funct3, mnemonic and
-`isa.Control` flags from d, and take the EX result, branch comparator,
-multiplier operation and halt kind from this module's own per-mnemonic
-tables, never from the golden model's.
+`isa.Control` flags from d, and take the EX result, branch comparator and
+halt kind from this module's own per-mnemonic tables, never from the golden
+model's.  A multiply hands its mnemonic to the multiplier as its operation.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ from typing import Callable, Optional
 from . import mul as mulunit
 from .golden import (DEFAULT_RESET_PC, CommitRecord, HaltCause, HaltKind,
                      MemTxn, commit_record, fault)
-from .isa import (ENCODINGS, DecodedInstr, Format, IllegalInstruction, MASK32,
-                  MEM_WIDTH, Mnemonic, decode, to_signed)
+from .isa import (ENCODINGS, MULS, DecodedInstr, Format, IllegalInstruction,
+                  MASK32, MEM_WIDTH, Mnemonic, decode, to_signed)
 from .memory import MemoryImage, MisalignedAccess, misaligned
-from .mul import MulOp, MulRequest, MulUnitState
+from .mul import MulRequest, MulUnitState
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,6 @@ _BRANCH_TAKEN = {
     Mnemonic.BLTU: operator.lt, Mnemonic.BGEU: operator.ge,
 }
 
-# The multiplier operation by mnemonic.
-_MUL_OP = {Mnemonic.MUL: MulOp.MUL, Mnemonic.MULH: MulOp.MULH,
-           Mnemonic.MULHSU: MulOp.MULHSU, Mnemonic.MULHU: MulOp.MULHU}
-
 _HALT_MNEMONICS = {Mnemonic.ECALL: HaltKind.ECALL,
                    Mnemonic.EBREAK: HaltKind.EBREAK}
 
@@ -115,7 +111,7 @@ def _ex_result(mn: Mnemonic, fmt: Format) -> Callable[[int, int, int, int], int]
 
 # The multiplies take their value from the multiplier instead.
 _EX_RESULT = {mn: _ex_result(mn, enc.fmt) for mn, enc in ENCODINGS.items()
-              if mn not in _MUL_OP}
+              if mn not in MULS}
 
 
 @dataclass(slots=True)
@@ -184,9 +180,6 @@ class CoreState:
     # cycle the ecall/ebreak is decoded in ID, before this is set.
     halt_fetch: bool = False
     cycle: int = 0
-    # Fetches from unmapped memory that the front end actually made,
-    # including ones on a path that a flush later squashes.
-    uninit_fetches: int = 0
 
     @staticmethod
     def reset(config: PipelineConfig = PipelineConfig()) -> "CoreState":
@@ -201,9 +194,9 @@ def check_reset_pc(pc: int) -> None:
         raise ValueError(f"reset pc 0x{pc:08x} is not word-aligned")
 
 
-def next_pc(cur: CoreState, branch_taken: bool, target: int, stall: bool) -> int:
+def next_pc(cur: CoreState, taken: bool, target: int, stall: bool) -> int:
     """PC update priority: branch/jump target -> stall hold -> pc+4."""
-    if branch_taken:
+    if taken:
         return target & MASK32
     if stall:
         return cur.pc_f
@@ -302,35 +295,34 @@ def load_extract(funct3: int, addr: int, mem_word: int) -> int:
 
 
 # The per-cycle signals, in the order step_cycle returns their values.
-# Names follow the testbench hierarchy used by the trace tooling; widths
-# drive the VCD declarations.
-SIGNAL_SCHEMA: tuple[tuple[str, int], ...] = (
-    ("vercore_tb.cycle[31:0]", 32),
-    ("vercore_tb.u_vercore.u_stage_if.pc[31:0]", 32),
-    ("vercore_tb.u_vercore.ic_va[31:0]", 32),
-    ("vercore_tb.u_vercore.ic_valid", 1),
-    ("vercore_tb.u_vercore.ic_d_in[31:0]", 32),
-    ("vercore_tb.u_vercore.dc_va[31:0]", 32),
-    ("vercore_tb.u_vercore.dc_valid", 1),
-    ("vercore_tb.u_vercore.dc_byte_en[3:0]", 4),
-    ("vercore_tb.u_vercore.dc_d_out[31:0]", 32),
-    ("vercore_tb.u_vercore.dc_d_in[31:0]", 32),
-    ("vercore_tb.u_vercore.wb_rd[4:0]", 5),
-    ("vercore_tb.u_vercore.wb_reg_write", 1),
-    ("vercore_tb.u_vercore.wb_data[31:0]", 32),
-    ("vercore_tb.u_vercore.branch_taken", 1),
-    ("vercore_tb.u_vercore.branch_target[31:0]", 32),
-    ("vercore_tb.u_vercore.stall_pc", 1),
-    ("vercore_tb.u_vercore.stall_ifid", 1),
-    ("vercore_tb.u_vercore.flush_ifid", 1),
-    ("vercore_tb.u_vercore.bubble_idex", 1),
-    ("vercore_tb.u_vercore.global_stall", 1),
-    ("vercore_tb.u_vercore.valid_id", 1),
-    ("vercore_tb.u_vercore.valid_ex", 1),
-    ("vercore_tb.u_vercore.valid_mem", 1),
-    ("vercore_tb.u_vercore.valid_wb", 1),
+# Names follow the testbench hierarchy used by the trace tooling; a vector's
+# [msb:lsb] suffix gives its width, and a name without one is 1 bit wide.
+SIGNAL_NAMES: tuple[str, ...] = (
+    "vercore_tb.cycle[31:0]",
+    "vercore_tb.u_vercore.u_stage_if.pc[31:0]",
+    "vercore_tb.u_vercore.ic_va[31:0]",
+    "vercore_tb.u_vercore.ic_valid",
+    "vercore_tb.u_vercore.ic_d_in[31:0]",
+    "vercore_tb.u_vercore.dc_va[31:0]",
+    "vercore_tb.u_vercore.dc_valid",
+    "vercore_tb.u_vercore.dc_byte_en[3:0]",
+    "vercore_tb.u_vercore.dc_d_out[31:0]",
+    "vercore_tb.u_vercore.dc_d_in[31:0]",
+    "vercore_tb.u_vercore.wb_rd[4:0]",
+    "vercore_tb.u_vercore.wb_reg_write",
+    "vercore_tb.u_vercore.wb_data[31:0]",
+    "vercore_tb.u_vercore.branch_taken",
+    "vercore_tb.u_vercore.branch_target[31:0]",
+    "vercore_tb.u_vercore.stall_pc",
+    "vercore_tb.u_vercore.stall_ifid",
+    "vercore_tb.u_vercore.flush_ifid",
+    "vercore_tb.u_vercore.bubble_idex",
+    "vercore_tb.u_vercore.global_stall",
+    "vercore_tb.u_vercore.valid_id",
+    "vercore_tb.u_vercore.valid_ex",
+    "vercore_tb.u_vercore.valid_mem",
+    "vercore_tb.u_vercore.valid_wb",
 )
-SIGNAL_NAMES: tuple[str, ...] = tuple(name for name, _ in SIGNAL_SCHEMA)
 
 
 def step_cycle(core: CoreState, mem: MemoryImage,
@@ -341,7 +333,7 @@ def step_cycle(core: CoreState, mem: MemoryImage,
     Returns (commit, halt): at most one commit and a halt cause (on
     ecall/ebreak/tohost or a fatal decode/access problem).  The core is
     advanced in place.  With a sink, step_cycle calls it exactly once, the
-    halting cycle included, with the cycle's signal values in SIGNAL_SCHEMA
+    halting cycle included, with the cycle's signal values in SIGNAL_NAMES
     order, 1-bit signals as 0/1, sampled after IF and before the latch;
     without one it builds no values.
     """
@@ -377,7 +369,7 @@ def step_cycle(core: CoreState, mem: MemoryImage,
         a_fwd = forward_ex(d.rs1, ex.rs1_val, m, wb)
         b_fwd = forward_ex(d.rs2, ex.rs2_val, m, wb)
         if ctrl.mul_en and (not unit.busy or fire):
-            issue = MulRequest(_MUL_OP[d.mnemonic], a_fwd, b_fwd)
+            issue = MulRequest(d.mnemonic, a_fwd, b_fwd)
     if issue is not None or unit.busy:  # an idle tick changes nothing
         core.mul = unit = mulunit.tick(unit, issue=issue, consumer_ready=fire)
 
@@ -486,8 +478,6 @@ def step_cycle(core: CoreState, mem: MemoryImage,
     ic_va = core.pc_f
     fetch_off = core.halt_fetch or id_halt is not None
     fetched = None if fetch_off else mem.fetch_word(ic_va)
-    if fetched is None and not fetch_off:
-        core.uninit_fetches += 1
 
     if sink is not None:
         sink((core.cycle, ic_va, ic_va, 1, fetched or 0, *dc, wb_rd,
@@ -548,11 +538,11 @@ def run_core(core: CoreState, mem: MemoryImage, max_cycles: int,
     """Step the pipeline until it halts or the cycle cap is reached.
 
     The sink goes to step_cycle, which calls it once per cycle, the
-    halting cycle included, with that cycle's values tuple (SIGNAL_SCHEMA
+    halting cycle included, with that cycle's values tuple (SIGNAL_NAMES
     order), so a caller can stream the signals without holding them; a run
     without a sink builds no signal values.  record_signals is a sink that
     keeps them: signals then holds one dict per cycle that maps every
-    SIGNAL_SCHEMA name, in schema order, to its value; otherwise signals is
+    SIGNAL_NAMES name, in that order, to its value; otherwise signals is
     None.  The two options do not combine.
     """
     assert max_cycles > 0

@@ -252,19 +252,16 @@ _RAND_MUL = (MUL, MULH, MULHSU, MULHU)
 _RAND_BR = (M.BEQ, M.BNE, M.BLT, M.BGE, M.BLTU, M.BGEU)
 
 
-def random_program(seed: int, min_len: int = 30, max_len: int = 100) -> Program:
+def random_program(seed: int) -> Program:
     """Seeded random program that always halts: control flow only moves
     forward (random branch/jal targets are downstream) and the last
     instruction is ecall.  x15 holds the scratch base for memory traffic."""
     rng = random.Random(seed)
-    n = rng.randint(min_len, max_len)
+    body_len = rng.randint(30, 100)  # between the prologue and the epilogue
     words: list[int] = [LUI(15, SCRATCH >> 12)]
     regs = list(range(1, 15))  # x15 reserved as the data pointer
 
-    body_len = n  # instructions after the prologue, before the epilogue
-    i = 0
-    while i < body_len:
-        remaining = body_len - i
+    for i in range(body_len):
         r = rng.random()
         rd = rng.choice(regs + [0])
         rs1 = rng.choice(regs + [0])
@@ -291,15 +288,14 @@ def random_program(seed: int, min_len: int = 30, max_len: int = 100) -> Program:
             off = rng.randrange(0, 248, width)
             fn = {1: SB, 2: SH, 4: SW}[width]
             words.append(fn(rs1, off, 15))
-        elif r < 0.96 and remaining > 1:
-            skip = rng.randint(1, min(8, remaining))
+        elif r < 0.96 and body_len - i > 1:
+            skip = rng.randint(1, min(8, body_len - i))
             words.append(encode(rng.choice(_RAND_BR), rs1=rs1, rs2=rs2,
                                 imm=4 * (skip + 1)) if rng.random() < 0.75
                          else JAL(rd, 4 * (skip + 1)))
             # never jump past the epilogue: targets stay within the body
         else:
             words.append(FENCE() if rng.random() < 0.3 else NOP())
-        i += 1
     return assemble(_exit(words, code=0), f"rand_{seed}")
 
 
@@ -387,6 +383,10 @@ def fault_programs() -> list[Program]:
     with the same ERROR message.  They are kept out of corpus(), whose
     programs must all pass lockstep.
     """
+    def misaligned(access, addr: int, younger: int = 0xFFFFFFFF) -> list[int]:
+        # the access through x2 = addr faults in MEM, younger waits behind it
+        return [ADDI(1, 0, 1), ADDI(2, 0, addr), access(3, 0, 2), younger]
+
     return [assemble(words, name) for name, words in (
         ("fault_illegal", [ADDI(1, 0, 1), ADDI(2, 0, 2), ADDI(3, 0, 3),
                            0xFFFFFFFF]),
@@ -397,9 +397,11 @@ def fault_programs() -> list[Program]:
         ("fault_branch_misaligned", [ADDI(1, 0, 1), ADDI(2, 0, 1),
                                      encode(M.BEQ, rs1=1, rs2=2, imm=6)]),
         ("fault_jal_misaligned", [ADDI(1, 0, 1), ADDI(2, 0, 2), JAL(0, 6)]),
-        # the load faults in MEM while the illegal word waits in ID
-        ("fault_lw_misaligned", [ADDI(1, 0, 1), ADDI(2, 0, 3), LW(3, 0, 2),
-                                 0xFFFFFFFF]),
+        ("fault_lw_misaligned", misaligned(LW, 3)),
+        ("fault_lh_misaligned", misaligned(LH, 3)),
+        ("fault_lhu_misaligned", misaligned(LHU, 1, ADDI(4, 0, 4))),
+        ("fault_sh_misaligned", misaligned(SH, 1, ADDI(4, 0, 4))),
+        ("fault_sw_misaligned", misaligned(SW, 2)),
         ("fault_off_the_end", [ADDI(1, 0, 1), ADDI(2, 0, 2)]),
     )]
 

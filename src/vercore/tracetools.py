@@ -2,7 +2,7 @@
 register-write diff against an expected reg_trace.hex.
 
 Every stage streams, so none holds a whole run.  vcd_write writes the
-header for the pipeline's SIGNAL_SCHEMA (declared by pipeline_decls()) and
+header for the pipeline's SIGNAL_NAMES (declared by pipeline_decls()) and
 returns a per-cycle writer, a sink for run_core.  The VCD subset covers
 $timescale, nested $scope/$var declarations, $enddefinitions, $dumpvars,
 #time stamps, scalar and b-vector changes with x/z states.  vcd_parse takes
@@ -24,7 +24,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TextIO
 
 from .memory import HEX_DIGITS
-from .pipeline import SIGNAL_SCHEMA
+from .pipeline import SIGNAL_NAMES
 
 TIME_PER_CYCLE = 10000  # 1ps timescale units per pipeline clock
 
@@ -57,29 +57,25 @@ class SignalDecl:
     name: str
 
 
+_BITS_RE = re.compile(r"\[(\d+):(\d+)\]$")  # a vector name's [msb:lsb]
+
+
 def pipeline_decls() -> list[SignalDecl]:
-    """Declarations for SIGNAL_SCHEMA; signal i has the id chr(33 + i)."""
-    return [SignalDecl(chr(33 + i), width, name)
-            for i, (name, width) in enumerate(SIGNAL_SCHEMA)]
-
-
-_NAME_RE = re.compile(r"^(?P<base>.*?)(?:\[(?P<msb>\d+):(?P<lsb>\d+)\])?$")
-
-
-def _split_hierarchy(name: str) -> tuple[list[str], str]:
-    """Split a dotted name into scope path and var reference ('pc [31:0]')."""
-    parts = name.split(".")
-    m = _NAME_RE.match(parts[-1])
-    base = m.group("base")
-    ref = base if m.group("msb") is None else f"{base} [{m.group('msb')}:{m.group('lsb')}]"
-    return parts[:-1], ref
+    """Declarations for SIGNAL_NAMES; signal i has the id chr(33 + i), and
+    its name's [msb:lsb] suffix gives its width (1 without one)."""
+    decls = []
+    for i, name in enumerate(SIGNAL_NAMES):
+        bits = _BITS_RE.search(name)
+        width = int(bits[1]) - int(bits[2]) + 1 if bits else 1
+        decls.append(SignalDecl(chr(33 + i), width, name))
+    return decls
 
 
 def vcd_write(out: TextIO) -> Callable[[tuple], None]:
     """Write the VCD header for pipeline_decls() to out and return the
     per-cycle writer, a run_core sink.
 
-    The writer takes one cycle's values in SIGNAL_SCHEMA order.  Its k-th
+    The writer takes one cycle's values in SIGNAL_NAMES order.  Its k-th
     call dumps cycle k at timestamp k * TIME_PER_CYCLE: every signal in the
     $dumpvars block for cycle 0, afterwards only the signals whose value
     differs from the previous cycle's, and no timestamp for a cycle that
@@ -90,7 +86,8 @@ def vcd_write(out: TextIO) -> Callable[[tuple], None]:
     out.write("$timescale 1ps $end\n")
     open_scopes: list[str] = []
     for d in decls:
-        scopes, ref = _split_hierarchy(d.name)
+        # scope path and var reference: 'a.b.pc[31:0]' -> a, b, 'pc [31:0]'
+        *scopes, ref = d.name.replace("[", " [").split(".")
         while open_scopes and open_scopes != scopes[:len(open_scopes)]:
             out.write("$upscope $end\n")
             open_scopes.pop()
@@ -327,8 +324,8 @@ def read_csv(lines: Iterable[str]) -> Iterator[list[str]]:
         raise MissingColumn("empty CSV")
 
 
-# The SIGNAL_SCHEMA columns diff_reg_trace reads, by role.
-DEFAULT_COLUMNS = {key: next(name for name, _ in SIGNAL_SCHEMA
+# The SIGNAL_NAMES columns diff_reg_trace reads, by role.
+DEFAULT_COLUMNS = {key: next(name for name in SIGNAL_NAMES
                              if name.rsplit(".", 1)[1].split("[")[0] == base)
                    for key, base in (("reg_write", "wb_reg_write"),
                                      ("rd", "wb_rd"), ("data", "wb_data"),

@@ -9,18 +9,20 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look themselves up
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.mark.parametrize("layer,module_name,path", _load_tracer().LAYERS)
+@pytest.mark.parametrize("layer,module_name,path",
+                         _load_perfbench("tracer").LAYERS)
 def test_traced_layer_is_a_vercore_function(layer, module_name, path):
     owner = importlib.import_module(module_name)
     if "." in path:
@@ -50,3 +52,15 @@ def test_decode_is_the_one_cache_the_benchmark_counts():
     assert decode(0x00A00513) is again
     info = decode.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_lockstep_calls_every_layer_the_benchmark_requires():
+    """The benchmark's coverage guard fails a workload when one of its
+    layers is never called; a deletion in vercore that starves the guard
+    must fail here too."""
+    from vercore import cosim, progs
+    with _load_perfbench("tracer").Tracer() as tracer:
+        cosim.lockstep(progs.benchmark_program(16), 100_000)
+    missed = [name for name in _load_perfbench("workloads").CrcHash.layers
+              if tracer.layers[name].calls == 0]
+    assert missed == []

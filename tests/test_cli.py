@@ -125,6 +125,12 @@ class TestCosim:
             "pipeline=ecall(0)",
             "CPI: cycles=81 retired=67 cpi=1.2090"]
 
+    def test_a_step_cap_below_the_program_length_passes(self, fib_hex,
+                                                        capsys):
+        assert vercore("cosim", fib_hex, "--max-steps", "1") == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "RESULT: PASS fib.hex", "CPI: cycles=5 retired=1 cpi=5.0000"]
+
     def test_a_faulting_program_is_a_simulation_error(self, tmp_path, capsys):
         (program,) = [p for p in progs.fault_programs()
                       if p.name == "fault_illegal"]

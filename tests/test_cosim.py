@@ -162,6 +162,21 @@ class TestHalts:
         assert v.core_halt.kind is HaltKind.MAX_CYCLES
         assert v.passed and v.mismatch is None and v.note == ""
 
+    @pytest.mark.parametrize("steps", (1, 10))
+    def test_a_step_cap_below_the_program_length_caps_both(self, steps):
+        """The pipeline runs on to the ecall, but only its first `steps`
+        commits count, up to the cycle of the last of them."""
+        program = progs.fib_program()
+        uncapped = pipeline.run_core(
+            pipeline.CoreState.reset(pipeline.PipelineConfig(program.entry)),
+            program.image.clone(), 10_000)
+        v = lockstep(program, 10_000, max_steps=steps)
+        assert v.passed and v.mismatch is None and v.note == ""
+        assert v.golden_halt == v.core_halt == HaltCause(HaltKind.MAX_STEPS)
+        assert v.retired == steps < len(uncapped.commits)
+        assert v.cycles == v.cpi_report.cycles \
+            == uncapped.commit_cycles[steps - 1] + 1
+
     def test_halt_mismatch_note(self, monkeypatch):
         real = cosim.run_core
 
@@ -221,6 +236,8 @@ def test_an_undecodable_word_is_described_by_its_bits():
 OLDER = {"fault_illegal": 3, "fault_illegal_after_mul": 3,
          "fault_jalr_misaligned": 4, "fault_branch_misaligned": 2,
          "fault_jal_misaligned": 2, "fault_lw_misaligned": 2,
+         "fault_lh_misaligned": 2, "fault_lhu_misaligned": 2,
+         "fault_sh_misaligned": 2, "fault_sw_misaligned": 2,
          "fault_off_the_end": 2}
 
 

@@ -58,7 +58,7 @@ class TestStepBasics:
         c = step(st_)
         assert c.rd == 0 and c.wb_value == 0 and st_.regs[0] == 0
 
-    def test_branch_taken_and_not(self):
+    def test_taken_and_untaken_branch(self):
         words = [progs.encode(progs.M.BNE, rs1=1, rs2=0, imm=8), NOP(),
                  ADDI(2, 0, 1)]
         st_ = make_state(words, regs={1: 1})
@@ -159,14 +159,14 @@ class TestSemanticsProperties:
     @settings(max_examples=300, deadline=None)
     def test_branch_comparisons(self, a, b):
         """BLT/BGE are signed, BLTU/BGEU unsigned, on the same bit patterns."""
-        from vercore.golden import branch_taken
-        from vercore.isa import Mnemonic
-        assert branch_taken(Mnemonic.BLT, a, b) == (signed(a) < signed(b))
-        assert branch_taken(Mnemonic.BGE, a, b) == (signed(a) >= signed(b))
-        assert branch_taken(Mnemonic.BLTU, a, b) == (a < b)
-        assert branch_taken(Mnemonic.BGEU, a, b) == (a >= b)
-        assert branch_taken(Mnemonic.BEQ, a, b) == (a == b)
-        assert branch_taken(Mnemonic.BNE, a, b) == (a != b)
+        M = progs.M
+        taken = {M.BLT: signed(a) < signed(b), M.BGE: signed(a) >= signed(b),
+                 M.BLTU: a < b, M.BGEU: a >= b, M.BEQ: a == b, M.BNE: a != b}
+        for mn, expected in taken.items():
+            st_ = make_state([progs.encode(mn, rs1=1, rs2=2, imm=8)],
+                             regs={1: a, 2: b})
+            step(st_)
+            assert st_.pc == (0x2008 if expected else 0x2004), mn
 
     @given(U32, U32)
     @settings(max_examples=300, deadline=None)
@@ -237,8 +237,9 @@ class TestRunAndExports:
                           progs.encode(progs.M.BEQ, rs1=0, rs2=0, imm=8),
                           NOP(), ECALL()])
         trace, halt = run(st_, 10)
-        assert st_.retired == 4  # nop, fence, taken beq, ecall
-        assert len(trace) == 4
+        assert halt.kind is HaltKind.ECALL
+        assert len(trace) == 4  # nop, fence, taken beq, ecall
+        assert [c.pc for c in trace] == [0x2000, 0x2004, 0x2008, 0x2010]
 
 
 class TestRecordContract:

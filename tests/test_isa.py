@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from vercore.isa import (ENCODINGS, DecodedInstr, Format, IllegalInstruction,
                          InvalidOperandForFormat, Mnemonic,
-                         OutOfRangeImmediate, decode, disassemble, encode,
-                         gen_immediate)
+                         OutOfRangeImmediate, decode, disassemble, encode)
 
 from conftest import assemble_riscv, needs_clang
 
@@ -60,7 +59,7 @@ class TestDecodeKnownWords:
         assert sw.ctrl.mem_write and not sw.ctrl.reg_write
         assert sw.ctrl.uses_rs1 and sw.ctrl.uses_rs2
         jal = decode(0x0000006F)
-        assert jal.ctrl.is_jump and jal.ctrl.reg_write
+        assert jal.ctrl.reg_write and not jal.ctrl.is_branch
         assert not jal.ctrl.uses_rs1 and not jal.ctrl.uses_rs2
         mul = decode(encode(Mnemonic.MUL, rd=7, rs1=5, rs2=6))
         assert mul.ctrl.mul_en and mul.ctrl.reg_write
@@ -120,8 +119,9 @@ class TestDecodeErrors:
 # sha256 of decode over one word per (opcode, funct3, funct7), its other bits
 # from random.Random(12): each word adds the repr of its DecodedInstr, or
 # "<exception type>: <message>", and a newline.  Taken from the if-chain
-# decoder that the table-driven one replaced.
-SWEEP_DIGEST = "54cf3b4e3bbdd2b465e876cfa7e60d763e6f249d004390f4d782fc5a3723ce5c"
+# decoder that the table-driven one replaced, with the unread jump flag of
+# Control left out of each repr.
+SWEEP_DIGEST = "e1a77e47cc59dca3bf622dc17d6f87bd313922228c9cdbef0dafe96c37a88c95"
 
 
 def _sweep_digest() -> str:
@@ -190,26 +190,46 @@ def _imm_oracle(word: int, fmt: Format) -> int:
     return value
 
 
+# Every mnemonic whose immediate is its format's, not a shift amount.
+_IMM_MNEMONICS = sorted((mn for mn, enc in ENCODINGS.items()
+                         if enc.fmt is not Format.R and mn not in (
+                             Mnemonic.SLLI, Mnemonic.SRLI, Mnemonic.SRAI,
+                             Mnemonic.ECALL, Mnemonic.EBREAK)),
+                        key=lambda mn: mn.value)
+
+
+def _word_of(mn: Mnemonic, bits: int) -> int:
+    """bits with the opcode and funct3 of mn's encoding: a word of mn whose
+    other fields, immediate included, are those of bits."""
+    enc = ENCODINGS[mn]
+    word = bits & ~0x7F | enc.opcode
+    if enc.funct3 is not None:
+        word = word & ~0x7000 | enc.funct3 << 12
+    return word
+
+
 class TestImmediates:
     @given(st.integers(min_value=0, max_value=0xFFFFFFFF),
-           st.sampled_from([Format.I, Format.S, Format.B, Format.U, Format.J]))
+           st.sampled_from(_IMM_MNEMONICS))
     @settings(max_examples=500)
-    def test_against_bitstring_oracle(self, word, fmt):
-        assert gen_immediate(word, fmt) == _imm_oracle(word, fmt)
+    def test_against_bitstring_oracle(self, bits, mn):
+        word = _word_of(mn, bits)
+        d = decode(word)
+        assert d.mnemonic is mn
+        assert d.imm == _imm_oracle(word, ENCODINGS[mn].fmt)
 
     def test_spec_values(self):
-        assert gen_immediate(0xFFF00093, Format.I) == -1
-        assert gen_immediate(0x0000A037, Format.U) == 0x0000A037 & ~0xFFF
-        for fmt in (Format.I, Format.S, Format.B, Format.U, Format.J):
-            assert gen_immediate(0x00000033, fmt) == 0  # all imm bits zero
-        with pytest.raises(ValueError, match="has no immediate"):
-            gen_immediate(0x00000033, Format.R)
+        assert decode(0xFFF00093).imm == -1
+        assert decode(0x0000A037).imm == 0x0000A037 & ~0xFFF
+        for mn in _IMM_MNEMONICS:
+            assert decode(_word_of(mn, 0)).imm == 0  # all imm bits zero
+        assert decode(0x00000033).imm == 0  # R-type has no immediate
 
     @given(st.integers(min_value=0, max_value=0xFFFFFFFF))
     @settings(max_examples=200)
-    def test_b_and_j_are_even(self, word):
-        assert gen_immediate(word, Format.B) % 2 == 0
-        assert gen_immediate(word, Format.J) % 2 == 0
+    def test_b_and_j_are_even(self, bits):
+        assert decode(_word_of(Mnemonic.BEQ, bits)).imm % 2 == 0
+        assert decode(_word_of(Mnemonic.JAL, bits)).imm % 2 == 0
 
 
 _REG = st.integers(min_value=0, max_value=31)
@@ -266,16 +286,16 @@ class TestRoundTrip:
 
     @given(_instructions())
     @settings(max_examples=500, deadline=None)
-    def test_imm_matches_gen_immediate(self, instr):
+    def test_imm_matches_the_bitstring_oracle(self, instr):
         mn, ops = instr
         fmt = ENCODINGS[mn].fmt
         word = encode(mn, **ops)
         d = decode(word)
         if mn in (Mnemonic.SLLI, Mnemonic.SRLI, Mnemonic.SRAI):
             # shamt lives in imm[4:0]; SRAI also sets imm bit 10
-            assert d.imm == gen_immediate(word, Format.I) & 0x1F
+            assert d.imm == _imm_oracle(word, Format.I) & 0x1F
         elif fmt in (Format.I, Format.S, Format.B, Format.U, Format.J):
-            assert d.imm == gen_immediate(word, fmt)
+            assert d.imm == _imm_oracle(word, fmt)
 
 
 class TestEncodeErrors:

@@ -9,9 +9,9 @@ from vercore.isa import decode
 from vercore.memory import MisalignedAccess
 from vercore.mul import MulUnitState
 from vercore.pipeline import (CoreState, HazardDecision, PipelineConfig,
-                              SIGNAL_NAMES, SIGNAL_SCHEMA, Slot, forward_ex,
-                              forward_id, hazard_detect, load_extract,
-                              next_pc, run_core, step_cycle, store_align)
+                              SIGNAL_NAMES, Slot, forward_ex, forward_id,
+                              hazard_detect, load_extract, next_pc, run_core,
+                              step_cycle, store_align)
 from vercore.progs import (ADD, ADDI, ECALL, JAL, LUI, LW, MUL, NOP, SB, SW,
                            assemble)
 
@@ -37,6 +37,28 @@ def run_words(words, name="t", mul_latency=4, max_cycles=10_000,
     result = run_core(core, program.image, max_cycles,
                       record_signals=record_signals)
     return result, core
+
+
+def record_fetches(image):
+    """The list to which image.fetch_word, from now on, appends each
+    address it is asked for."""
+    fetched = []
+    fetch_word = image.fetch_word
+
+    def recording(addr):
+        fetched.append(addr)
+        return fetch_word(addr)
+
+    image.fetch_word = recording
+    return fetched
+
+
+def run_fetching(words, mul_latency=4):
+    """run_words' result, and the addresses IF fetched, in order."""
+    program = assemble(list(words), "t")
+    fetched = record_fetches(program.image)
+    core = CoreState.reset(PipelineConfig(program.entry, mul_latency))
+    return run_core(core, program.image, 10_000), fetched
 
 
 class TestNextPc:
@@ -371,8 +393,7 @@ class TestBusAndStallSignals:
         words = [LUI(15, 3), SW(0, 0, 15), MUL(2, 1, 1), ECALL()]
         result, _ = run_words(words, record_signals=True)
         assert len(result.signals) == result.cycles
-        names = [name for name, _ in SIGNAL_SCHEMA]
-        assert all(list(s) == names for s in result.signals)
+        assert all(tuple(s) == SIGNAL_NAMES for s in result.signals)
 
     def test_signals_are_none_unless_recorded(self):
         result, _ = run_words([ADDI(1, 0, 7), ECALL()])
@@ -429,25 +450,25 @@ class TestHaltBehavior:
 
     def test_no_wild_fetch_error_past_ecall(self):
         # nothing is mapped after the ecall; the fetch freeze must cover it
-        result, core = run_words([ECALL()])
+        result, fetched = run_fetching([ECALL()])
         assert result.halt.kind is HaltKind.ECALL
-        assert core.uninit_fetches == 0
+        assert fetched == [0x2000]  # never pc+4
 
     def test_ebreak(self):
         result, _ = run_words([progs.EBREAK()])
         assert result.halt.kind is HaltKind.EBREAK
 
     def test_no_wild_fetch_error_past_ebreak(self):
-        result, core = run_words([progs.EBREAK()])
+        result, fetched = run_fetching([progs.EBREAK()])
         assert result.halt.kind is HaltKind.EBREAK
-        assert core.uninit_fetches == 0
+        assert fetched == [0x2000]  # never pc+4
 
     def test_fetch_gate_holds_through_mul_stall(self):
         # the ecall waits in ID while the multiply holds the pipeline
-        result, core = run_words([ADDI(1, 0, 7), MUL(2, 1, 1), ECALL()],
-                                 mul_latency=4)
+        result, fetched = run_fetching([ADDI(1, 0, 7), MUL(2, 1, 1), ECALL()],
+                                       mul_latency=4)
         assert result.halt.kind is HaltKind.ECALL
-        assert core.uninit_fetches == 0
+        assert set(fetched) == {0x2000, 0x2004, 0x2008}  # not the ecall's pc+4
         assert result.cycles == 10
 
     def test_fetch_gate_changes_fetch_not_timing(self):
@@ -488,9 +509,9 @@ class TestHaltBehavior:
     def test_flush_squashes_an_unwritten_wrong_path_word(self):
         # the jal at 0x2008 is the last word; its fall-through is fetched,
         # found unwritten and flushed, so the run reaches the ecall
-        result, core = run_words([JAL(0, 8), ECALL(), JAL(0, -4)])
+        result, fetched = run_fetching([JAL(0, 8), ECALL(), JAL(0, -4)])
         assert result.halt.kind is HaltKind.ECALL
-        assert core.uninit_fetches == 1
+        assert [a for a in fetched if a > 0x2008] == [0x200C]  # once
 
     def test_max_cycles(self):
         result, _ = run_words([JAL(0, 0)], max_cycles=50)
@@ -526,7 +547,7 @@ class TestSignalSink:
             result = step_cycle(core, program.image, seen.append)
             assert isinstance(result, tuple) and len(result) == 2
             assert len(seen) == cycle + 1
-            assert len(seen[-1]) == len(SIGNAL_SCHEMA)
+            assert len(seen[-1]) == len(SIGNAL_NAMES)
             if result[1] is not None:
                 break
         assert result[1].kind in (HaltKind.ECALL, HaltKind.ERROR)
@@ -539,9 +560,23 @@ class TestSignalSink:
             for record in (False, True):
                 core = CoreState.reset(PipelineConfig(
                     reset_pc=program.entry, mul_latency=latency))
-                result = run_core(core, program.image.clone(), 100_000,
-                                  record_signals=record)
+                mem = program.image.clone()
+                fetched = record_fetches(mem)
+                result = run_core(core, mem, 100_000, record_signals=record)
                 runs.append((result.commits, result.commit_cycles,
                              result.cycles, result.halt, core.regfile,
-                             core.uninit_fetches))
+                             fetched))
             assert runs[0] == runs[1], program.name
+
+    def test_a_misaligned_access_drives_the_dcache_bus(self):
+        """The halting cycle of a misaligned lw shows its address with
+        dc_valid high and no byte enable."""
+        (program,) = [p for p in progs.fault_programs()
+                      if p.name == "fault_lw_misaligned"]
+        seen = []
+        result = run_core(CoreState.reset(PipelineConfig(program.entry)),
+                          program.image.clone(), 100, sink=seen.append)
+        assert result.halt.message.startswith("misaligned access")
+        last = dict(zip(SIGNAL_NAMES, seen[-1], strict=True))
+        assert (last[SIG + "dc_va[31:0]"], last[SIG + "dc_valid"],
+                last[SIG + "dc_byte_en[3:0]"]) == (3, 1, 0)

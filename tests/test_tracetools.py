@@ -8,13 +8,23 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vercore.pipeline import SIGNAL_NAMES, SIGNAL_SCHEMA
+from vercore.pipeline import SIGNAL_NAMES
 from vercore.tracetools import (DEFAULT_COLUMNS, TIME_PER_CYCLE,
                                 MalformedVcd, diff_reg_trace, parse_reg_trace,
                                 pipeline_decls, read_csv, vcd_parse,
                                 vcd_to_csv, vcd_write)
 
-WIDTHS = [width for _, width in SIGNAL_SCHEMA]
+WIDTHS = [d.width for d in pipeline_decls()]
+
+
+def test_a_name_suffix_gives_the_width():
+    """A vector's width is its name's [msb:lsb] span; a scalar is 1 bit."""
+    decls = pipeline_decls()
+    assert [d.name for d in decls] == list(SIGNAL_NAMES)
+    widths = {d.name.rsplit(".", 1)[1]: d.width for d in decls}
+    assert (widths["cycle[31:0]"], widths["dc_byte_en[3:0]"],
+            widths["wb_rd[4:0]"], widths["dc_valid"]) == (32, 4, 5, 1)
+    assert sorted(WIDTHS) == [1] * 13 + [4, 5] + [32] * 9
 
 
 def _value(width):
