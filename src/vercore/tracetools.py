@@ -14,12 +14,25 @@ timestamp with sample-and-hold cell values (fixed-width lowercase hex for
 vectors); each column's cell is rendered when its signal changes and held,
 so a row is the time plus the held cells.  diff_reg_trace reads CSV lines,
 checks each row as it passes and returns (clean, report lines).
+
+Each stage memoizes the work it repeats on identical inputs, in
+functools.lru_cache memos made per call and sized by MEMO_CAP: the writer
+formats a vector signal's change line once per value, the parser reads a
+body line that is exactly one change once per distinct line, and the
+tabulator renders a vector column's cell once per distinct bits.  A
+pipeline trace repeats itself: on benchmark_program(256), pc, ic_va and
+ic_d_in take 33 to 36 values each over 18,445 changes, branch_target 5
+over 9,217 and wb_rd 12 over 14,841; of the 116,259 vector changes only
+cycle's (every value new) and wb_data's (4,829 values over 14,054 changes)
+mostly miss.  So a small LRU keeps every hot entry, the misses churn only
+the least recently used ones, and memory stays flat however long the run.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TextIO
 
@@ -27,6 +40,7 @@ from .memory import HEX_DIGITS
 from .pipeline import SIGNAL_NAMES
 
 TIME_PER_CYCLE = 10000  # 1ps timescale units per pipeline clock
+MEMO_CAP = 256  # entries per memo; a larger cap buys little and costs RSS
 
 
 class MalformedVcd(ValueError):
@@ -79,7 +93,10 @@ def vcd_write(out: TextIO) -> Callable[[tuple], None]:
     call dumps cycle k at timestamp k * TIME_PER_CYCLE: every signal in the
     $dumpvars block for cycle 0, afterwards only the signals whose value
     differs from the previous cycle's, and no timestamp for a cycle that
-    changes nothing.
+    changes nothing.  A tuple of another length than SIGNAL_NAMES raises
+    ValueError.  Each vector signal's change line is memoized by value, in
+    an LRU of MEMO_CAP lines per signal: pc, ic_va and ic_d_in repeat 33 to
+    36 values, while cycle's always-new values only churn their own memo.
     """
     decls = pipeline_decls()
     out.write("$date\n    vercore trace\n$end\n")
@@ -101,15 +118,18 @@ def vcd_write(out: TextIO) -> Callable[[tuple], None]:
     out.write("$enddefinitions $end\n")
 
     # one change format per signal, applied to the value masked to its
-    # width; a scalar's two changes are looked up
+    # width; a scalar's two changes are looked up, a vector's memoized
     formats = [(f"0{d.id_code}", f"1{d.id_code}").__getitem__ if d.width == 1
-               else f"b{{:0{d.width}b}} {d.id_code}".format for d in decls]
+               else lru_cache(MEMO_CAP)(
+                   f"b{{:0{d.width}b}} {d.id_code}".format) for d in decls]
     masks = [(1 << d.width) - 1 for d in decls]
     previous: Optional[tuple] = None
     time = 0
 
     def write_cycle(values: tuple) -> None:
         nonlocal previous, time
+        if len(values) != len(decls):
+            raise ValueError(f"{len(values)} values for {len(decls)} signals")
         if previous is None:
             out.write("#0\n$dumpvars\n" + "\n".join(
                 [f(v & m) for f, m, v in zip(formats, masks, values)])
@@ -138,9 +158,15 @@ def vcd_parse(stream: Iterable[str]
     The declarations are read at once, up to the end of $enddefinitions;
     the body is read only as the changes are iterated.  Changes appearing
     before the first #timestamp (e.g. inside $dumpvars) are recorded at
-    time 0.  Unknown ids, value widths beyond the declared width and
-    decreasing timestamps raise MalformedVcd with a line number, from the
-    iterator when the fault is in the body.  A str is not taken as lines.
+    time 0.  Unknown ids, value widths beyond the declared width, and
+    timestamps that decrease or are not ASCII digits raise MalformedVcd
+    with a line number, from the iterator when the fault is in the body.
+    A str is not taken as lines.
+
+    A body line that is exactly one change is read once per distinct line,
+    through an LRU memo of MEMO_CAP lines: benchmark_program(256)'s VCD has
+    46,077 distinct lines among 194,110, most of them its timestamps and
+    its always-new cycle values.
     """
     if isinstance(stream, str):
         raise TypeError("vcd_parse takes an iterable of lines, not a str")
@@ -154,17 +180,58 @@ def vcd_parse(stream: Iterable[str]
     return list(by_id.values()), chain(early, parser)
 
 
+def _decimal(text: str) -> Optional[int]:
+    """The one rule for a VCD timestamp and a CSV time: text's value when
+    it is ASCII digits only (str.isdecimal alone takes other scripts'
+    digits, int() also signs and underscores), else None."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # beyond the interpreter's int string digit limit
+        return None
+
+
 def _parse(stream: Iterable[str], by_id: dict[str, SignalDecl]
            ) -> Iterator[Optional[tuple[int, str, str]]]:
     """vcd_parse's token loop: fills by_id from the declarations, yields
-    None once $enddefinitions is closed and each change as it is read."""
+    None once $enddefinitions is closed and each change as it is read.
+
+    A body line outside a directive that is exactly one change, as
+    vcd_write writes it, is read by the memoized body_change, and a
+    non-decreasing #<digits> line in place; every other line, every fault
+    included, goes through the token loop."""
+
+    @lru_cache(MEMO_CAP)
+    def body_change(raw: str) -> Optional[tuple[str, str]]:
+        # by_id is complete: no $var is accepted after $enddefinitions
+        line = raw.rstrip("\n")
+        if line[:1] == "b":
+            bits, _, sid = line[1:].partition(" ")
+            decl = by_id.get(sid)
+            if decl is not None and bits and not bits.strip("01xz") \
+                    and len(bits) <= decl.width:
+                return sid, bits
+        elif line[:1] in ("0", "1", "x", "z") and line[1:] in by_id:
+            return line[1:], line[0]
+        return None
+
     scopes: list[str] = []
     time = 0
-    seen_time = False
     in_defs = True
     directive: Optional[str] = None
     directive_args: list[str] = []
     for lineno, raw in enumerate(stream, start=1):
+        if not in_defs and directive is None:
+            change = body_change(raw)
+            if change is not None:
+                yield time, change[0], change[1]
+                continue
+            if raw[:1] == "#":
+                t = _decimal(raw[1:].rstrip("\n"))
+                if t is not None and t >= time:
+                    time = t
+                    continue
         toks = iter(raw.split())
         for tok in toks:
             if directive is not None:
@@ -202,15 +269,13 @@ def _parse(stream: Iterable[str], by_id: dict[str, SignalDecl]
                         f"declared for {decl.name!r}", lineno)
                 yield time, sid, bits
             elif tok[0] == "#":
-                try:
-                    t = int(tok[1:])
-                except ValueError:
-                    raise MalformedVcd(f"bad timestamp {tok!r}", lineno) from None
-                if seen_time and t < time:
+                t = _decimal(tok[1:])
+                if t is None:
+                    raise MalformedVcd(f"bad timestamp {tok!r}", lineno)
+                if t < time:
                     raise MalformedVcd(
                         f"timestamp {t} decreases (previous {time})", lineno)
                 time = t
-                seen_time = True
             elif tok[0] == "$":
                 # $dumpvars holds ordinary changes at the current time; a
                 # bare $end closes it
@@ -255,6 +320,20 @@ def _finish_directive(directive: str, args: list[str], scopes: list[str],
     # $timescale/$date/$version/$comment/$enddefinitions bodies are ignored
 
 
+def _hex_cell(digits: int) -> Callable[[str], str]:
+    """A fresh memo rendering a vector's bits as its CSV cell: fixed-width
+    lowercase hex, all-x when any bit is x or z."""
+    hex_format = f"%0{digits}x"  # about twice as fast as format() here
+
+    @lru_cache(MEMO_CAP)
+    def render(bits: str) -> str:
+        if "x" in bits or "z" in bits:
+            return "x" * digits
+        return hex_format % int(bits, 2)
+
+    return render
+
+
 def vcd_to_csv(decls: list[SignalDecl],
                changes: Iterable[tuple[int, str, str]],
                emit: Callable[[str], object]) -> int:
@@ -264,11 +343,13 @@ def vcd_to_csv(decls: list[SignalDecl],
     declaration order, values held between changes (hex for vectors).
     Returns the number of rows.
 
-    A column's cell is re-rendered only when its signal changes; a signal
-    with no value yet shows all-x.
+    A column's cell is re-rendered only when its signal changes, and a
+    vector column's cell is memoized by bits, in an LRU of MEMO_CAP cells
+    per column (the hot columns take at most 36 values); a signal with no
+    value yet shows all-x.
     """
     digits = [(d.width + 3) // 4 for d in decls]
-    column = {d.id_code: (i, d.width, n, f"0{n}x")
+    column = {d.id_code: (i, None if d.width == 1 else _hex_cell(n))
               for i, (d, n) in enumerate(zip(decls, digits))}
     cells = ["x" * n for n in digits]
     emit(",".join(["time"] + [d.name for d in decls]) + "\n")
@@ -280,13 +361,8 @@ def vcd_to_csv(decls: list[SignalDecl],
                 emit(f"{row_time},{','.join(cells)}\n")
                 rows += 1
             row_time = t
-        i, width, digits, hex_format = column[sid]
-        if width == 1:
-            cells[i] = bits[-1]
-        elif "x" in bits or "z" in bits:
-            cells[i] = "x" * digits
-        else:
-            cells[i] = format(int(bits, 2), hex_format)
+        i, render = column[sid]
+        cells[i] = bits[-1] if render is None else render(bits)
     if row_time is not None:
         emit(f"{row_time},{','.join(cells)}\n")
         rows += 1
@@ -297,7 +373,7 @@ def read_csv(lines: Iterable[str]) -> Iterator[list[str]]:
     """The cells of CSV text lines, header first, blank lines skipped.
 
     Each row is checked as it is read: it has as many cells as the header
-    and a decimal time, else MalformedCsv names its row number.  A CSV
+    and an ASCII decimal time, else MalformedCsv names its row number.  A CSV
     without a header raises MissingColumn.
     """
     header = None
@@ -316,7 +392,7 @@ def read_csv(lines: Iterable[str]) -> Iterator[list[str]]:
                 if len(row) != len(header):
                     raise MalformedCsv(
                         f"row {i}: {len(row)} of {len(header)} cells")
-                if not row[0].isdecimal():
+                if _decimal(row[0]) is None:
                     raise MalformedCsv(
                         f"row {i}: time {row[0]!r} is not decimal")
             yield row

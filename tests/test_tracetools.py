@@ -3,16 +3,17 @@ hand-written VCD with what the writer never emits, and the line-numbered
 errors of the VCD parser."""
 
 import io
+import tracemalloc
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vercore.pipeline import SIGNAL_NAMES
-from vercore.tracetools import (DEFAULT_COLUMNS, TIME_PER_CYCLE,
-                                MalformedVcd, diff_reg_trace, parse_reg_trace,
-                                pipeline_decls, read_csv, vcd_parse,
-                                vcd_to_csv, vcd_write)
+from vercore.tracetools import (DEFAULT_COLUMNS, MEMO_CAP, TIME_PER_CYCLE,
+                                MalformedCsv, MalformedVcd, diff_reg_trace,
+                                parse_reg_trace, pipeline_decls, read_csv,
+                                vcd_parse, vcd_to_csv, vcd_write)
 
 WIDTHS = [d.width for d in pipeline_decls()]
 
@@ -71,18 +72,132 @@ def _to_csv(text):
     return Table(*vcd_parse(io.StringIO(text)))
 
 
+def _expected_rows(log):
+    """The CSV rows of a value log: one per cycle that changes something."""
+    return [[str(cycle * TIME_PER_CYCLE)]
+            + [_cell(v, w) for v, w in zip(values, WIDTHS)]
+            for cycle, values in enumerate(log)
+            if cycle == 0 or values != log[cycle - 1]]
+
+
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(signal_logs())
 def test_vcd_round_trip_holds_values(log):
     table = _to_csv(_write(log))
-    expected = [[str(cycle * TIME_PER_CYCLE)]
-                + [_cell(v, w) for v, w in zip(values, WIDTHS)]
-                for cycle, values in enumerate(log)
-                if cycle == 0 or values != log[cycle - 1]]
     assert table.header == ["time", *SIGNAL_NAMES]
-    assert table.rows == expected
+    assert table.rows == _expected_rows(log)
     assert list(read_csv(io.StringIO(table.text))) \
         == [table.header, *table.rows]
+
+
+def _spread_log(cycles, period):
+    """Per-cycle values: cycle k gives each vector the (k % period)-th of
+    `period` distinct 32-bit values (masked to its width), and each scalar
+    toggles every 1, 2 or 4 cycles."""
+    for k in range(cycles):
+        n = k % period
+        yield tuple((n * 0x9E3779B1 + i) & (1 << w) - 1 if w > 1
+                    else k >> i % 3 & 1 for i, w in enumerate(WIDTHS))
+
+
+def test_memos_past_their_cap_keep_the_values():
+    """Three passes over 600 distinct values per 32-bit signal, more than
+    any memo holds, round-trip exactly."""
+    assert 600 > MEMO_CAP
+    log = list(_spread_log(1800, 600))
+    table = _to_csv(_write(log))
+    assert table.rows == _expected_rows(log)
+
+
+def test_line_list_with_empty_lines_and_no_final_newline():
+    """A list of lines holding "" elements and ending without a newline
+    gives the changes of the file form."""
+    text = _write(_spread_log(40, 40))
+    lines = text.splitlines(keepends=True)
+    lines[-1] = lines[-1].rstrip("\n")
+    for k in range(len(lines), 0, -7):
+        lines.insert(k, "")
+    assert list(vcd_parse(lines)[1]) == list(vcd_parse(io.StringIO(text))[1])
+
+
+def _with_unknowns(text):
+    """text with every other body change unknown: a scalar becomes z for 0
+    and x for 1, a vector's last bit becomes x."""
+    head, body = text.split("$enddefinitions $end\n")
+    lines = body.splitlines()
+    for k, line in enumerate(lines):
+        if k % 2 == 0 and line[0] in "01":
+            lines[k] = "zx"[int(line[0])] + line[1:]
+        elif k % 2 == 0 and line[0] == "b":
+            bits, sid = line.split()
+            lines[k] = f"{bits[:-1]}x {sid}"
+    return f"{head}$enddefinitions $end\n" + "\n".join(lines) + "\n"
+
+
+def _reshaped(text):
+    """text with its body in shapes vcd_write never writes: each timestamp,
+    $dumpvars and $end shares a line with the next line, and of every four
+    other lines, the first shares a line with the next, the third is
+    uppercased (a B prefix, X/Z values; the ids hold no letters) and the
+    fourth gets leading whitespace."""
+    head, body = text.split("$enddefinitions $end\n")
+    out = []
+    for k, line in enumerate(body.splitlines()):
+        if line[0] in "#$" or k % 4 == 0:
+            out.append(line + " ")
+        elif k % 4 == 2:
+            out.append(line.upper() + "\n")
+        elif k % 4 == 3:
+            out.append(f"  {line}\n")
+        else:
+            out.append(line + "\n")
+    return f"{head}$enddefinitions $end\n" + "".join(out)
+
+
+def test_token_loop_agrees_with_the_one_change_fast_path():
+    """The same changes and CSV from lines vcd_write writes, which the
+    parser's memoized fast path reads, and from the same body in shapes
+    only the token loop reads."""
+    written = _with_unknowns(_write(_spread_log(60, 60)))
+    reshaped = _reshaped(written)
+    assert all(f"\n{c}" in reshaped for c in "BXZ")
+    changes = list(vcd_parse(io.StringIO(written))[1])
+    assert list(vcd_parse(io.StringIO(reshaped))[1]) == changes
+    assert _to_csv(reshaped).text == _to_csv(written).text
+    assert len(changes) > 60
+
+
+def _round_trip_peak(path, cycles):
+    """Peak traced bytes of writing `cycles` cycles of all-new vector values
+    to a VCD at path, then parsing and tabulating it into a discarding emit."""
+    tracemalloc.start()
+    try:
+        with open(path, "w") as out:
+            write_cycle = vcd_write(out)
+            for values in _spread_log(cycles, cycles):
+                write_cycle(values)
+        with open(path) as vcd:
+            rows = vcd_to_csv(*vcd_parse(vcd), lambda line: None)
+        assert rows == cycles
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_memory_does_not_grow_with_run_length(tmp_path):
+    """Every stage streams and every memo is bounded: four times the
+    cycles, each with new values, take at most 1.25 times the memory."""
+    cycles = 1000
+    assert _round_trip_peak(tmp_path / "w.vcd", 4 * cycles) \
+        <= 1.25 * _round_trip_peak(tmp_path / "w.vcd", cycles)
+
+
+@pytest.mark.parametrize("count", [3, len(SIGNAL_NAMES) + 1])
+def test_writer_takes_one_value_per_signal(count):
+    write_cycle = vcd_write(io.StringIO())
+    with pytest.raises(ValueError, match=f"^{count} values for "
+                                         f"{len(SIGNAL_NAMES)} signals$"):
+        write_cycle((1,) * count)
 
 
 def _lines_after_definitions(*lines):
@@ -113,6 +228,11 @@ def _id(name_prefix):
     (["$scope module late $end"], 0, r"\$scope after \$enddefinitions"),
     (["#3x"], 0, "bad timestamp '#3x'"),
     (["$upscope", "$end"], 1, r"\$upscope without open scope"),
+    (["#-5"], 0, "bad timestamp '#-5'"),
+    (["#+5"], 0, r"bad timestamp '#\+5'"),
+    (["#1_0"], 0, "bad timestamp '#1_0'"),
+    (["#\u0663"], 0, "bad timestamp '#\u0663'"),
+    (["#" + "9" * 5000], 0, "bad timestamp '#999"),
 ])
 def test_malformed_vcd_names_the_line(lines, offset, message):
     text, first = _lines_after_definitions(*lines)
@@ -167,6 +287,14 @@ def test_a_change_before_the_definitions_end_comes_first():
         "$var wire 1 ! clk $end\n1!\n$enddefinitions $end\n#5\n0!\n"))
     assert [d.name for d in decls] == ["clk"]
     assert list(changes) == [(0, "!", "1"), (5, "!", "0")]
+
+
+@pytest.mark.parametrize("time", ["\u0663", "9" * 5000],
+                         ids=["arabic-indic-3", "5000-digits"])
+def test_csv_time_must_be_ascii_decimal(time):
+    """Digits of other scripts, and more than int() takes from a str."""
+    with pytest.raises(MalformedCsv, match=f"row 1: time '{time}' is not"):
+        list(read_csv(["time,a\n", f"{time},1\n"]))
 
 
 def test_blank_lines_are_skipped():
