@@ -2,22 +2,23 @@
 
 Both simulators run the same program on independent memory copies; their
 commit traces are compared in retirement order, each commit record whole:
-pc, instruction word, register write and memory transaction.  The first
-divergence is reported with the commits around it on both sides, taken from
-the one pipeline run.
+pc, instruction word, register write and memory transaction.  They run in
+windows of WINDOW_CYCLES pipeline cycles, each compared as it ends, so
+lockstep holds one window of commits plus CONTEXT_COMMITS per side however
+long the run.  The first divergence is reported with the commits around it
+on both sides, taken from the one pipeline run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from . import golden, mul
 from .golden import CommitRecord, HaltCause, HaltKind
 from .isa import decode, disassemble
 from .memory import MemoryImage
-from .pipeline import (CoreState, PipelineConfig, RunResult, check_reset_pc,
-                       run_core)
+from .pipeline import CoreState, PipelineConfig, check_reset_pc, run_core
 
 
 class ZeroRetired(ValueError):
@@ -104,11 +105,12 @@ class Verdict:
 
 
 CONTEXT_COMMITS = 5
+WINDOW_CYCLES = 1024  # pipeline cycles per lockstep compare window
+_CAPPED = frozenset((HaltKind.MAX_STEPS, HaltKind.MAX_CYCLES))
 
 
 def _halts_agree(g: HaltCause, p: HaltCause) -> bool:
-    capped = {HaltKind.MAX_STEPS, HaltKind.MAX_CYCLES}
-    if g.kind in capped and p.kind in capped:
+    if g.kind in _CAPPED and p.kind in _CAPPED:
         return True
     return g.kind == p.kind and g.code == p.code
 
@@ -120,48 +122,104 @@ def lockstep(program: Program, max_cycles: int,
     """Run golden and pipeline on separate copies of the program memory and
     compare their commit records whole; error halts on either side fail.
 
-    Both models start at program.entry.  The pipeline runs once.  A sink is
-    handed to run_core and sees that run's signal values, one tuple per
-    cycle, while it runs (see run_core).  An entry that is not word-aligned
-    raises ValueError before either runs.  max_steps caps both models'
-    commits; the sink sees the pipeline's whole run.
+    Both models start at program.entry and run in windows.  In each, the
+    pipeline runs WINDOW_CYCLES cycles (run_core on the one CoreState, so
+    cycles stay absolute), the golden model steps as many commits as the
+    pipeline made, and compare_traces compares the two.  Once the pipeline
+    has halted, the golden model steps WINDOW_CYCLES commits per window up
+    to its own halt.  Besides one window of commits, lockstep holds only
+    the last CONTEXT_COMMITS of each side, and after a mismatch only the
+    commits of its context; both models still run on to their own halts.
+
+    max_steps caps both models' commits: once the golden model stops at
+    that cap with n commits and the pipeline has made more, the pipeline
+    stops at the end of that window, and its run counts to commit n.  A
+    sink is handed to run_core and sees the pipeline's signal values, one
+    tuple per cycle, while it runs (see run_core): with a step cap, up to
+    the end of the window in which the pipeline passed it.  An entry that
+    is not word-aligned raises ValueError before either runs.
     """
     check_reset_pc(program.entry)
     gstate = golden.ArchState(pc=program.entry, mem=program.image.clone())
-    gtrace, ghalt = golden.run(gstate, max_steps or max_cycles)
-
+    gcap = max_steps or max_cycles
     core = CoreState.reset(PipelineConfig(program.entry, mul_latency))
-    result = run_core(core, program.image.clone(), max_cycles, sink=sink)
-    n = len(gtrace)
-    if ghalt.kind is HaltKind.MAX_STEPS and len(result.commits) > n:
-        # max_steps caps both models: the pipeline's run ends at commit n
-        result = RunResult(result.commits[:n], result.commit_cycles[:n],
-                           result.commit_cycles[n - 1] + 1, ghalt, None)
+    pmem = program.image.clone()
 
-    retired = len(result.commits)
-    report = cpi(retired, result.cycles) if retired else None
+    ghalt: Optional[HaltCause] = None  # each model's halt, once it has one
+    phalt: Optional[HaltCause] = None
+    stepped = retired = cycles = last_commit_cycle = 0
+    mismatch: Optional[Mismatch] = None
+    # Before a mismatch: each side's last CONTEXT_COMMITS compared commits.
+    # After it: each side's context, up to span commits from the same one.
+    gkept: list[CommitRecord] = []
+    pkept: list[CommitRecord] = []
+    span = 0
+    while True:
+        base = retired  # the ordinal of this window's first commit
+        pchunk: list[CommitRecord] = []
+        pcycles: list[int] = []
+        if phalt is None:
+            window = min(WINDOW_CYCLES, max_cycles - core.cycle)
+            run = run_core(core, pmem, window, sink=sink)
+            pchunk, pcycles = run.commits, run.commit_cycles
+            retired, cycles, halt = retired + len(pchunk), run.cycles, run.halt
+            del run  # so that the del below frees its lists
+            if halt.kind is not HaltKind.MAX_CYCLES or cycles == max_cycles:
+                phalt = halt
+        gchunk: list[CommitRecord] = []
+        budget = min(gcap - stepped,
+                     len(pchunk) if phalt is None else WINDOW_CYCLES)
+        if ghalt is None and budget:
+            gchunk, halt = golden.run(gstate, budget)
+            stepped += len(gchunk)
+            if halt.kind is not HaltKind.MAX_STEPS or stepped == gcap:
+                ghalt = halt
+        if ghalt is not None and ghalt.kind is HaltKind.MAX_STEPS \
+                and retired > stepped:
+            # max_steps caps both models: the pipeline's run ends at commit n
+            keep = stepped - base
+            pchunk, pcycles = pchunk[:keep], pcycles[:keep]
+            cycles = (pcycles[-1] if pcycles else last_commit_cycle) + 1
+            retired, phalt = stepped, ghalt
+        if pcycles:
+            last_commit_cycle = pcycles[-1]
 
-    mismatch = compare_traces(gtrace, result.commits,
-                              actual_cycles=result.commit_cycles)
+        if mismatch is not None:
+            gkept += gchunk[:span - len(gkept)]
+            pkept += pchunk[:span - len(pkept)]
+        elif gchunk or pchunk:
+            mismatch = compare_traces(gchunk, pchunk, actual_cycles=pcycles)
+            if mismatch is not None:
+                mismatch = replace(mismatch, index=base + mismatch.index)
+                lo = max(0, mismatch.index - CONTEXT_COMMITS)
+                span = mismatch.index + CONTEXT_COMMITS + 1 - lo
+                # gkept + gchunk holds the commits from base - len(gkept) on
+                start = lo - base + len(gkept)
+                gkept = (gkept + gchunk)[start:start + span]
+                pkept = (pkept + pchunk)[start:start + span]
+        if ghalt is not None and phalt is not None:
+            break
+        if mismatch is None:
+            gkept = (gkept + gchunk[-CONTEXT_COMMITS:])[-CONTEXT_COMMITS:]
+            pkept = (pkept + pchunk[-CONTEXT_COMMITS:])[-CONTEXT_COMMITS:]
+        del gchunk, pchunk, pcycles  # before the next window's are made
+
+    report = cpi(retired, cycles) if retired else None
     note = ""
     passed = mismatch is None
-    if passed and (ghalt.kind is HaltKind.ERROR or result.halt.kind is HaltKind.ERROR):
+    if passed and HaltKind.ERROR in (ghalt.kind, phalt.kind):
         passed = False
         note = (f"simulation error: golden={ghalt.kind.value} "
-                f"{ghalt.message} / pipeline={result.halt.kind.value} "
-                f"{result.halt.message}")
-    elif passed and not _halts_agree(ghalt, result.halt):
+                f"{ghalt.message} / pipeline={phalt.kind.value} "
+                f"{phalt.message}")
+    elif passed and not _halts_agree(ghalt, phalt):
         passed = False
         note = (f"halt mismatch: golden={ghalt.kind.value}({ghalt.code}) "
-                f"pipeline={result.halt.kind.value}({result.halt.code})")
+                f"pipeline={phalt.kind.value}({phalt.code})")
 
-    context = None
-    if mismatch is not None:
-        lo = max(0, mismatch.index - CONTEXT_COMMITS)
-        hi = mismatch.index + CONTEXT_COMMITS + 1
-        context = MismatchContext(gtrace[lo:hi], result.commits[lo:hi])
-    return Verdict(passed, program.name, ghalt, result.halt, retired,
-                   result.cycles, report, mismatch, context, note)
+    context = None if mismatch is None else MismatchContext(gkept, pkept)
+    return Verdict(passed, program.name, ghalt, phalt, retired, cycles,
+                   report, mismatch, context, note)
 
 
 def _describe(c: Optional[CommitRecord]) -> str:

@@ -56,11 +56,15 @@ def test_decode_is_the_one_cache_the_benchmark_counts():
 
 def test_lockstep_calls_every_layer_the_benchmark_requires():
     """The benchmark's coverage guard fails a workload when one of its
-    layers is never called; a deletion in vercore that starves the guard
-    must fail here too."""
+    layers is never called, or when the pipeline steps a cycle or the
+    golden model a commit other than once; a change in vercore that trips
+    the guard must fail here too.  This run spans two lockstep windows."""
     from vercore import cosim, progs
     with _load_perfbench("tracer").Tracer() as tracer:
-        cosim.lockstep(progs.benchmark_program(16), 100_000)
+        verdict = cosim.lockstep(progs.benchmark_program(16), 100_000)
+    assert verdict.passed and verdict.cycles > cosim.WINDOW_CYCLES
     missed = [name for name in _load_perfbench("workloads").CrcHash.layers
               if tracer.layers[name].calls == 0]
     assert missed == []
+    assert tracer.layers["pipeline.step_cycle"].calls == verdict.cycles
+    assert tracer.layers["golden.step"].calls == verdict.retired

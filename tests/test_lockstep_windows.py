@@ -1,0 +1,167 @@
+"""Windowed lockstep: the same verdict as one whole-trace compare, a step
+cap that stops the pipeline, and memory that does not grow with the run."""
+
+import tracemalloc
+
+import pytest
+
+from vercore import cosim, golden, mul, pipeline, progs
+from vercore.cosim import (CONTEXT_COMMITS, MismatchContext, Verdict,
+                           compare_traces, lockstep)
+from vercore.golden import HaltKind
+
+from mutants import MUTANTS, mutant
+from test_mutants import PROGRAMS as MUTANT_PROGRAMS  # catch every mutant
+
+
+def whole_trace_lockstep(program, max_cycles, mul_latency=mul.DEFAULT_LATENCY,
+                         max_steps=None):
+    """The reference: run the golden model, then the pipeline, each to its
+    own halt, cut the pipeline at the step cap, and compare once."""
+    gstate = golden.ArchState(pc=program.entry, mem=program.image.clone())
+    gtrace, ghalt = golden.run(gstate, max_steps or max_cycles)
+    core = pipeline.CoreState.reset(
+        pipeline.PipelineConfig(program.entry, mul_latency))
+    run = pipeline.run_core(core, program.image.clone(), max_cycles)
+    commits, commit_cycles, cycles, halt = (run.commits, run.commit_cycles,
+                                            run.cycles, run.halt)
+    n = len(gtrace)
+    if ghalt.kind is HaltKind.MAX_STEPS and len(commits) > n:
+        commits, commit_cycles = commits[:n], commit_cycles[:n]
+        cycles, halt = commit_cycles[-1] + 1, ghalt
+    mismatch = compare_traces(gtrace, commits, commit_cycles)
+    note = context = None
+    if mismatch is not None:
+        lo = max(0, mismatch.index - CONTEXT_COMMITS)
+        hi = mismatch.index + CONTEXT_COMMITS + 1
+        context = MismatchContext(gtrace[lo:hi], commits[lo:hi])
+    elif HaltKind.ERROR in (ghalt.kind, halt.kind):
+        note = (f"simulation error: golden={ghalt.kind.value} "
+                f"{ghalt.message} / pipeline={halt.kind.value} {halt.message}")
+    elif not cosim._halts_agree(ghalt, halt):
+        note = (f"halt mismatch: golden={ghalt.kind.value}({ghalt.code}) "
+                f"pipeline={halt.kind.value}({halt.code})")
+    report = cosim.cpi(len(commits), cycles) if commits else None
+    return Verdict(mismatch is None and note is None, program.name, ghalt,
+                   halt, len(commits), cycles, report, mismatch, context,
+                   note or "")
+
+
+WINDOWS = (1, 7, 64, cosim.WINDOW_CYCLES)
+
+
+@pytest.fixture(params=WINDOWS, ids=lambda w: f"window{w}")
+def window(request, monkeypatch):
+    monkeypatch.setattr(cosim, "WINDOW_CYCLES", request.param)
+    return request.param
+
+
+def assert_same_verdicts(programs, max_cycles=100_000, **kwargs):
+    for program in programs:
+        assert lockstep(program, max_cycles, **kwargs) \
+            == whole_trace_lockstep(program, max_cycles, **kwargs), \
+            program.name
+
+
+@pytest.mark.parametrize("latency", (1, 4))
+def test_windows_give_the_whole_trace_verdict(window, latency):
+    programs = ([progs.benchmark_program(16), progs.fib_program(),
+                 progs.flush_bug_program()] + progs.fault_programs()
+                + progs.corpus(64))
+    assert_same_verdicts(programs, mul_latency=latency)
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_windows_give_the_whole_trace_verdict_on_mutants(window, name,
+                                                         monkeypatch):
+    monkeypatch.setattr(pipeline, "step_cycle", mutant(name))
+    assert_same_verdicts(MUTANT_PROGRAMS + [progs.benchmark_program(16)],
+                         max_cycles=5_000)
+
+
+@pytest.mark.parametrize("program", [
+    progs.fib_program(), progs.benchmark_program(16),
+    progs.assemble([progs.JAL(0, 0)], "loop")], ids=lambda p: p.name)
+def test_windows_give_the_whole_trace_verdict_under_a_step_cap(window,
+                                                               program):
+    retired = whole_trace_lockstep(program, 3_000).retired
+    for steps in (1, 10, retired - 1, retired, retired + 1):
+        assert_same_verdicts([program], 3_000, max_steps=steps)
+
+
+def test_a_step_cap_after_a_mismatch_gives_the_whole_trace_verdict(
+        window, monkeypatch):
+    monkeypatch.setattr(pipeline, "step_cycle", mutant("no_flush"))
+    program = progs.flush_bug_program()
+    v = lockstep(program, 1_000)
+    assert v.mismatch is not None
+    for steps in (v.mismatch.index, v.mismatch.index + 1, v.retired):
+        assert_same_verdicts([program], 1_000, max_steps=steps)
+
+
+def test_a_cycle_cap_on_a_window_boundary(window):
+    program = progs.benchmark_program(32)  # 2,544 cycles
+    for windows in (1, 2):
+        v = lockstep(program, windows * window)
+        assert v.core_halt.kind is HaltKind.MAX_CYCLES
+        assert v.cycles == windows * window
+        assert_same_verdicts([program], windows * window)
+
+
+def test_a_step_cap_stops_the_pipeline_within_a_window(monkeypatch):
+    """The golden model stops at the cap after one commit, so the pipeline
+    stops at the end of the window in which it passed that commit instead
+    of running to its cycle cap."""
+    runs = []
+    real = cosim.run_core
+
+    def keeping_core(core, *args, **kwargs):
+        runs.append(core)
+        return real(core, *args, **kwargs)
+
+    monkeypatch.setattr(cosim, "run_core", keeping_core)
+    loop = progs.assemble([progs.JAL(0, 0)], "loop")
+    seen = []
+    v = lockstep(loop, 200_000, max_steps=1, sink=seen.append)
+    assert v.passed and (v.retired, v.cycles) == (1, 5)
+    assert v.core_halt.kind is HaltKind.MAX_STEPS
+    assert len(seen) == runs[-1].cycle <= cosim.WINDOW_CYCLES
+
+
+def test_a_capped_run_within_one_window_hands_the_sink_every_cycle():
+    seen = []
+    v = lockstep(progs.fib_program(), 10_000, max_steps=1, sink=seen.append)
+    assert (v.retired, v.cycles) == (1, 5)
+    assert len(seen) == lockstep(progs.fib_program(), 10_000).cycles == 81
+
+
+def _lockstep_peak(program, max_cycles=100_000):
+    """Peak traced bytes of one lockstep of program, and its verdict."""
+    lockstep(program, max_cycles)  # fills isa.decode's cache first
+    tracemalloc.start()
+    try:
+        verdict = lockstep(program, max_cycles)
+        return tracemalloc.get_traced_memory()[1], verdict
+    finally:
+        tracemalloc.stop()
+
+
+def test_lockstep_memory_does_not_grow_with_run_length():
+    """Four times the cycles take at most 1.25 times the memory."""
+    small, v_small = _lockstep_peak(progs.benchmark_program(32))
+    large, v_large = _lockstep_peak(progs.benchmark_program(128))
+    assert v_small.passed and v_large.passed
+    assert v_large.cycles >= 3.9 * v_small.cycles
+    assert large <= 1.25 * small
+
+
+def test_failing_lockstep_memory_does_not_grow_with_run_length(monkeypatch):
+    """A run that fails early still runs both models to their halts, and
+    holds only the context of its first mismatch."""
+    monkeypatch.setattr(pipeline, "step_cycle", mutant("stale_mem_txn"))
+    small, v_small = _lockstep_peak(progs.benchmark_program(32))
+    large, v_large = _lockstep_peak(progs.benchmark_program(128))
+    assert v_small.mismatch is not None and v_large.mismatch is not None
+    assert v_small.mismatch.index < 100
+    assert v_large.cycles >= 3.9 * v_small.cycles
+    assert large <= 1.25 * small
