@@ -41,6 +41,10 @@ class UnterminatedSymbolName(ElfFormatError):
     pass
 
 
+class BadSegment(ElfFormatError):
+    pass
+
+
 @dataclass
 class Segment:
     vaddr: int
@@ -65,7 +69,9 @@ def load_elf(data: bytes, tohost_addr: Optional[int] = None) -> tuple[MemoryImag
     """Load all PT_LOAD segments of an ELF32 LE RISC-V executable.
 
     File contents are copied to their virtual addresses and the memsz tail
-    beyond filesz is zero-filled (BSS).  If the symbol table defines `tohost`
+    beyond filesz is zero-filled (BSS).  A segment whose filesz exceeds its
+    memsz, or that runs past the 32-bit address space, raises BadSegment
+    instead of loading bytes the ELF spec forbids.  If the symbol table defines `tohost`
     its address is used as the image's tohost trigger unless an explicit
     address is passed in.
     """
@@ -93,6 +99,12 @@ def load_elf(data: bytes, tohost_addr: Optional[int] = None) -> tuple[MemoryImag
             _p_align = struct.unpack("<IIIIIIII", ph)
         if p_type != PT_LOAD:
             continue
+        if p_filesz > p_memsz:
+            raise BadSegment(
+                f"segment {i} filesz {p_filesz} exceeds memsz {p_memsz}")
+        if p_vaddr + p_memsz > 1 << 32:
+            raise BadSegment(f"segment {i} at 0x{p_vaddr:08x} with memsz "
+                             f"{p_memsz} runs past the 32-bit address space")
         contents = _slice(data, p_offset, p_filesz, f"segment {i} contents")
         img.load_bytes(p_vaddr, contents)
         if p_memsz > p_filesz:

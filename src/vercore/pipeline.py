@@ -147,7 +147,6 @@ class Slot:
 
 @dataclass(frozen=True)
 class HazardDecision:
-    stall_pc: bool = False
     stall_ifid: bool = False
     flush_ifid: bool = False
     bubble_idex: bool = False
@@ -155,11 +154,12 @@ class HazardDecision:
 
 
 # hazard_detect's only outcomes, shared rather than built every cycle.
-# _HOLD_ID keeps the ID instruction and the fetch pc and bubbles ID/EX: for a
-# load-use pair, and for an illegal or misaligned-target instruction in ID
-# that waits for EX and MEM to empty before it faults.
-_MUL_STALL = HazardDecision(stall_pc=True, stall_ifid=True, global_stall=True)
-_HOLD_ID = HazardDecision(stall_pc=True, stall_ifid=True, bubble_idex=True)
+# stall_ifid holds both IF/ID and the fetch pc.  _HOLD_ID keeps the ID
+# instruction and the fetch pc and bubbles ID/EX: for a load-use pair, and
+# for an illegal or misaligned-target instruction in ID that waits for EX
+# and MEM to empty before it faults.
+_MUL_STALL = HazardDecision(stall_ifid=True, global_stall=True)
+_HOLD_ID = HazardDecision(stall_ifid=True, bubble_idex=True)
 _FLUSH = HazardDecision(flush_ifid=True)
 _NO_HAZARD = HazardDecision()
 
@@ -294,14 +294,14 @@ def load_extract(funct3: int, addr: int, mem_word: int) -> int:
     return mem_word & MASK32
 
 
-# The per-cycle signals, in the order step_cycle returns their values.
-# Names follow the testbench hierarchy used by the trace tooling; a vector's
-# [msb:lsb] suffix gives its width, and a name without one is 1 bit wide.
+# The per-cycle signals, in the order step_cycle hands their values to a
+# sink.  Each carries a fact of its own: none is constant, and no two are
+# equal on every cycle.  Names follow the testbench hierarchy used by the
+# trace tooling; a vector's [msb:lsb] suffix gives its width, and a name
+# without one is 1 bit wide.
 SIGNAL_NAMES: tuple[str, ...] = (
     "vercore_tb.cycle[31:0]",
     "vercore_tb.u_vercore.u_stage_if.pc[31:0]",
-    "vercore_tb.u_vercore.ic_va[31:0]",
-    "vercore_tb.u_vercore.ic_valid",
     "vercore_tb.u_vercore.ic_d_in[31:0]",
     "vercore_tb.u_vercore.dc_va[31:0]",
     "vercore_tb.u_vercore.dc_valid",
@@ -311,9 +311,7 @@ SIGNAL_NAMES: tuple[str, ...] = (
     "vercore_tb.u_vercore.wb_rd[4:0]",
     "vercore_tb.u_vercore.wb_reg_write",
     "vercore_tb.u_vercore.wb_data[31:0]",
-    "vercore_tb.u_vercore.branch_taken",
     "vercore_tb.u_vercore.branch_target[31:0]",
-    "vercore_tb.u_vercore.stall_pc",
     "vercore_tb.u_vercore.stall_ifid",
     "vercore_tb.u_vercore.flush_ifid",
     "vercore_tb.u_vercore.bubble_idex",
@@ -480,9 +478,8 @@ def step_cycle(core: CoreState, mem: MemoryImage,
     fetched = None if fetch_off else mem.fetch_word(ic_va)
 
     if sink is not None:
-        sink((core.cycle, ic_va, ic_va, 1, fetched or 0, *dc, wb_rd,
-              int(wb_rd != 0), wb.mem_data if wb_rd else 0, int(redirect),
-              id_target, int(hz.stall_pc), int(hz.stall_ifid),
+        sink((core.cycle, ic_va, fetched or 0, *dc, wb_rd, int(wb_rd != 0),
+              wb.mem_data if wb_rd else 0, id_target, int(hz.stall_ifid),
               int(hz.flush_ifid), int(hz.bubble_idex), int(hz.global_stall),
               int(f.valid), int(d is not None), int(m.d is not None),
               int(wb.d is not None)))
@@ -516,8 +513,8 @@ def step_cycle(core: CoreState, mem: MemoryImage,
                     core.halt_fetch = True
             wb.valid, wb.pc, wb.instr = \
                 not (redirect or core.halt_fetch), ic_va, fetched
-        core.pc_f = next_pc(core, redirect, id_target,
-                            hz.stall_pc or core.halt_fetch or fetched is None)
+        core.pc_f = next_pc(core, redirect, id_target, hz.stall_ifid
+                            or core.halt_fetch or fetched is None)
 
     core.cycle += 1
     return commit, None

@@ -20,11 +20,11 @@ functools.lru_cache memos made per call and sized by MEMO_CAP: the writer
 formats a vector signal's change line once per value, the parser reads a
 body line that is exactly one change once per distinct line, and the
 tabulator renders a vector column's cell once per distinct bits.  A
-pipeline trace repeats itself: on benchmark_program(256), pc, ic_va and
-ic_d_in take 33 to 36 values each over 18,445 changes, branch_target 5
-over 9,217 and wb_rd 12 over 14,841; of the 116,259 vector changes only
-cycle's (every value new) and wb_data's (4,829 values over 14,054 changes)
-mostly miss.  So a small LRU keeps every hot entry, the misses churn only
+pipeline trace repeats itself: on benchmark_program(256), pc and ic_d_in
+take 36 and 33 values over 18,445 changes each, branch_target 5 over
+9,217 and wb_rd 12 over 14,841; of the 97,814 vector changes only cycle's
+(every value new) and wb_data's (4,829 values over 14,054 changes) mostly
+miss.  So a small LRU keeps every hot entry, the misses churn only
 the least recently used ones, and memory stays flat however long the run.
 """
 
@@ -95,8 +95,8 @@ def vcd_write(out: TextIO) -> Callable[[tuple], None]:
     differs from the previous cycle's, and no timestamp for a cycle that
     changes nothing.  A tuple of another length than SIGNAL_NAMES raises
     ValueError.  Each vector signal's change line is memoized by value, in
-    an LRU of MEMO_CAP lines per signal: pc, ic_va and ic_d_in repeat 33 to
-    36 values, while cycle's always-new values only churn their own memo.
+    an LRU of MEMO_CAP lines per signal: pc and ic_d_in repeat 36 and 33
+    values, while cycle's always-new values only churn their own memo.
     """
     decls = pipeline_decls()
     out.write("$date\n    vercore trace\n$end\n")
@@ -165,7 +165,7 @@ def vcd_parse(stream: Iterable[str]
 
     A body line that is exactly one change is read once per distinct line,
     through an LRU memo of MEMO_CAP lines: benchmark_program(256)'s VCD has
-    46,077 distinct lines among 194,110, most of them its timestamps and
+    46,032 distinct lines among 167,432, most of them its timestamps and
     its always-new cycle values.
     """
     if isinstance(stream, str):

@@ -1,5 +1,5 @@
-"""Shared test helpers: a clang-based RISC-V reference assembler oracle and
-a hand-rolled ELF32 writer for loader fixtures."""
+"""Shared test helpers: a clang-based RISC-V reference assembler oracle, a
+hand-rolled ELF32 writer for loader fixtures, and a program's words."""
 
 from __future__ import annotations
 
@@ -54,6 +54,17 @@ HAVE_CLANG = _clang_works()
 
 needs_clang = pytest.mark.skipif(
     not HAVE_CLANG, reason="clang RISC-V backend not available")
+
+
+def program_words(program) -> list[int]:
+    """The program's words, read from its entry up to the first unwritten
+    word."""
+    words = []
+    addr = program.entry
+    while (word := program.image.fetch_word(addr)) is not None:
+        words.append(word)
+        addr += 4
+    return words
 
 
 def link_riscv_elf(asm: str, tmpdir, text_addr: int = 0x2000) -> bytes:

@@ -6,7 +6,7 @@ from vercore import cli, cosim, golden, pipeline, progs
 from vercore.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_SIM, EXIT_USAGE
 from vercore.tracetools import DEFAULT_COLUMNS
 
-from conftest import build_elf32
+from conftest import build_elf32, program_words
 from mutants import mutant
 
 FLUSH_BUG_REPORT = """\
@@ -38,16 +38,6 @@ def vercore(*argv) -> int:
         return cli.main([str(a) for a in argv])
     except SystemExit as exc:
         return exc.code
-
-
-def program_words(program):
-    """The written words from the entry on."""
-    words = []
-    addr = program.entry
-    while program.image.is_initialized(addr, 4):
-        words.append(program.image.read_word(addr))
-        addr += 4
-    return words
 
 
 def write_hex(path, program):
@@ -339,6 +329,13 @@ class TestMalformedInput:
         assert vercore("run", elf) == EXIT_INPUT
         assert capsys.readouterr().err == (
             "input error: symbol 2 name at strtab offset 8 has no NUL\n")
+
+    def test_elf_segment_larger_than_its_memsz(self, tmp_path, capsys):
+        elf = tmp_path / "bad.elf"
+        elf.write_bytes(build_elf32([(0x2000, bytes(16), 4)], entry=0x2000))
+        assert vercore("run", elf) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "input error: segment 0 filesz 16 exceeds memsz 4\n")
 
     @pytest.mark.parametrize("command", ["run", "sim", "cosim", "vcd2csv",
                                          "diff-trace"])

@@ -6,8 +6,9 @@ import subprocess
 
 import pytest
 
-from vercore.elf import (Not32Bit, NotElf, NotLittleEndian, NotRiscv,
-                         TruncatedFile, UnterminatedSymbolName, load_elf)
+from vercore.elf import (BadSegment, Not32Bit, NotElf, NotLittleEndian,
+                         NotRiscv, TruncatedFile, UnterminatedSymbolName,
+                         load_elf)
 
 from conftest import READELF, build_elf32, link_riscv_elf, needs_clang
 
@@ -79,6 +80,22 @@ class TestLoadElf:
             load_elf(data[:40])
         with pytest.raises(TruncatedFile):
             load_elf(data[:100])
+
+    @pytest.mark.parametrize("segment, message", [
+        ((0x2000, bytes(16), 4), "segment 0 filesz 16 exceeds memsz 4"),
+        ((0xFFFFFFF8, bytes(range(16)), 16), "segment 0 at 0xfffffff8 with "
+         "memsz 16 runs past the 32-bit address space"),
+    ])
+    def test_bad_segment(self, segment, message):
+        with pytest.raises(BadSegment) as exc:
+            load_elf(build_elf32([segment], entry=segment[0]))
+        assert str(exc.value) == message
+
+    def test_segment_ending_at_the_top_of_memory(self):
+        img, _ = load_elf(build_elf32([(0xFFFFFFF0, bytes(range(16)), 16)],
+                                      entry=0xFFFFFFF0))
+        assert img.read_word(0xFFFFFFFC) == 0x0F0E0D0C
+        assert not img.is_initialized(0)
 
     def test_unterminated_symbol_name(self):
         # "_start" is the table's last name; its NUL falls outside sh_size.

@@ -17,7 +17,7 @@ import hashlib
 from vercore import golden, progs
 from vercore.pipeline import CoreState, PipelineConfig, run_core
 
-PINNED = "10cbca4f6d5f9b440dfdb1bbd5ef92b53ab2172a9b60dddf5201e8ac5e816d99"
+PINNED = "79ea83aa86e90a4e7e0b3d636473daac59d541c4922f8a4e0864715d5bb16f20"
 
 
 def _commit(c) -> tuple:

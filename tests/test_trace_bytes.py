@@ -16,16 +16,9 @@ import io
 
 from vercore import cli, progs
 
-PINNED = "fc43116852a3fc40a38bb3e4852f1d3a349d653b3f692cd15cfec3d2cb532381"
+from conftest import program_words
 
-
-def _hex(program) -> str:
-    words = []
-    addr = program.entry
-    while program.image.is_initialized(addr, 4):
-        words.append(program.image.read_word(addr))
-        addr += 4
-    return progs.to_hex(words, program.entry)
+PINNED = "8f57b7a6583e598c0c3a97300fcaa6b974a230cbcd8850a6d120ec244db6ea15"
 
 
 def trace_digest(tmp_path) -> str:
@@ -41,7 +34,8 @@ def trace_digest(tmp_path) -> str:
         digest.update(repr((argv[0], code, out.getvalue())).encode())
 
     for program in [progs.benchmark_program(16)] + progs.corpus(8):
-        (tmp_path / "p.hex").write_text(_hex(program))
+        (tmp_path / "p.hex").write_text(
+            progs.to_hex(program_words(program), program.entry))
         main("run", hex_path, "--reg-trace", reg)
         for latency in ("1", "4"):
             main("sim", hex_path, "--mul-latency", latency, "--vcd", vcd)

@@ -25,7 +25,7 @@ def test_a_name_suffix_gives_the_width():
     widths = {d.name.rsplit(".", 1)[1]: d.width for d in decls}
     assert (widths["cycle[31:0]"], widths["dc_byte_en[3:0]"],
             widths["wb_rd[4:0]"], widths["dc_valid"]) == (32, 4, 5, 1)
-    assert sorted(WIDTHS) == [1] * 13 + [4, 5] + [32] * 9
+    assert sorted(WIDTHS) == [1] * 10 + [4, 5] + [32] * 8
 
 
 def _value(width):
