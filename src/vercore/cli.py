@@ -6,6 +6,9 @@ commit traces, or of two clean halts) or a missed CPI bound, 2 usage error,
 3 input/parse error or a file that cannot be read or written, 4 simulation
 error (either model halted with an error).
 `run`/`sim` propagate the guest exit code (a0 at ecall, or the tohost word).
+Lockstep stops at the window of its first mismatch, so the `CPI:` line of a
+failing `cosim`, and a FAIL row of `bench` with its `BENCH:` line, count the
+partial run it made.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ commit traces are compared in retirement order, each commit record whole:
 pc, instruction word, register write and memory transaction.  They run in
 windows of WINDOW_CYCLES pipeline cycles, each compared as it ends, so
 lockstep holds one window of commits plus CONTEXT_COMMITS per side however
-long the run.  The first divergence is reported with the commits around it
-on both sides, taken from the one pipeline run.
+long the run.  Lockstep stops at the end of the window of the first
+divergence, which is reported with the commits around it on both sides,
+taken from the one pipeline run.
 """
 
 from __future__ import annotations
@@ -92,6 +93,11 @@ class MismatchContext:
 
 @dataclass
 class Verdict:
+    """One lockstep's outcome.  retired, cycles and both halts describe the
+    run it made: on a mismatch, up to the end of that window, where a side
+    that had not halted reports MAX_STEPS (golden) or MAX_CYCLES (pipeline).
+    Without a mismatch, both models ran to their halts."""
+
     passed: bool
     program: str
     golden_halt: HaltCause
@@ -125,83 +131,73 @@ def lockstep(program: Program, max_cycles: int,
     Both models start at program.entry and run in windows.  In each, the
     pipeline runs WINDOW_CYCLES cycles (run_core on the one CoreState, so
     cycles stay absolute), the golden model steps as many commits as the
-    pipeline made, and compare_traces compares the two.  Once the pipeline
-    has halted, the golden model steps WINDOW_CYCLES commits per window up
-    to its own halt.  Besides one window of commits, lockstep holds only
-    the last CONTEXT_COMMITS of each side, and after a mismatch only the
-    commits of its context; both models still run on to their own halts.
+    pipeline made, and compare_traces compares the two; once the pipeline
+    has halted, the golden model steps CONTEXT_COMMITS + 1 more, to show a
+    commit the pipeline lacks and its context.  Lockstep stops at the end of
+    the window of the first mismatch, or once both models have halted, and
+    holds one window of commits plus the last CONTEXT_COMMITS of each side.
 
     max_steps caps both models' commits: once the golden model stops at
     that cap with n commits and the pipeline has made more, the pipeline
     stops at the end of that window, and its run counts to commit n.  A
     sink is handed to run_core and sees the pipeline's signal values, one
     tuple per cycle, while it runs (see run_core): with a step cap, up to
-    the end of the window in which the pipeline passed it.  An entry that
-    is not word-aligned raises ValueError before either runs.
+    the end of the window in which the pipeline passed it.  A max_cycles
+    or max_steps below 1, or an entry that is not word-aligned, raises
+    ValueError before either model runs.
     """
+    for name, cap in (("max_cycles", max_cycles), ("max_steps", max_steps)):
+        if cap is not None and cap < 1:
+            raise ValueError(f"{name} must be at least 1, got {cap}")
     check_reset_pc(program.entry)
     gstate = golden.ArchState(pc=program.entry, mem=program.image.clone())
-    gcap = max_steps or max_cycles
+    gcap = max_cycles if max_steps is None else max_steps
     core = CoreState.reset(PipelineConfig(program.entry, mul_latency))
     pmem = program.image.clone()
 
-    ghalt: Optional[HaltCause] = None  # each model's halt, once it has one
-    phalt: Optional[HaltCause] = None
-    stepped = retired = cycles = last_commit_cycle = 0
-    mismatch: Optional[Mismatch] = None
-    # Before a mismatch: each side's last CONTEXT_COMMITS compared commits.
-    # After it: each side's context, up to span commits from the same one.
+    gdone = False  # the golden model has halted, or stopped at gcap
+    retired = last_commit_cycle = 0
+    context = None
+    # each side's last CONTEXT_COMMITS compared commits
     gkept: list[CommitRecord] = []
     pkept: list[CommitRecord] = []
-    span = 0
     while True:
         base = retired  # the ordinal of this window's first commit
-        pchunk: list[CommitRecord] = []
-        pcycles: list[int] = []
-        if phalt is None:
-            window = min(WINDOW_CYCLES, max_cycles - core.cycle)
-            run = run_core(core, pmem, window, sink=sink)
-            pchunk, pcycles = run.commits, run.commit_cycles
-            retired, cycles, halt = retired + len(pchunk), run.cycles, run.halt
-            del run  # so that the del below frees its lists
-            if halt.kind is not HaltKind.MAX_CYCLES or cycles == max_cycles:
-                phalt = halt
+        run = run_core(core, pmem, min(WINDOW_CYCLES, max_cycles - core.cycle),
+                       sink=sink)
+        pchunk, pcycles, phalt, cycles = (run.commits, run.commit_cycles,
+                                          run.halt, run.cycles)
+        del run  # so that the del below frees its lists
+        pdone = phalt.kind is not HaltKind.MAX_CYCLES or cycles == max_cycles
         gchunk: list[CommitRecord] = []
-        budget = min(gcap - stepped,
-                     len(pchunk) if phalt is None else WINDOW_CYCLES)
-        if ghalt is None and budget:
-            gchunk, halt = golden.run(gstate, budget)
-            stepped += len(gchunk)
-            if halt.kind is not HaltKind.MAX_STEPS or stepped == gcap:
-                ghalt = halt
-        if ghalt is not None and ghalt.kind is HaltKind.MAX_STEPS \
-                and retired > stepped:
+        budget = min(gcap - base,
+                     len(pchunk) + (CONTEXT_COMMITS + 1 if pdone else 0))
+        if not gdone and budget:
+            gchunk, ghalt = golden.run(gstate, budget)
+            gdone = (ghalt.kind is not HaltKind.MAX_STEPS
+                     or base + len(gchunk) == gcap)
+        if gdone and ghalt.kind is HaltKind.MAX_STEPS \
+                and len(pchunk) > len(gchunk):
             # max_steps caps both models: the pipeline's run ends at commit n
-            keep = stepped - base
-            pchunk, pcycles = pchunk[:keep], pcycles[:keep]
+            del pchunk[len(gchunk):], pcycles[len(gchunk):]
             cycles = (pcycles[-1] if pcycles else last_commit_cycle) + 1
-            retired, phalt = stepped, ghalt
+            phalt, pdone = ghalt, True
+        retired = base + len(pchunk)
+
+        mismatch = compare_traces(gchunk, pchunk, actual_cycles=pcycles)
+        if mismatch is not None:
+            i = len(gkept) + mismatch.index  # its place in gkept + gchunk
+            lo, hi = max(0, i - CONTEXT_COMMITS), i + CONTEXT_COMMITS + 1
+            context = MismatchContext((gkept + gchunk)[lo:hi],
+                                      (pkept + pchunk)[lo:hi])
+            mismatch = replace(mismatch, index=base + mismatch.index)
+            break
+        if gdone and pdone:
+            break
+        gkept = (gkept + gchunk[-CONTEXT_COMMITS:])[-CONTEXT_COMMITS:]
+        pkept = (pkept + pchunk[-CONTEXT_COMMITS:])[-CONTEXT_COMMITS:]
         if pcycles:
             last_commit_cycle = pcycles[-1]
-
-        if mismatch is not None:
-            gkept += gchunk[:span - len(gkept)]
-            pkept += pchunk[:span - len(pkept)]
-        elif gchunk or pchunk:
-            mismatch = compare_traces(gchunk, pchunk, actual_cycles=pcycles)
-            if mismatch is not None:
-                mismatch = replace(mismatch, index=base + mismatch.index)
-                lo = max(0, mismatch.index - CONTEXT_COMMITS)
-                span = mismatch.index + CONTEXT_COMMITS + 1 - lo
-                # gkept + gchunk holds the commits from base - len(gkept) on
-                start = lo - base + len(gkept)
-                gkept = (gkept + gchunk)[start:start + span]
-                pkept = (pkept + pchunk)[start:start + span]
-        if ghalt is not None and phalt is not None:
-            break
-        if mismatch is None:
-            gkept = (gkept + gchunk[-CONTEXT_COMMITS:])[-CONTEXT_COMMITS:]
-            pkept = (pkept + pchunk[-CONTEXT_COMMITS:])[-CONTEXT_COMMITS:]
         del gchunk, pchunk, pcycles  # before the next window's are made
 
     report = cpi(retired, cycles) if retired else None
@@ -216,8 +212,6 @@ def lockstep(program: Program, max_cycles: int,
         passed = False
         note = (f"halt mismatch: golden={ghalt.kind.value}({ghalt.code}) "
                 f"pipeline={phalt.kind.value}({phalt.code})")
-
-    context = None if mismatch is None else MismatchContext(gkept, pkept)
     return Verdict(passed, program.name, ghalt, phalt, retired, cycles,
                    report, mismatch, context, note)
 

@@ -121,6 +121,18 @@ class TestCosim:
         assert capsys.readouterr().out.splitlines() == [
             "RESULT: PASS fib.hex", "CPI: cycles=5 retired=1 cpi=5.0000"]
 
+    def test_a_mismatch_stops_the_run_at_its_window(self, no_flush, tmp_path,
+                                                    capsys):
+        """The report of a failing run counts the cycles it made: up to the
+        end of the window of its first mismatch, not the cycle cap."""
+        path = write_hex(tmp_path / "crc.hex", progs.benchmark_program(32))
+        assert vercore("cosim", path) == EXIT_MISMATCH
+        lines = capsys.readouterr().out.splitlines()
+        assert any(ln.startswith("MISMATCH: index=10 ") for ln in lines)
+        (cpi_line,) = [ln for ln in lines if ln.startswith("CPI: ")]
+        cycles = int(cpi_line.split()[1].removeprefix("cycles="))
+        assert cycles <= cosim.WINDOW_CYCLES
+
     def test_a_faulting_program_is_a_simulation_error(self, tmp_path, capsys):
         (program,) = [p for p in progs.fault_programs()
                       if p.name == "fault_illegal"]

@@ -1,4 +1,5 @@
-"""Windowed lockstep: the same verdict as one whole-trace compare, a step
+"""Windowed lockstep: the whole-trace verdict on a passing run and, on a
+failing one, the same mismatch from a run that stops at its window; a step
 cap that stops the pipeline, and memory that does not grow with the run."""
 
 import tracemalloc
@@ -57,10 +58,29 @@ def window(request, monkeypatch):
 
 
 def assert_same_verdicts(programs, max_cycles=100_000, **kwargs):
+    """A passing verdict, or a failing one with no mismatch (both models
+    halted), is the reference's.  A failing lockstep stops at the window of
+    its first mismatch: the same mismatch, a context identical through it
+    and a prefix of the reference's after it, and no more commits or
+    cycles than the reference run."""
     for program in programs:
-        assert lockstep(program, max_cycles, **kwargs) \
-            == whole_trace_lockstep(program, max_cycles, **kwargs), \
-            program.name
+        got = lockstep(program, max_cycles, **kwargs)
+        want = whole_trace_lockstep(program, max_cycles, **kwargs)
+        if want.mismatch is None:
+            assert got == want, program.name
+            continue
+        assert (got.passed, got.note, got.mismatch) \
+            == (want.passed, want.note, want.mismatch), program.name
+        through = want.mismatch.index - max(
+            0, want.mismatch.index - CONTEXT_COMMITS) + 1
+        for mine, ref in ((got.context.expected_window,
+                           want.context.expected_window),
+                          (got.context.actual_window,
+                           want.context.actual_window)):
+            assert mine[:through] == ref[:through], program.name
+            assert mine == ref[:len(mine)], program.name
+        assert got.retired <= want.retired, program.name
+        assert got.cycles <= want.cycles, program.name
 
 
 @pytest.mark.parametrize("latency", (1, 4))
@@ -93,7 +113,7 @@ def test_a_step_cap_after_a_mismatch_gives_the_whole_trace_verdict(
         window, monkeypatch):
     monkeypatch.setattr(pipeline, "step_cycle", mutant("no_flush"))
     program = progs.flush_bug_program()
-    v = lockstep(program, 1_000)
+    v = whole_trace_lockstep(program, 1_000)
     assert v.mismatch is not None
     for steps in (v.mismatch.index, v.mismatch.index + 1, v.retired):
         assert_same_verdicts([program], 1_000, max_steps=steps)
@@ -155,13 +175,73 @@ def test_lockstep_memory_does_not_grow_with_run_length():
     assert large <= 1.25 * small
 
 
-def test_failing_lockstep_memory_does_not_grow_with_run_length(monkeypatch):
-    """A run that fails early still runs both models to their halts, and
-    holds only the context of its first mismatch."""
+def test_a_failing_lockstep_stops_at_the_window_of_its_mismatch(
+        window, monkeypatch):
+    """A mismatch at commit 10 costs one window, not the whole cycle cap."""
+    monkeypatch.setattr(pipeline, "step_cycle", mutant("no_flush"))
+    v = lockstep(progs.benchmark_program(32), 100_000)
+    assert v.mismatch is not None and v.mismatch.index == 10
+    assert v.cycles == (v.mismatch.cycle // window + 1) * window
+    assert v.core_halt.kind is HaltKind.MAX_CYCLES
+
+
+def test_a_mismatch_at_commit_10_costs_at_most_one_window(monkeypatch):
+    monkeypatch.setattr(pipeline, "step_cycle", mutant("no_flush"))
+    v = lockstep(progs.benchmark_program(32), 100_000)
+    assert v.mismatch.index == 10 and v.cycles <= cosim.WINDOW_CYCLES
+    assert v.golden_halt.kind is HaltKind.MAX_STEPS
+
+
+def test_a_failing_lockstep_costs_the_same_however_long_the_program(
+        monkeypatch):
     monkeypatch.setattr(pipeline, "step_cycle", mutant("stale_mem_txn"))
-    small, v_small = _lockstep_peak(progs.benchmark_program(32))
-    large, v_large = _lockstep_peak(progs.benchmark_program(128))
-    assert v_small.mismatch is not None and v_large.mismatch is not None
-    assert v_small.mismatch.index < 100
-    assert v_large.cycles >= 3.9 * v_small.cycles
-    assert large <= 1.25 * small
+    small = lockstep(progs.benchmark_program(32), 100_000)
+    large = lockstep(progs.benchmark_program(128), 100_000)
+    assert small.mismatch is not None and large.mismatch is not None
+    assert small.mismatch.index == large.mismatch.index < 100
+    assert small.cycles == large.cycles <= cosim.WINDOW_CYCLES
+
+
+def test_a_passing_lockstep_steps_each_model_once_per_commit_or_cycle(
+        monkeypatch):
+    """The golden model's extra CONTEXT_COMMITS + 1 budget after the
+    pipeline halts never adds a step to a passing run."""
+    counts = {"golden": 0, "pipeline": 0}
+
+    def counted(name, real):
+        def step(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return step
+
+    monkeypatch.setattr(golden, "step", counted("golden", golden.step))
+    monkeypatch.setattr(pipeline, "step_cycle",
+                        counted("pipeline", pipeline.step_cycle))
+    for program in ([progs.fib_program(), progs.benchmark_program(16)]
+                    + progs.corpus(8)):
+        counts.update(golden=0, pipeline=0)
+        v = lockstep(program, 100_000)
+        assert v.passed, program.name
+        assert (counts["golden"], counts["pipeline"]) \
+            == (v.retired, v.cycles), program.name
+
+
+@pytest.fixture
+def no_model_runs(monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("a model ran")
+
+    monkeypatch.setattr(golden, "run", ran)
+    monkeypatch.setattr(cosim, "run_core", ran)
+
+
+@pytest.mark.parametrize("max_cycles", (0, -1))
+def test_a_cycle_cap_below_one_is_refused(max_cycles, no_model_runs):
+    with pytest.raises(ValueError):
+        lockstep(progs.fib_program(), max_cycles)
+
+
+@pytest.mark.parametrize("max_steps", (0, -1))
+def test_a_step_cap_below_one_is_refused(max_steps, no_model_runs):
+    with pytest.raises(ValueError):
+        lockstep(progs.fib_program(), 100, max_steps=max_steps)
