@@ -19,7 +19,7 @@ from . import golden, mul
 from .golden import CommitRecord, HaltCause, HaltKind
 from .isa import decode, disassemble
 from .memory import MemoryImage
-from .pipeline import CoreState, PipelineConfig, check_reset_pc, run_core
+from .pipeline import CoreState, PipelineConfig, run_core
 
 
 class ZeroRetired(ValueError):
@@ -149,7 +149,6 @@ def lockstep(program: Program, max_cycles: int,
     for name, cap in (("max_cycles", max_cycles), ("max_steps", max_steps)):
         if cap is not None and cap < 1:
             raise ValueError(f"{name} must be at least 1, got {cap}")
-    check_reset_pc(program.entry)
     gstate = golden.ArchState(pc=program.entry, mem=program.image.clone())
     gcap = max_cycles if max_steps is None else max_steps
     core = CoreState.reset(PipelineConfig(program.entry, mul_latency))

@@ -233,7 +233,7 @@ def step(state: ArchState) -> Union[CommitRecord, HaltCause]:
         return fault(f"misaligned control transfer to 0x{next_pc:08x}", pc)
 
     state.pc = next_pc
-    if d.ctrl.reg_write and d.rd != 0:
+    if d.rd:
         regs[d.rd] = wb
         return commit_record((pc, word, d.rd, wb, txn))
     return commit_record((pc, word, 0, 0, txn))

@@ -107,15 +107,17 @@ class Mnemonic(enum.Enum):
 
 @dataclass(frozen=True)
 class Control:
-    """Per-instruction control classification derived from the mnemonic."""
+    """Per-instruction control classification derived from the mnemonic.
 
-    reg_write: bool = False
+    Register use is not a flag: decode zeroes each register field that an
+    instruction does not use, the reserved FENCE and FENCE.I rd and rs1
+    included (see _KEEPS), so a non-zero rd is a write and a non-zero rs1
+    or rs2 a read."""
+
     mem_read: bool = False
     mem_write: bool = False
     is_branch: bool = False
     mul_en: bool = False
-    uses_rs1: bool = False
-    uses_rs2: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,7 +213,10 @@ _NO_EFFECT = {Mnemonic.FENCE, Mnemonic.FENCE_I, Mnemonic.ECALL, Mnemonic.EBREAK}
 _SYSTEM_WORDS = {Mnemonic.ECALL: 0x00000073, Mnemonic.EBREAK: 0x00100073}
 
 
-# Which of rd, rs1 and rs2 each format keeps: the rest decode as x0.
+# Which of rd, rs1 and rs2 each format keeps: the rest decode as x0, so
+# that the decoded fields alone say what an instruction writes and reads.
+# fence, fence.i, ecall and ebreak keep none: the spec reserves the FENCE
+# and FENCE.I rd and rs1 fields, and implementations shall ignore them.
 _KEEPS: dict[Format, tuple[bool, bool, bool]] = {
     Format.R: (True, True, True), Format.I: (True, True, False),
     Format.S: (False, True, True), Format.B: (False, True, True),
@@ -219,13 +224,9 @@ _KEEPS: dict[Format, tuple[bool, bool, bool]] = {
 
 
 def _control_for(mn: Mnemonic, enc: Encoding) -> Control:
-    if mn in _NO_EFFECT:
-        return Control()
-    reg_write, uses_rs1, uses_rs2 = _KEEPS[enc.fmt]
-    return Control(reg_write=reg_write, mem_read=enc.opcode == OP_LOAD,
+    return Control(mem_read=enc.opcode == OP_LOAD,
                    mem_write=enc.opcode == OP_STORE,
-                   is_branch=enc.opcode == OP_BRANCH,
-                   mul_en=mn in MULS, uses_rs1=uses_rs1, uses_rs2=uses_rs2)
+                   is_branch=enc.opcode == OP_BRANCH, mul_en=mn in MULS)
 
 
 # Immediate extractors of a 32-bit word, one per format; (x ^ s) - s
@@ -245,7 +246,7 @@ _IMM: dict[Format, Callable[[int], int]] = {
 
 # Decode tables of shapes, keyed on the bits each encoding fixes (see the
 # module docstring).  A shape is (mnemonic, fmt, ctrl, imm_of, rd_mask,
-# rs1_mask, rs2_mask): a register the format does not keep has mask 0.
+# rs1_mask, rs2_mask): a register the instruction does not keep has mask 0.
 _BY_F3F7: dict[int, tuple] = {}  # word & 0xFE00707F: R-type, shifts
 _BY_F3: dict[int, tuple] = {}    # word & 0x707F: other I, S, B
 _BY_OP: dict[int, tuple] = {}    # word & 0x7F: U, J
@@ -255,7 +256,8 @@ for _mn, _enc in ENCODINGS.items():
     _imm_of = ((lambda w: (w >> 20) & 0x1F) if _mn in _SHIFTS_IMM
                else _IMM.get(_enc.fmt, lambda w: 0))
     _shape = (_mn, _enc.fmt, _control_for(_mn, _enc), _imm_of,
-              *(0x1F if keep else 0 for keep in _KEEPS[_enc.fmt]))
+              *(0x1F if keep and _mn not in _NO_EFFECT else 0
+                for keep in _KEEPS[_enc.fmt]))
     if _mn in _SYSTEM_WORDS:
         _BY_WORD[_SYSTEM_WORDS[_mn]] = _shape
     elif _enc.funct7 is not None:

@@ -27,13 +27,14 @@ and the four pipeline registers refer to the slots of the instructions in
 them: the latch moves those references downstream and copies no field.
 The slot leaving WB is refilled by IF, or becomes the ID/EX bubble of a
 hold.  The facts later stages need are written on the slot once: rd (0 for
-no register write) and the halt kind as it enters ID/EX, the EX result and
+no register write, and for a bubble) as it enters ID/EX, the EX result and
 the write-back value in EX, which a load's data replaces in MEM.  Field d
 holds the instruction as `isa.decode` returned it; `d is None` is a bubble.
-Later stages read register indices, immediate, funct3, mnemonic and
-`isa.Control` flags from d, and take the EX result, branch comparator and
-halt kind from this module's own per-mnemonic tables, never from the golden
-model's.  A multiply hands its mnemonic to the multiplier as its operation.
+Later stages read everything else from d: register indices, immediate,
+funct3, mnemonic and `isa.Control` flags.  They take the EX result, branch
+comparator and halt kind from this module's own per-mnemonic tables, never
+from the golden model's.  A multiply hands its mnemonic to the multiplier
+as its operation.
 """
 
 from __future__ import annotations
@@ -120,12 +121,12 @@ class Slot:
 
     IF fills valid, pc and instr (a valid slot with instr None is a fetch
     from unwritten memory, which faults in ID); ID the operand values.
-    Entering ID/EX, the slot gets d (None: bubble), rd (0: no register
-    write) and halt (the ecall/ebreak kind).  EX writes alu_result (ALU or
-    multiplier value, address or jump link), store_data and mem_data, the
-    write-back value that a load's data replaces in MEM.  mem_issued is set
-    once no dcache access is left to make, committed once nothing is left
-    to retire; a bubble has both, as its slot has already passed WB.
+    Entering ID/EX, the slot gets d (None: bubble) and rd, which is d.rd
+    or 0 for a bubble.  EX writes alu_result (ALU or multiplier value,
+    address or jump link), store_data and mem_data, the write-back value
+    that a load's data replaces in MEM.  mem_issued is set once no dcache
+    access is left to make, committed once nothing is left to retire; a
+    bubble has both, as its slot has already passed WB.
     """
 
     valid: bool = False
@@ -135,7 +136,6 @@ class Slot:
     rs1_val: int = 0
     rs2_val: int = 0
     rd: int = 0
-    halt: Optional[HaltKind] = None
     alu_result: int = 0
     store_data: int = 0
     mem_data: int = 0
@@ -175,7 +175,6 @@ class CoreState:
     memwb: Slot = field(default_factory=Slot)
     regfile: list[int] = field(default_factory=lambda: [0] * 32)
     mul: MulUnitState = field(default_factory=MulUnitState.idle)
-    mul_fire: bool = False  # consumer_ready for the unit's next tick
     # ecall/ebreak latched past ID: stop fetching.  IF is also gated in the
     # cycle the ecall/ebreak is decoded in ID, before this is set.
     halt_fetch: bool = False
@@ -183,15 +182,13 @@ class CoreState:
 
     @staticmethod
     def reset(config: PipelineConfig = PipelineConfig()) -> "CoreState":
-        check_reset_pc(config.reset_pc)
+        """The state a run starts from; refuses a reset pc that no
+        instruction fetch could use."""
+        if config.reset_pc & 0x3:
+            raise ValueError(
+                f"reset pc 0x{config.reset_pc:08x} is not word-aligned")
         return CoreState(pc_f=config.reset_pc,
                          mul=MulUnitState.idle(config.mul_latency))
-
-
-def check_reset_pc(pc: int) -> None:
-    """Refuse a start pc that no instruction fetch could use."""
-    if pc & 0x3:
-        raise ValueError(f"reset pc 0x{pc:08x} is not word-aligned")
 
 
 def next_pc(cur: CoreState, taken: bool, target: int, stall: bool) -> int:
@@ -239,16 +236,15 @@ def hazard_detect(id_instr: Optional[DecodedInstr], idex: Slot,
 
     A pending multiply in EX freezes everything (global stall).  A load in
     EX whose rd feeds the ID instruction stalls IF/ID+PC one cycle and
-    bubbles ID/EX; the same rule covers branch/jalr sources.  A taken
-    branch/jump in ID flushes IF/ID.
+    bubbles ID/EX; the same rule covers branch/jalr sources.  The ID
+    instruction reads the rs1 and rs2 that decode gives, which are x0 where
+    it reads none.  A taken branch/jump in ID flushes IF/ID.
     """
     ex = idex.d
     if ex is not None and ex.ctrl.mul_en and not mul.out_valid:
         return _MUL_STALL
     if (id_instr is not None and ex is not None and ex.ctrl.mem_read
-            and ex.rd != 0
-            and ((id_instr.ctrl.uses_rs1 and id_instr.rs1 == ex.rd)
-                 or (id_instr.ctrl.uses_rs2 and id_instr.rs2 == ex.rd))):
+            and ex.rd != 0 and ex.rd in (id_instr.rs1, id_instr.rs2)):
         return _HOLD_ID
     return _FLUSH if branch_in_id else _NO_HAZARD
 
@@ -346,7 +342,7 @@ def step_cycle(core: CoreState, mem: MemoryImage,
         wb_rd = wb.rd
         commit = commit_record((wb.pc, wb.instr, wb_rd,
                                 wb.mem_data if wb_rd else 0, wb.mem_txn))
-        wb_halt = wb.halt
+        wb_halt = _HALT_MNEMONICS.get(wb.d.mnemonic)
         if wb_halt is not None:  # a0 is the exit code of an ecall only
             halt = HaltCause(wb_halt, code=core.regfile[10]
                              if wb_halt is HaltKind.ECALL else 0)
@@ -358,18 +354,19 @@ def step_cycle(core: CoreState, mem: MemoryImage,
     d = ex.d
     m = core.exmem
 
-    fire = core.mul_fire
-    core.mul_fire = False
+    # EX takes a valid result in the cycle it appears, so a result still
+    # valid now was taken last cycle: this tick completes the handshake.
     issue: Optional[MulRequest] = None
     unit = core.mul
     if d is not None:
         ctrl = d.ctrl
         a_fwd = forward_ex(d.rs1, ex.rs1_val, m, wb)
         b_fwd = forward_ex(d.rs2, ex.rs2_val, m, wb)
-        if ctrl.mul_en and (not unit.busy or fire):
+        if ctrl.mul_en and (not unit.busy or unit.out_valid):
             issue = MulRequest(d.mnemonic, a_fwd, b_fwd)
     if issue is not None or unit.busy:  # an idle tick changes nothing
-        core.mul = unit = mulunit.tick(unit, issue=issue, consumer_ready=fire)
+        core.mul = unit = mulunit.tick(unit, issue=issue,
+                                       consumer_ready=unit.out_valid)
 
     ex_rd = ex_result = 0  # EX forwards ex_result to ex_rd; 0: none
     if d is not None:
@@ -377,7 +374,6 @@ def step_cycle(core: CoreState, mem: MemoryImage,
             if unit.out_valid:
                 ex_result = unit.result
                 ex_rd = ex.rd
-                core.mul_fire = True  # handshake completes on the next tick
         else:
             ex_result = _EX_RESULT[d.mnemonic](ex.pc, a_fwd, b_fwd, d.imm)
             if not ctrl.mem_read:
@@ -498,15 +494,13 @@ def step_cycle(core: CoreState, mem: MemoryImage,
         core.memwb, core.exmem = m, ex
         if hz.stall_ifid:  # IF/ID holds
             core.idex = wb
-            wb.d, wb.rd, wb.halt = None, 0, None
+            wb.d, wb.rd = None, 0
         else:
             core.idex, core.ifid = f, wb
             if id_d is None:
-                f.d, f.rd, f.halt = None, 0, None
+                f.d, f.rd = None, 0
             else:
-                f.d = id_d
-                f.rd = id_d.rd if id_d.ctrl.reg_write else 0
-                f.halt, f.committed = id_halt, False
+                f.d, f.rd, f.committed = id_d, id_d.rd, False
                 f.mem_issued = id_d.mnemonic not in MEM_WIDTH
                 f.mem_txn = f.tohost = None
                 if id_halt is not None:

@@ -29,8 +29,7 @@ MUTANTS: dict[str, tuple[str, str]] = {
     "ecall_code_from_a1": ("code=core.regfile[10]", "code=core.regfile[11]"),
     # The bubble of a hold keeps the rd of the slot's last instruction, so
     # EX and ID forward that instruction's stale value to its readers.
-    "hold_bubble_keeps_rd": ("wb.d, wb.rd, wb.halt = None, 0, None",
-                             "wb.d, wb.halt = None, None"),
+    "hold_bubble_keeps_rd": ("wb.d, wb.rd = None, 0", "wb.d = None"),
     # An instruction that makes no dcache access retires with the memory
     # transaction of its slot's last instruction.
     "stale_mem_txn": ("f.mem_txn = f.tohost = None", "f.tohost = None"),

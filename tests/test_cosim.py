@@ -9,7 +9,7 @@ from vercore import cosim, golden, pipeline, progs
 from vercore.cosim import (Program, Verdict, ZeroRetired, compare_traces,
                            format_verdict, lockstep)
 from vercore.golden import CommitRecord, HaltCause, HaltKind, MemTxn
-from vercore.isa import Mnemonic
+from vercore.isa import Mnemonic, decode, encode
 
 from mutants import mutant
 
@@ -271,6 +271,28 @@ class TestPreciseFaults:
         v = lockstep(progs.assemble(words, "fill"), 1000)
         assert v.passed, format_verdict(v)
         assert v.core_halt == HaltCause(HaltKind.ECALL, code=9)
+
+
+class TestFenceReservedFields:
+    @pytest.mark.parametrize("latency", (1, 4))
+    @pytest.mark.parametrize("mn", (Mnemonic.FENCE, Mnemonic.FENCE_I))
+    def test_change_nothing(self, mn, latency):
+        """A fence whose reserved rd and rs1 name the register that the
+        load before it writes neither waits for the load nor writes a
+        register: it runs in the cycles of a plain fence."""
+        plain = encode(mn)
+        fields = plain | 5 << 15 | 5 << 7  # rs1 = rd = x5
+        assert (decode(fields).rd, decode(fields).rs1) == (0, 0)
+        runs = []
+        for fence in (plain, fields):
+            words = [progs.LUI(15, 3), progs.ADDI(5, 0, 9),
+                     progs.SW(5, 0, 15), progs.LW(5, 0, 15), fence,
+                     progs.ADDI(10, 5, 0), progs.ECALL()]
+            v = lockstep(progs.assemble(words, "fence_fields"), 1000,
+                         mul_latency=latency)
+            assert v.passed, format_verdict(v)
+            runs.append((v.cycles, v.retired))
+        assert runs == [(11, 7), (11, 7)]
 
 
 class TestSelfModifyingCode:

@@ -32,7 +32,8 @@ class TestCompleteness:
         """EX adds for lui/auipc/loads/stores; every other instruction
         that reaches the ALU has its own entry."""
         alu = _where(lambda mn: ENCODINGS[mn].fmt in (Format.R, Format.I)
-                     and _ctrl(mn).reg_write and not _ctrl(mn).mem_read
+                     and decode(encode(mn, rd=1)).rd
+                     and not _ctrl(mn).mem_read
                      and not _ctrl(mn).mul_en and mn is not Mnemonic.JALR)
         assert set(pipeline._ALU_OP) == alu
 

@@ -52,17 +52,18 @@ class TestDecodeKnownWords:
         assert d.imm == 0x0000A000  # low 12 bits cleared by definition
 
     def test_control_flags(self):
+        """The flags, and the register fields that stand for register use:
+        a field that the instruction does not use decodes as x0, whatever
+        its bits (here the immediate's)."""
         lw = decode(encode(Mnemonic.LW, rd=5, rs1=6, imm=8))
-        assert lw.ctrl.mem_read and lw.ctrl.reg_write and lw.ctrl.uses_rs1
-        assert not lw.ctrl.uses_rs2
+        assert lw.ctrl.mem_read and (lw.rd, lw.rs1, lw.rs2) == (5, 6, 0)
         sw = decode(encode(Mnemonic.SW, rs1=6, rs2=5, imm=8))
-        assert sw.ctrl.mem_write and not sw.ctrl.reg_write
-        assert sw.ctrl.uses_rs1 and sw.ctrl.uses_rs2
-        jal = decode(0x0000006F)
-        assert jal.ctrl.reg_write and not jal.ctrl.is_branch
-        assert not jal.ctrl.uses_rs1 and not jal.ctrl.uses_rs2
+        assert sw.ctrl.mem_write and (sw.rd, sw.rs1, sw.rs2) == (0, 6, 5)
+        jal = decode(encode(Mnemonic.JAL, rd=1, imm=-4))
+        assert not jal.ctrl.is_branch
+        assert (jal.rd, jal.rs1, jal.rs2) == (1, 0, 0)
         mul = decode(encode(Mnemonic.MUL, rd=7, rs1=5, rs2=6))
-        assert mul.ctrl.mul_en and mul.ctrl.reg_write
+        assert mul.ctrl.mul_en and (mul.rd, mul.rs1, mul.rs2) == (7, 5, 6)
 
 
 class TestDecodeErrors:
@@ -119,9 +120,10 @@ class TestDecodeErrors:
 # sha256 of decode over one word per (opcode, funct3, funct7), its other bits
 # from random.Random(12): each word adds the repr of its DecodedInstr, or
 # "<exception type>: <message>", and a newline.  Taken from the if-chain
-# decoder that the table-driven one replaced, with the unread jump flag of
-# Control left out of each repr.
-SWEEP_DIGEST = "e1a77e47cc59dca3bf622dc17d6f87bd313922228c9cdbef0dafe96c37a88c95"
+# decoder that the table-driven one replaced, with the jump, reg_write,
+# uses_rs1 and uses_rs2 flags of Control left out of each repr, and rd and
+# rs1 of fence and fence.i, reserved fields, read as 0.
+SWEEP_DIGEST = "24c96b09a5c87f160a732b4385cb4a3bd30f50d48d52667af1475d8969d09805"
 
 
 def _sweep_digest() -> str:
@@ -279,7 +281,9 @@ class TestRoundTrip:
         else:
             assert d.mnemonic is mn
         for fieldname, value in ops.items():
-            if fieldname == "imm" and ENCODINGS[mn].fmt is Format.U:
+            if mn in (Mnemonic.FENCE, Mnemonic.FENCE_I) and fieldname != "imm":
+                assert getattr(d, fieldname) == 0, fieldname  # reserved
+            elif fieldname == "imm" and ENCODINGS[mn].fmt is Format.U:
                 assert d.imm & 0xFFFFFFFF == value & 0xFFFFFFFF
             else:
                 assert getattr(d, fieldname) == value, fieldname
