@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import golden, mul, tracetools
-from .cosim import Program, cpi, format_verdict, lockstep
+from .cosim import WINDOW_CYCLES, Program, cpi, format_verdict, lockstep
 from .elf import ElfFormatError, load_elf
 from .golden import DEFAULT_RESET_PC, HaltCause, HaltKind
 from .memory import MalformedHexLine, MemoryImage, load_hex
@@ -101,17 +101,36 @@ def _halt_exit(halt: HaltCause) -> int:
     return EXIT_SIM
 
 
-def _write_trace_files(args, trace) -> None:
-    for path, export in ((args.trace, golden.export_commit_trace),
-                         (args.reg_trace, golden.export_reg_trace)):
-        if path:
-            Path(path).write_text("\n".join(export(trace)) + "\n")
+@contextlib.contextmanager
+def _trace_files(args):
+    """Open the --trace and --reg-trace files asked for and yield a callable
+    that appends a window of commits to each as the run makes them.  A
+    file ends as one export of the whole run would be written: each line
+    ends in a newline, and an empty trace is a lone newline."""
+    exports = {path: export for path, export in  # one path: the last wins
+               ((args.trace, golden.export_commit_trace),
+                (args.reg_trace, golden.export_reg_trace)) if path}
+    with contextlib.ExitStack() as stack:
+        files = [(stack.enter_context(open(path, "w")), export)
+                 for path, export in exports.items()]
+
+        def write(commits: list) -> None:
+            for out, export in files:
+                lines = export(commits)
+                if lines:
+                    out.write("\n".join(lines) + "\n")
+
+        yield write
+        for out, _ in files:
+            if out.tell() == 0:
+                out.write("\n")
 
 
 @contextlib.contextmanager
 def _vcd_sink(path: Optional[str]):
-    """A run_core sink that writes the signals to a VCD file at path as the
-    pipeline runs, or None without a path."""
+    """A run_core sink that writes each cycle's signal groups to a VCD file
+    at path as the pipeline runs (see tracetools.vcd_write), or None
+    without a path."""
     if path is None:
         yield None
         return
@@ -120,23 +139,43 @@ def _vcd_sink(path: Optional[str]):
 
 
 def cmd_run(args) -> int:
+    """The golden model runs in windows of WINDOW_CYCLES steps, each written
+    to the trace files as it ends, so that no file waits for the whole run."""
     program = _load_from_args(args, args.program)
     state = golden.ArchState(pc=program.entry, mem=program.image)
-    trace, halt = golden.run(state, args.max_steps)
-    _write_trace_files(args, trace)
-    print(f"retired {len(trace)} instructions, halt: {halt.kind.value}")
+    retired = 0
+    with _trace_files(args) as write:
+        while True:
+            trace, halt = golden.run(
+                state, min(WINDOW_CYCLES, args.max_steps - retired))
+            write(trace)
+            retired += len(trace)
+            if halt.kind is not HaltKind.MAX_STEPS \
+                    or retired == args.max_steps:
+                break
+    print(f"retired {retired} instructions, halt: {halt.kind.value}")
     return _halt_exit(halt)
 
 
 def cmd_sim(args) -> int:
+    """The pipeline runs in windows of WINDOW_CYCLES cycles, as lockstep
+    does, each written to the trace files as it ends."""
     program = _load_from_args(args, args.program)
     core = CoreState.reset(PipelineConfig(program.entry, args.mul_latency))
-    with _vcd_sink(args.vcd) as sink:
-        result = run_core(core, program.image, args.max_cycles, sink=sink)
-    _write_trace_files(args, result.commits)
-    if result.commits:
-        print(cpi(len(result.commits), result.cycles).line())
-    return _halt_exit(result.halt)
+    retired = 0
+    with _vcd_sink(args.vcd) as sink, _trace_files(args) as write:
+        while True:
+            run = run_core(core, program.image,
+                           min(WINDOW_CYCLES, args.max_cycles - core.cycle),
+                           sink=sink)
+            write(run.commits)
+            retired += len(run.commits)
+            if run.halt.kind is not HaltKind.MAX_CYCLES \
+                    or core.cycle == args.max_cycles:
+                break
+    if retired:
+        print(cpi(retired, core.cycle).line())
+    return _halt_exit(run.halt)
 
 
 def cmd_cosim(args) -> int:

@@ -140,9 +140,10 @@ def lockstep(program: Program, max_cycles: int,
     max_steps caps both models' commits: once the golden model stops at
     that cap with n commits and the pipeline has made more, the pipeline
     stops at the end of that window, and its run counts to commit n.  A
-    sink is handed to run_core and sees the pipeline's signal values, one
-    tuple per cycle, while it runs (see run_core): with a step cap, up to
-    the end of the window in which the pipeline passed it.  A max_cycles
+    sink is handed to run_core and sees the pipeline's signals while it
+    runs, one tuple of SIGNAL_GROUPS values per cycle (see step_cycle):
+    with a step cap, up to the end of the window in which the pipeline
+    passed it.  A max_cycles
     or max_steps below 1, or an entry that is not word-aligned, raises
     ValueError before either model runs.
     """

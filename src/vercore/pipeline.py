@@ -18,9 +18,15 @@ writes it meanwhile is seen, and a flush squashes it.  There is no reset
 input: `CoreState.reset` builds the state a run starts from.
 
 Signals are produced only for a sink.  `step_cycle` samples the cycle's
-SIGNAL_NAMES values after IF, before the latch, and hands them to its
-sink as one tuple; without a sink it builds no tuple.  `run_core` passes
-its sink down, so a run that records nothing pays nothing for signals.
+signals after IF, before the latch, and hands its sink one tuple of
+SIGNAL_GROUPS values: a group of one signal as its value, a group of
+several as a tuple.  Most signals change together or not at all, and a
+group that does not change is often the very object of the cycle before:
+the idle dcache and write-back groups are module constants, the hazard
+group is the `HazardDecision` in hand and the valid group comes from a
+table.  `flatten` gives the SIGNAL_NAMES values back.  Without a sink
+`step_cycle` builds no values, and `run_core` passes its sink down, so a
+run that records nothing pays nothing for signals.
 
 Control is decoded once, in ID.  Each instruction travels in one `Slot`,
 and the four pipeline registers refer to the slots of the instructions in
@@ -41,7 +47,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import mul as mulunit
 from .golden import (DEFAULT_RESET_PC, CommitRecord, HaltCause, HaltKind,
@@ -145,12 +151,14 @@ class Slot:
     committed: bool = True
 
 
-@dataclass(frozen=True)
-class HazardDecision:
-    stall_ifid: bool = False
-    flush_ifid: bool = False
-    bubble_idex: bool = False
-    global_stall: bool = False
+class HazardDecision(NamedTuple):
+    """One cycle's stall and flush decision, as 0/1 ints: a tuple in the
+    order of the hazard signals, so that it is their sink group as is."""
+
+    stall_ifid: int = 0
+    flush_ifid: int = 0
+    bubble_idex: int = 0
+    global_stall: int = 0
 
 
 # hazard_detect's only outcomes, shared rather than built every cycle.
@@ -158,9 +166,9 @@ class HazardDecision:
 # instruction and the fetch pc and bubbles ID/EX: for a load-use pair, and
 # for an illegal or misaligned-target instruction in ID that waits for EX
 # and MEM to empty before it faults.
-_MUL_STALL = HazardDecision(stall_ifid=True, global_stall=True)
-_HOLD_ID = HazardDecision(stall_ifid=True, bubble_idex=True)
-_FLUSH = HazardDecision(flush_ifid=True)
+_MUL_STALL = HazardDecision(stall_ifid=1, global_stall=1)
+_HOLD_ID = HazardDecision(stall_ifid=1, bubble_idex=1)
+_FLUSH = HazardDecision(flush_ifid=1)
 _NO_HAZARD = HazardDecision()
 
 
@@ -290,33 +298,52 @@ def load_extract(funct3: int, addr: int, mem_word: int) -> int:
     return mem_word & MASK32
 
 
-# The per-cycle signals, in the order step_cycle hands their values to a
-# sink.  Each carries a fact of its own: none is constant, and no two are
-# equal on every cycle.  Names follow the testbench hierarchy used by the
-# trace tooling; a vector's [msb:lsb] suffix gives its width, and a name
-# without one is 1 bit wide.
-SIGNAL_NAMES: tuple[str, ...] = (
-    "vercore_tb.cycle[31:0]",
-    "vercore_tb.u_vercore.u_stage_if.pc[31:0]",
-    "vercore_tb.u_vercore.ic_d_in[31:0]",
-    "vercore_tb.u_vercore.dc_va[31:0]",
-    "vercore_tb.u_vercore.dc_valid",
-    "vercore_tb.u_vercore.dc_byte_en[3:0]",
-    "vercore_tb.u_vercore.dc_d_out[31:0]",
-    "vercore_tb.u_vercore.dc_d_in[31:0]",
-    "vercore_tb.u_vercore.wb_rd[4:0]",
-    "vercore_tb.u_vercore.wb_reg_write",
-    "vercore_tb.u_vercore.wb_data[31:0]",
-    "vercore_tb.u_vercore.branch_target[31:0]",
-    "vercore_tb.u_vercore.stall_ifid",
-    "vercore_tb.u_vercore.flush_ifid",
-    "vercore_tb.u_vercore.bubble_idex",
-    "vercore_tb.u_vercore.global_stall",
-    "vercore_tb.u_vercore.valid_id",
-    "vercore_tb.u_vercore.valid_ex",
-    "vercore_tb.u_vercore.valid_mem",
-    "vercore_tb.u_vercore.valid_wb",
+# The per-cycle signals in the groups step_cycle hands a sink, in order;
+# SIGNAL_NAMES is the groups' names in turn.  Each signal carries a fact of
+# its own: none is constant, and no two are equal on every cycle.  Names
+# follow the testbench hierarchy used by the trace tooling; a vector's
+# [msb:lsb] suffix gives its width, and a name without one is 1 bit wide.
+_CORE = "vercore_tb.u_vercore."
+SIGNAL_GROUPS: tuple[tuple[str, ...], ...] = (
+    ("vercore_tb.cycle[31:0]",),
+    (_CORE + "u_stage_if.pc[31:0]",),
+    (_CORE + "ic_d_in[31:0]",),
+    tuple(_CORE + name for name in ("dc_va[31:0]", "dc_valid",
+                                   "dc_byte_en[3:0]", "dc_d_out[31:0]",
+                                   "dc_d_in[31:0]")),
+    tuple(_CORE + name for name in ("wb_rd[4:0]", "wb_reg_write",
+                                   "wb_data[31:0]")),
+    (_CORE + "branch_target[31:0]",),
+    tuple(_CORE + name for name in HazardDecision._fields),
+    tuple(_CORE + name for name in ("valid_id", "valid_ex", "valid_mem",
+                                   "valid_wb")),
 )
+SIGNAL_NAMES: tuple[str, ...] = tuple(
+    name for group in SIGNAL_GROUPS for name in group)
+
+# The dcache and write-back groups of a cycle without an access or a write.
+_DC_IDLE = (0, 0, 0, 0, 0)
+_WB_IDLE = (0, 0, 0)
+
+# The valid group by [valid_id][valid_ex][valid_mem][valid_wb], each index
+# a bool, so that no cycle builds a tuple for it.
+_VALID_BITS = tuple(tuple(tuple(tuple((i, e, m, w) for w in (0, 1))
+                                for m in (0, 1)) for e in (0, 1))
+                    for i in (0, 1))
+
+
+def flatten(values: tuple) -> list:
+    """One cycle's values in SIGNAL_NAMES order, from the SIGNAL_GROUPS
+    values step_cycle hands a sink.  A list: under CPython 3.11 a freed
+    20-element tuple stays on the interpreter's tuple free list, which
+    keeps up to 2,000 of them for the life of the process."""
+    flat: list = []
+    for value, names in zip(values, SIGNAL_GROUPS, strict=True):
+        if len(names) == 1:
+            flat.append(value)
+        else:
+            flat.extend(value)
+    return flat
 
 
 def step_cycle(core: CoreState, mem: MemoryImage,
@@ -327,9 +354,11 @@ def step_cycle(core: CoreState, mem: MemoryImage,
     Returns (commit, halt): at most one commit and a halt cause (on
     ecall/ebreak/tohost or a fatal decode/access problem).  The core is
     advanced in place.  With a sink, step_cycle calls it exactly once, the
-    halting cycle included, with the cycle's signal values in SIGNAL_NAMES
-    order, 1-bit signals as 0/1, sampled after IF and before the latch;
-    without one it builds no values.
+    halting cycle included, with the cycle's signal values sampled after IF
+    and before the latch: one value per SIGNAL_GROUPS group, a group of
+    several signals as a tuple in its order, 1-bit signals as 0/1 (see
+    flatten).  A group may be the same object on many cycles; without a
+    sink step_cycle builds no values.
     """
     halt: Optional[HaltCause] = None
 
@@ -384,7 +413,7 @@ def step_cycle(core: CoreState, mem: MemoryImage,
         ex.store_data = b_fwd
 
     # ---------------- MEM: single-issue dcache access ---------------------
-    dc = (0, 0, 0, 0, 0)  # (va, valid, byte_en, d_out, d_in) for a sink
+    dc = _DC_IDLE  # (va, valid, byte_en, d_out, d_in) for a sink
     if not m.mem_issued and halt is None:
         m.mem_issued = True
         md = m.d
@@ -474,11 +503,10 @@ def step_cycle(core: CoreState, mem: MemoryImage,
     fetched = None if fetch_off else mem.fetch_word(ic_va)
 
     if sink is not None:
-        sink((core.cycle, ic_va, fetched or 0, *dc, wb_rd, int(wb_rd != 0),
-              wb.mem_data if wb_rd else 0, id_target, int(hz.stall_ifid),
-              int(hz.flush_ifid), int(hz.bubble_idex), int(hz.global_stall),
-              int(f.valid), int(d is not None), int(m.d is not None),
-              int(wb.d is not None)))
+        sink((core.cycle, ic_va, fetched or 0, dc,
+              (wb_rd, 1, wb.mem_data) if wb_rd else _WB_IDLE, id_target, hz,
+              _VALID_BITS[f.valid][d is not None][m.d is not None]
+              [wb.d is not None]))
 
     if halt is not None:
         core.cycle += 1
@@ -529,12 +557,12 @@ def run_core(core: CoreState, mem: MemoryImage, max_cycles: int,
     """Step the pipeline until it halts or the cycle cap is reached.
 
     The sink goes to step_cycle, which calls it once per cycle, the
-    halting cycle included, with that cycle's values tuple (SIGNAL_NAMES
-    order), so a caller can stream the signals without holding them; a run
+    halting cycle included, with that cycle's tuple of SIGNAL_GROUPS
+    values, so a caller can stream the signals without holding them; a run
     without a sink builds no signal values.  record_signals is a sink that
     keeps them: signals then holds one dict per cycle that maps every
-    SIGNAL_NAMES name, in that order, to its value; otherwise signals is
-    None.  The two options do not combine.
+    SIGNAL_NAMES name, in that order, to its value (see flatten);
+    otherwise signals is None.  The two options do not combine.
     """
     assert max_cycles > 0
     signals: Optional[list[dict]] = None
@@ -543,7 +571,7 @@ def run_core(core: CoreState, mem: MemoryImage, max_cycles: int,
         signals = []
 
         def sink(values: tuple) -> None:
-            signals.append(dict(zip(SIGNAL_NAMES, values)))
+            signals.append(dict(zip(SIGNAL_NAMES, flatten(values))))
 
     commits: list[CommitRecord] = []
     commit_cycles: list[int] = []

@@ -3,7 +3,10 @@ register-write diff against an expected reg_trace.hex.
 
 Every stage streams, so none holds a whole run.  vcd_write writes the
 header for the pipeline's SIGNAL_NAMES (declared by pipeline_decls()) and
-returns a per-cycle writer, a sink for run_core.  The VCD subset covers
+returns a per-cycle writer, a sink for run_core: it takes a cycle's values
+in the pipeline's SIGNAL_GROUPS, passes over each group that equals the
+previous cycle's, often as the same object, and formats only the signals
+that changed, in SIGNAL_NAMES order.  The VCD subset covers
 $timescale, nested $scope/$var declarations, $enddefinitions, $dumpvars,
 #time stamps, scalar and b-vector changes with x/z states.  vcd_parse takes
 an iterable of lines (an open file, say), reads the declarations at once
@@ -17,7 +20,7 @@ checks each row as it passes and returns (clean, report lines).
 
 Each stage memoizes the work it repeats on identical inputs, in
 functools.lru_cache memos made per call and sized by MEMO_CAP: the writer
-formats a vector signal's change line once per value, the parser reads a
+formats a signal's change line once per value, the parser reads a
 body line that is exactly one change once per distinct line, and the
 tabulator renders a vector column's cell once per distinct bits.  A
 pipeline trace repeats itself: on benchmark_program(256), pc and ic_d_in
@@ -33,11 +36,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TextIO
 
 from .memory import HEX_DIGITS
-from .pipeline import SIGNAL_NAMES
+from .pipeline import SIGNAL_GROUPS, SIGNAL_NAMES, flatten
 
 TIME_PER_CYCLE = 10000  # 1ps timescale units per pipeline clock
 MEMO_CAP = 256  # entries per memo; a larger cap buys little and costs RSS
@@ -85,18 +88,50 @@ def pipeline_decls() -> list[SignalDecl]:
     return decls
 
 
+def _change_line(decl: SignalDecl) -> Callable[[int], str]:
+    """A fresh memo of one signal's VCD change line by value, in an LRU of
+    MEMO_CAP lines; the value is masked to the signal's width."""
+    mask = (1 << decl.width) - 1
+    if decl.width == 1:
+        text = (f"0{decl.id_code}", f"1{decl.id_code}").__getitem__
+    else:
+        text = f"b{{:0{decl.width}b}} {decl.id_code}".format
+    return lru_cache(MEMO_CAP)(lambda value: text(value & mask))
+
+
+def _group_changes(lines: tuple[Callable[[int], str], ...]
+                   ) -> Callable[[tuple, tuple], str]:
+    """A fresh memo of a group's change lines by (previous, current) values,
+    in an LRU of MEMO_CAP entries: the lines of the signals that differ, in
+    the group's order, joined by newlines."""
+
+    @lru_cache(MEMO_CAP)
+    def changes(previous: tuple, values: tuple) -> str:
+        return "\n".join([line(v) for line, v, p
+                          in zip(lines, values, previous) if v != p])
+
+    return changes
+
+
 def vcd_write(out: TextIO) -> Callable[[tuple], None]:
     """Write the VCD header for pipeline_decls() to out and return the
     per-cycle writer, a run_core sink.
 
-    The writer takes one cycle's values in SIGNAL_NAMES order.  Its k-th
-    call dumps cycle k at timestamp k * TIME_PER_CYCLE: every signal in the
-    $dumpvars block for cycle 0, afterwards only the signals whose value
-    differs from the previous cycle's, and no timestamp for a cycle that
-    changes nothing.  A tuple of another length than SIGNAL_NAMES raises
-    ValueError.  Each vector signal's change line is memoized by value, in
-    an LRU of MEMO_CAP lines per signal: pc and ic_d_in repeat 36 and 33
-    values, while cycle's always-new values only churn their own memo.
+    The writer takes one cycle's values as step_cycle hands them: one per
+    SIGNAL_GROUPS group, a group of several signals as a tuple in its
+    order (see pipeline.flatten).  Its k-th call dumps cycle k at timestamp
+    k * TIME_PER_CYCLE: every signal in the $dumpvars block for cycle 0,
+    afterwards only the signals whose value differs from the previous
+    cycle's, in SIGNAL_NAMES order, and no timestamp for a cycle that
+    changes nothing.  A group that is the previous cycle's object, or equal
+    to it, is passed over whole.  A tuple of another length than
+    SIGNAL_GROUPS raises ValueError.
+
+    Each signal's change line is memoized by value, in an LRU of MEMO_CAP
+    lines per signal: pc and ic_d_in repeat 36 and 33 values, while cycle's
+    always-new values only churn their own memo.  The hazard and valid
+    groups, four bits each, memoize their change lines by (previous,
+    current) pair.
     """
     decls = pipeline_decls()
     out.write("$date\n    vercore trace\n$end\n")
@@ -117,30 +152,73 @@ def vcd_write(out: TextIO) -> Callable[[tuple], None]:
         open_scopes.pop()
     out.write("$enddefinitions $end\n")
 
-    # one change format per signal, applied to the value masked to its
-    # width; a scalar's two changes are looked up, a vector's memoized
-    formats = [(f"0{d.id_code}", f"1{d.id_code}").__getitem__ if d.width == 1
-               else lru_cache(MEMO_CAP)(
-                   f"b{{:0{d.width}b}} {d.id_code}".format) for d in decls]
-    masks = [(1 << d.width) - 1 for d in decls]
+    lines = [_change_line(d) for d in decls]
+    by_signal = iter(lines)
+    # write_cycle compares the groups inline, unpacked by position, which is
+    # faster than a loop over them; a change to the shape of SIGNAL_GROUPS
+    # fails here.
+    ((cycle_line,), (pc_line,), (ic_line,),
+     (va_line, dv_line, be_line, dout_line, din_line),
+     (rd_line, we_line, wd_line), (target_line,), hz_lines, valid_lines) = [
+        tuple(islice(by_signal, len(names))) for names in SIGNAL_GROUPS]
+    hz_changes = _group_changes(hz_lines)
+    valid_changes = _group_changes(valid_lines)
+    group_count = len(SIGNAL_GROUPS)
     previous: Optional[tuple] = None
     time = 0
 
     def write_cycle(values: tuple) -> None:
         nonlocal previous, time
-        if len(values) != len(decls):
-            raise ValueError(f"{len(values)} values for {len(decls)} signals")
+        if len(values) != group_count:
+            raise ValueError(
+                f"{len(values)} values for {group_count} signal groups")
         if previous is None:
             out.write("#0\n$dumpvars\n" + "\n".join(
-                [f(v & m) for f, m, v in zip(formats, masks, values)])
-                + "\n$end\n")
-        else:
-            time += TIME_PER_CYCLE
-            changes = [f(v & m) for f, m, v, p
-                       in zip(formats, masks, values, previous) if v != p]
-            if changes:
-                out.write(f"#{time}\n" + "\n".join(changes) + "\n")
+                [line(v) for line, v in zip(lines, flatten(values),
+                                            strict=True)]) + "\n$end\n")
+            previous = values
+            return
+        time += TIME_PER_CYCLE
+        cycle, pc, ic, dc, wb, target, hz, valid = values
+        p_cycle, p_pc, p_ic, p_dc, p_wb, p_target, p_hz, p_valid = previous
         previous = values
+        changes = []
+        if cycle != p_cycle:
+            changes.append(cycle_line(cycle))
+        if pc != p_pc:
+            changes.append(pc_line(pc))
+        if ic != p_ic:
+            changes.append(ic_line(ic))
+        if dc is not p_dc and dc != p_dc:
+            va, dv, be, dout, din = dc
+            p_va, p_dv, p_be, p_dout, p_din = p_dc
+            if va != p_va:
+                changes.append(va_line(va))
+            if dv != p_dv:
+                changes.append(dv_line(dv))
+            if be != p_be:
+                changes.append(be_line(be))
+            if dout != p_dout:
+                changes.append(dout_line(dout))
+            if din != p_din:
+                changes.append(din_line(din))
+        if wb is not p_wb and wb != p_wb:
+            rd, we, wd = wb
+            p_rd, p_we, p_wd = p_wb
+            if rd != p_rd:
+                changes.append(rd_line(rd))
+            if we != p_we:
+                changes.append(we_line(we))
+            if wd != p_wd:
+                changes.append(wd_line(wd))
+        if target != p_target:
+            changes.append(target_line(target))
+        if hz is not p_hz and hz != p_hz:
+            changes.append(hz_changes(p_hz, hz))
+        if valid is not p_valid and valid != p_valid:
+            changes.append(valid_changes(p_valid, valid))
+        if changes:
+            out.write(f"#{time}\n" + "\n".join(changes) + "\n")
 
     return write_cycle
 

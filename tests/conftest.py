@@ -1,5 +1,6 @@
 """Shared test helpers: a clang-based RISC-V reference assembler oracle, a
-hand-rolled ELF32 writer for loader fixtures, and a program's words."""
+hand-rolled ELF32 writer for loader fixtures, a program's words and the
+signal groups of flat per-cycle values."""
 
 from __future__ import annotations
 
@@ -7,8 +8,11 @@ import re
 import shutil
 import struct
 import subprocess
+from itertools import islice
 
 import pytest
+
+from vercore.pipeline import SIGNAL_GROUPS
 
 CLANG = shutil.which("clang")
 READELF = shutil.which("readelf")
@@ -65,6 +69,16 @@ def program_words(program) -> list[int]:
         words.append(word)
         addr += 4
     return words
+
+
+def grouped(flat) -> tuple:
+    """One cycle's values in SIGNAL_NAMES order as step_cycle hands them to
+    a sink: one value per SIGNAL_GROUPS group, a group of several signals
+    as a tuple."""
+    values = iter(flat)
+    return tuple(next(values) if len(names) == 1
+                 else tuple(islice(values, len(names)))
+                 for names in SIGNAL_GROUPS)
 
 
 def link_riscv_elf(asm: str, tmpdir, text_addr: int = 0x2000) -> bytes:

@@ -1,9 +1,13 @@
-"""The CLI's exit-code and line-format contract, and its trace round trip."""
+"""The CLI's exit-code and line-format contract, its trace round trip and
+its streamed trace files."""
+
+import tracemalloc
 
 import pytest
 
 from vercore import cli, cosim, golden, pipeline, progs
 from vercore.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_SIM, EXIT_USAGE
+from vercore.pipeline import CoreState, PipelineConfig, run_core
 from vercore.tracetools import DEFAULT_COLUMNS
 
 from conftest import build_elf32, program_words
@@ -295,6 +299,86 @@ class TestTraceRoundTrip:
     def test_missing_input_file(self, tmp_path, capsys):
         assert vercore("vcd2csv", tmp_path / "absent.vcd",
                        tmp_path / "out.csv") == EXIT_INPUT
+
+
+def _exports(commits) -> dict:
+    """The --trace and --reg-trace files of one export of commits."""
+    return {flag: "\n".join(export(commits)) + "\n" for flag, export in
+            (("--trace", golden.export_commit_trace),
+             ("--reg-trace", golden.export_reg_trace))}
+
+
+class TestStreamedTraceFiles:
+    """run and sim write --trace and --reg-trace in windows of WINDOW_CYCLES
+    steps or cycles as the run goes; each file holds what one export of the
+    whole run would."""
+
+    @staticmethod
+    def files(tmp_path, *argv) -> tuple[int, dict]:
+        paths = {flag: tmp_path / f"{flag[2:]}.txt"
+                 for flag in ("--trace", "--reg-trace")}
+        code = vercore(*argv, *(x for item in paths.items() for x in item))
+        return code, {flag: path.read_text() for flag, path in paths.items()}
+
+    @pytest.mark.parametrize("command", ["run", "sim"])
+    def test_the_files_of_a_run_of_several_windows(self, command, tmp_path,
+                                                   capsys):
+        program = progs.benchmark_program(64)
+        trace, halt = golden.run(golden.ArchState(
+            pc=program.entry, mem=program.image.clone()), 100_000)
+        assert len(trace) > 2 * cosim.WINDOW_CYCLES
+        code, files = self.files(tmp_path, command,
+                                 write_hex(tmp_path / "p.hex", program))
+        assert (code, files) == (halt.code & 0xFF, _exports(trace))
+
+    def test_a_cap_inside_a_window(self, tmp_path, capsys):
+        program = progs.benchmark_program(64)
+        hex_path = write_hex(tmp_path / "p.hex", program)
+        cap = cosim.WINDOW_CYCLES + 476
+        trace, _ = golden.run(golden.ArchState(
+            pc=program.entry, mem=program.image.clone()), cap)
+        assert len(trace) == cap
+        assert self.files(tmp_path, "run", hex_path, "--max-steps", cap) \
+            == (EXIT_SIM, _exports(trace))
+        run = run_core(CoreState.reset(PipelineConfig(program.entry)),
+                       program.image.clone(), cap)
+        assert self.files(tmp_path, "sim", hex_path, "--max-cycles", cap) \
+            == (EXIT_SIM, _exports(run.commits))
+        out = capsys.readouterr().out
+        assert f"retired {cap} instructions, halt: max_steps" in out
+        assert f"CPI: cycles={cap} retired={len(run.commits)} " in out
+
+    @pytest.mark.parametrize("command", ["run", "sim"])
+    @pytest.mark.parametrize("words,code,expected", [
+        ([0xFFFFFFFF], EXIT_SIM, {"--trace": "\n", "--reg-trace": "\n"}),
+        ([progs.ECALL()], 0, {"--trace": "00002000 00 00000000\n",
+                              "--reg-trace": "\n"}),
+    ], ids=["no-commit", "no-write"])
+    def test_an_empty_trace_is_one_newline(self, command, words, code,
+                                           expected, tmp_path, capsys):
+        hex_path = write_hex(tmp_path / "p.hex", progs.assemble(words, "p"))
+        assert self.files(tmp_path, command, hex_path) == (code, expected)
+
+
+def _sim_peak(tmp_path, program) -> int:
+    """Peak traced bytes of `sim --reg-trace` on program, run once before
+    to fill isa.decode's cache."""
+    argv = ("sim", write_hex(tmp_path / "p.hex", program), "--reg-trace",
+            tmp_path / "reg.hex")
+    code = vercore(*argv)
+    tracemalloc.start()
+    try:
+        assert vercore(*argv) == code
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sim_trace_memory_does_not_grow_with_run_length(tmp_path, capsys):
+    """Four times the cycles take at most 1.25 times the memory."""
+    small, large = (_sim_peak(tmp_path, progs.benchmark_program(n))
+                    for n in (64, 256))
+    assert large < 1.25 * small
 
 
 WB_HEADER = ",".join(["time", DEFAULT_COLUMNS["reg_write"],

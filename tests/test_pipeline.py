@@ -1,6 +1,9 @@
 """Cycle-accurate pipeline tests: hand cycle traces, forwarding, hazards,
 store/load lane formulas and stall/flush signal behavior."""
 
+import os
+import tracemalloc
+
 import pytest
 
 from vercore import golden, pipeline, progs
@@ -10,12 +13,15 @@ from vercore.isa import decode
 from vercore.memory import MisalignedAccess
 from vercore.mul import MulUnitState
 from vercore.pipeline import (CoreState, HazardDecision, PipelineConfig,
-                              SIGNAL_NAMES, Slot, forward_ex, forward_id,
-                              hazard_detect, load_extract, next_pc, run_core,
-                              step_cycle, store_align)
+                              SIGNAL_GROUPS, SIGNAL_NAMES, Slot, flatten,
+                              forward_ex, forward_id, hazard_detect,
+                              load_extract, next_pc, run_core, step_cycle,
+                              store_align)
 from vercore.progs import (ADD, ADDI, ECALL, JAL, LUI, LW, MUL, NOP, SB, SW,
                            assemble)
+from vercore.tracetools import vcd_write
 
+from conftest import grouped
 from mutants import mutant
 
 SIG = "vercore_tb.u_vercore."
@@ -27,8 +33,8 @@ def step(core, mem):
     seen = []
     commit, _ = step_cycle(core, mem, seen.append)
     (values,) = seen
-    return commit, {name.removeprefix(SIG): v
-                    for name, v in zip(SIGNAL_NAMES, values, strict=True)}
+    return commit, {name.removeprefix(SIG): v for name, v
+                    in zip(SIGNAL_NAMES, flatten(values), strict=True)}
 
 
 def run_words(words, name="t", mul_latency=4, max_cycles=10_000,
@@ -429,9 +435,9 @@ class TestBusAndStallSignals:
             for latency in (1, 4):
                 core = CoreState.reset(PipelineConfig(program.entry, latency))
                 run_core(core, program.image.clone(), 100_000,
-                         sink=rows.append)
+                         sink=lambda values: rows.append(flatten(values)))
         names_by_column: dict[tuple, list[str]] = {}
-        for name, column in zip(SIGNAL_NAMES, zip(*rows)):
+        for name, column in zip(SIGNAL_NAMES, zip(*rows), strict=True):
             names_by_column.setdefault(column, []).append(name)
         constant = [names[0] for column, names in names_by_column.items()
                     if len(set(column)) == 1]
@@ -441,8 +447,9 @@ class TestBusAndStallSignals:
             f"constant: {constant}; equal on every cycle: {equal}"
 
     def test_sink_sees_each_cycle_once(self):
-        """A sink gets one values tuple per cycle, as record_signals
-        records them, and nothing is kept."""
+        """A sink gets one tuple of group values per cycle, which flatten
+        turns into the values record_signals records, and nothing is
+        kept."""
         words = [LUI(15, 3), SW(0, 0, 15), MUL(2, 1, 1), ECALL()]
         recorded, _ = run_words(words, record_signals=True)
         program = assemble(words, "t")
@@ -451,7 +458,9 @@ class TestBusAndStallSignals:
             reset_pc=program.entry, mul_latency=4)), program.image, 10_000,
             sink=seen.append)
         assert len(seen) == result.cycles == recorded.cycles
-        assert seen == [tuple(s.values()) for s in recorded.signals]
+        assert all(len(v) == len(SIGNAL_GROUPS) for v in seen)
+        assert [flatten(v) for v in seen] \
+            == [list(s.values()) for s in recorded.signals]
         assert result.signals is None
 
 
@@ -587,7 +596,7 @@ class TestSignalSink:
             result = step_cycle(core, program.image, seen.append)
             assert isinstance(result, tuple) and len(result) == 2
             assert len(seen) == cycle + 1
-            assert len(seen[-1]) == len(SIGNAL_NAMES)
+            assert len(seen[-1]) == len(SIGNAL_GROUPS)
             if result[1] is not None:
                 break
         assert result[1].kind in (HaltKind.ECALL, HaltKind.ERROR)
@@ -608,6 +617,57 @@ class TestSignalSink:
                              fetched))
             assert runs[0] == runs[1], program.name
 
+    def test_grouped_undoes_flatten(self):
+        """A sink value holds one entry per SIGNAL_GROUPS group, a group of
+        several signals as a tuple of its length."""
+        program = progs.benchmark_program(16)
+        seen = []
+        run_core(CoreState.reset(PipelineConfig(program.entry)),
+                 program.image.clone(), 100_000, sink=seen.append)
+        for values in seen:
+            assert [len(v) if isinstance(v, tuple) else 1 for v in values] \
+                == [len(names) for names in SIGNAL_GROUPS]
+            assert grouped(flatten(values)) == values
+
+    def test_idle_groups_are_shared_objects(self):
+        """The dcache and write-back groups of idle cycles are one object
+        each, and the hazard and valid groups come from small tables, so a
+        sink can pass over an unchanged group by identity."""
+        program = progs.benchmark_program(16)
+        seen = []
+        run_core(CoreState.reset(PipelineConfig(program.entry, 4)),
+                 program.image.clone(), 100_000, sink=seen.append)
+        _, _, _, dc, wb, _, hz, valid = zip(*seen)
+        assert len({id(g) for g in dc if not g[1]}) == 1
+        assert len({id(g) for g in wb if not g[1]}) == 1
+        assert {id(g) for g in hz} <= {id(h) for h in (
+            pipeline._NO_HAZARD, pipeline._FLUSH, pipeline._HOLD_ID,
+            pipeline._MUL_STALL)}
+        assert len({id(g) for g in valid}) == len(set(valid)) > 1
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_a_run_parks_no_signal_values(self, record):
+        """A run with a VCD sink, or one that records its signals and is
+        dropped, leaves next to nothing that pipeline.py allocated, counted
+        before any gc.collect(), which would empty the interpreter's free
+        lists.  A fresh 20-value tuple per cycle left about 2,000 dead ones
+        (397,800 bytes) on CPython 3.11's tuple free list."""
+        program = progs.benchmark_program(64)
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as out:
+                result = run_core(
+                    CoreState.reset(PipelineConfig(program.entry)),
+                    program.image.clone(), 100_000, record_signals=record,
+                    sink=None if record else vcd_write(out))
+            del result
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        left = sum(stat.size for stat in snapshot.statistics("filename")
+                   if stat.traceback[0].filename == pipeline.__file__)
+        assert left < 16 * 1024
+
     def test_a_misaligned_access_drives_the_dcache_bus(self):
         """The halting cycle of a misaligned lw shows its address with
         dc_valid high and no byte enable."""
@@ -617,6 +677,6 @@ class TestSignalSink:
         result = run_core(CoreState.reset(PipelineConfig(program.entry)),
                           program.image.clone(), 100, sink=seen.append)
         assert result.halt.message.startswith("misaligned access")
-        last = dict(zip(SIGNAL_NAMES, seen[-1], strict=True))
+        last = dict(zip(SIGNAL_NAMES, flatten(seen[-1]), strict=True))
         assert (last[SIG + "dc_va[31:0]"], last[SIG + "dc_valid"],
                 last[SIG + "dc_byte_en[3:0]"]) == (3, 1, 0)

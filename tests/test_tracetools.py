@@ -1,6 +1,9 @@
-"""VCD write -> parse -> CSV round trip over the pipeline's signal schema, a
-hand-written VCD with what the writer never emits, and the line-numbered
-errors of the VCD parser."""
+"""VCD write -> parse -> CSV round trip over the pipeline's signal schema,
+the grouped writer against a flat reference, a hand-written VCD with what
+the writer never emits, and the line-numbered errors of the VCD parser.
+
+The value logs here are flat, one value per SIGNAL_NAMES signal; conftest's
+grouped() turns each cycle into the groups the writer takes."""
 
 import io
 import tracemalloc
@@ -9,11 +12,13 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vercore.pipeline import SIGNAL_NAMES
+from vercore.pipeline import SIGNAL_GROUPS, SIGNAL_NAMES
 from vercore.tracetools import (DEFAULT_COLUMNS, MEMO_CAP, TIME_PER_CYCLE,
                                 MalformedCsv, MalformedVcd, diff_reg_trace,
                                 parse_reg_trace, pipeline_decls, read_csv,
                                 vcd_parse, vcd_to_csv, vcd_write)
+
+from conftest import grouped
 
 WIDTHS = [d.width for d in pipeline_decls()]
 
@@ -33,14 +38,14 @@ def _value(width):
 
 
 @st.composite
-def signal_logs(draw):
+def signal_logs(draw, value=_value):
     """Per-cycle value lists; each later cycle redraws a few signals, so
     some cycles change nothing and some change several signals."""
-    log = [[draw(_value(w)) for w in WIDTHS]]
+    log = [[draw(value(w)) for w in WIDTHS]]
     for _ in range(draw(st.integers(0, 12))):
         values = list(log[-1])
         for i in draw(st.sets(st.integers(0, len(WIDTHS) - 1), max_size=3)):
-            values[i] = draw(_value(WIDTHS[i]))
+            values[i] = draw(value(WIDTHS[i]))
         log.append(values)
     return log
 
@@ -53,7 +58,7 @@ def _write(log):
     out = io.StringIO()
     write_cycle = vcd_write(out)
     for values in log:
-        write_cycle(tuple(values))
+        write_cycle(grouped(values))
     return out.getvalue()
 
 
@@ -175,7 +180,7 @@ def _round_trip_peak(path, cycles):
         with open(path, "w") as out:
             write_cycle = vcd_write(out)
             for values in _spread_log(cycles, cycles):
-                write_cycle(values)
+                write_cycle(grouped(values))
         with open(path) as vcd:
             rows = vcd_to_csv(*vcd_parse(vcd), lambda line: None)
         assert rows == cycles
@@ -192,12 +197,52 @@ def test_trace_memory_does_not_grow_with_run_length(tmp_path):
         <= 1.25 * _round_trip_peak(tmp_path / "w.vcd", cycles)
 
 
-@pytest.mark.parametrize("count", [3, len(SIGNAL_NAMES) + 1])
-def test_writer_takes_one_value_per_signal(count):
+@pytest.mark.parametrize("count", [3, len(SIGNAL_GROUPS) + 1])
+def test_writer_takes_one_value_per_group(count):
     write_cycle = vcd_write(io.StringIO())
     with pytest.raises(ValueError, match=f"^{count} values for "
-                                         f"{len(SIGNAL_NAMES)} signals$"):
+                                         f"{len(SIGNAL_GROUPS)} signal "
+                                         "groups$"):
         write_cycle((1,) * count)
+
+
+def _flat_write(log):
+    """The VCD of a flat value log as a writer that takes one value per
+    signal writes it: the header, every signal at #0, then each cycle's
+    differing values, masked to their widths."""
+    out = io.StringIO()
+    vcd_write(out)  # the header
+    decls = pipeline_decls()
+
+    def change(decl, value):
+        value &= (1 << decl.width) - 1
+        if decl.width == 1:
+            return f"{value}{decl.id_code}\n"
+        return f"b{value:0{decl.width}b} {decl.id_code}\n"
+
+    out.write("#0\n$dumpvars\n"
+              + "".join(map(change, decls, log[0])) + "$end\n")
+    for cycle in range(1, len(log)):
+        changes = [change(d, v) for d, v, p
+                   in zip(decls, log[cycle], log[cycle - 1]) if v != p]
+        if changes:
+            out.write(f"#{cycle * TIME_PER_CYCLE}\n" + "".join(changes))
+    return out.getvalue()
+
+
+def _wider_value(width):
+    """A value of up to one bit wider than the signal."""
+    return st.integers(0, (1 << (width + 1)) - 1)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(signal_logs(_wider_value))
+def test_grouped_writer_matches_a_flat_one(log):
+    """vcd_write unpacks the groups by position and compares them whole
+    before it compares their signals; the bytes are those of a writer
+    that compares every signal, for any values, bits above a signal's
+    width included."""
+    assert _write(log) == _flat_write(log)
 
 
 def _lines_after_definitions(*lines):
