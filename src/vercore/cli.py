@@ -1,6 +1,9 @@
 """Command-line driver: golden runs, pipeline runs, lockstep co-simulation,
 VCD-to-CSV conversion, register-trace diffing and batch benchmarking.
 
+Each command that runs a model has one cap, `run` --max-steps and the others
+--max-cycles; lockstep steps the golden model once per pipeline commit, so a
+`cosim` or `bench` run stopped at --max-cycles passes when no commit differs.
 Exit codes are a stable contract: 0 success, 1 verification mismatch (of the
 commit traces, or of two clean halts) or a missed CPI bound, 2 usage error,
 3 input/parse error or a file that cannot be read or written, 4 simulation
@@ -23,11 +26,12 @@ from pathlib import Path
 from typing import Optional
 
 from . import golden, mul, tracetools
-from .cosim import WINDOW_CYCLES, Program, cpi, format_verdict, lockstep
+from .cosim import (WINDOW_CYCLES, Program, cpi, format_verdict, lockstep,
+                    windows)
 from .elf import ElfFormatError, load_elf
 from .golden import DEFAULT_RESET_PC, HaltCause, HaltKind
 from .memory import MalformedHexLine, MemoryImage, load_hex
-from .pipeline import CoreState, PipelineConfig, run_core
+from .pipeline import CoreState, PipelineConfig
 from .tracetools import (MalformedCsv, MalformedTraceLine, MalformedVcd,
                          MissingColumn, diff_reg_trace, vcd_parse,
                          vcd_to_csv, vcd_write)
@@ -158,21 +162,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    """The pipeline runs in windows of WINDOW_CYCLES cycles, as lockstep
-    does, each written to the trace files as it ends."""
+    """The pipeline runs in windows, as lockstep does (see cosim.windows),
+    each written to the trace files as it ends."""
     program = _load_from_args(args, args.program)
     core = CoreState.reset(PipelineConfig(program.entry, args.mul_latency))
     retired = 0
     with _vcd_sink(args.vcd) as sink, _trace_files(args) as write:
-        while True:
-            run = run_core(core, program.image,
-                           min(WINDOW_CYCLES, args.max_cycles - core.cycle),
-                           sink=sink)
+        for run in windows(core, program.image, args.max_cycles, sink):
             write(run.commits)
             retired += len(run.commits)
-            if run.halt.kind is not HaltKind.MAX_CYCLES \
-                    or core.cycle == args.max_cycles:
-                break
     if retired:
         print(cpi(retired, core.cycle).line())
     return _halt_exit(run.halt)
@@ -182,8 +180,7 @@ def cmd_cosim(args) -> int:
     program = _load_from_args(args, args.program)
     with _vcd_sink(args.vcd) as sink:
         verdict = lockstep(program, args.max_cycles,
-                           mul_latency=args.mul_latency,
-                           max_steps=args.max_steps, sink=sink)
+                           mul_latency=args.mul_latency, sink=sink)
     print(format_verdict(verdict))
     if not verdict.passed:
         faulted = HaltKind.ERROR in (verdict.golden_halt.kind,
@@ -232,8 +229,7 @@ def cmd_diff_trace(args) -> int:
 
 def _bench_one(args, path: str) -> tuple[str, int, int, float, bool]:
     program = _load_from_args(args, path)
-    verdict = lockstep(program, args.max_cycles,
-                       mul_latency=args.mul_latency, max_steps=args.max_steps)
+    verdict = lockstep(program, args.max_cycles, mul_latency=args.mul_latency)
     cpi_value = verdict.cpi_report.cpi if verdict.cpi_report else float("nan")
     return (program.name, verdict.retired, verdict.cycles, cpi_value,
             verdict.passed)
@@ -266,7 +262,7 @@ def cmd_bench(args) -> int:
 PROGRAM_HELP = "ELF32, readmemh hex, or raw binary"
 
 
-def _add_common(sub, steps: bool = True, cycles: bool = True) -> None:
+def _add_common(sub, pipeline: bool = True) -> None:
     sub.add_argument("--fmt", choices=("auto", "elf", "hex", "bin"),
                      default="auto")
     sub.add_argument("--base", type=_parse_int, default=None,
@@ -276,13 +272,12 @@ def _add_common(sub, steps: bool = True, cycles: bool = True) -> None:
                           f"{DEFAULT_RESET_PC:#x})")
     sub.add_argument("--tohost", type=_parse_int, default=None,
                      help="halt-on-store address (default: ELF symbol)")
-    if steps:  # caps commits; the pipeline's cycles are capped by --max-cycles
-        sub.add_argument("--max-steps", type=_positive_int, default=1_000_000)
-    if cycles:
-        sub.add_argument("--max-cycles", type=_positive_int,
-                         default=2_000_000)
+    if pipeline:  # the one cap: the pipeline's cycles, or the golden steps
+        sub.add_argument("--max-cycles", type=_positive_int, default=2_000_000)
         sub.add_argument("--mul-latency", type=_positive_int,
                          default=mul.DEFAULT_LATENCY)
+    else:
+        sub.add_argument("--max-steps", type=_positive_int, default=1_000_000)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subs.add_parser("run", help="execute on the golden model only")
     run.add_argument("program", help=PROGRAM_HELP)
-    _add_common(run, cycles=False)
+    _add_common(run, pipeline=False)
     run.add_argument("--trace", help="write commit trace text file")
     run.add_argument("--reg-trace", help="write reg_trace.hex file")
     run.set_defaults(fn=cmd_run)
 
     sim = subs.add_parser("sim", help="execute on the pipeline model only")
     sim.add_argument("program", help=PROGRAM_HELP)
-    _add_common(sim, steps=False)
+    _add_common(sim)
     sim.add_argument("--trace", help="write commit trace text file")
     sim.add_argument("--reg-trace", help="write reg_trace.hex file")
     sim.add_argument("--vcd", help="write per-cycle signals as VCD")

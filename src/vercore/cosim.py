@@ -2,10 +2,11 @@
 
 Both simulators run the same program on independent memory copies; their
 commit traces are compared in retirement order, each commit record whole:
-pc, instruction word, register write and memory transaction.  They run in
-windows of WINDOW_CYCLES pipeline cycles, each compared as it ends, so
-lockstep holds one window of commits plus CONTEXT_COMMITS per side however
-long the run.  Lockstep stops at the end of the window of the first
+pc, instruction word, register write and memory transaction.  The pipeline's
+cycle cap is the only cap: the golden model steps once per pipeline commit.
+They run in windows of WINDOW_CYCLES pipeline cycles, each compared as it
+ends, so lockstep holds one window of commits plus CONTEXT_COMMITS per side
+however long the run.  Lockstep stops at the end of the window of the first
 divergence, which is reported with the commits around it on both sides,
 taken from the one pipeline run.
 """
@@ -13,13 +14,13 @@ taken from the one pipeline run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import golden, mul
 from .golden import CommitRecord, HaltCause, HaltKind
 from .isa import decode, disassemble
 from .memory import MemoryImage
-from .pipeline import CoreState, PipelineConfig, run_core
+from .pipeline import CoreState, PipelineConfig, RunResult, run_core
 
 
 class ZeroRetired(ValueError):
@@ -96,7 +97,7 @@ class Verdict:
     """One lockstep's outcome.  retired, cycles and both halts describe the
     run it made: on a mismatch, up to the end of that window, where a side
     that had not halted reports MAX_STEPS (golden) or MAX_CYCLES (pipeline).
-    Without a mismatch, both models ran to their halts."""
+    Without a mismatch, the same holds at the end of the pipeline's run."""
 
     passed: bool
     program: str
@@ -121,86 +122,73 @@ def _halts_agree(g: HaltCause, p: HaltCause) -> bool:
     return g.kind == p.kind and g.code == p.code
 
 
+def windows(core: CoreState, mem: MemoryImage, max_cycles: int,
+            sink: Optional[Callable[[tuple], None]] = None
+            ) -> Iterator[RunResult]:
+    """Run the pipeline from core in windows of WINDOW_CYCLES cycles and
+    yield each window's run_core result, with cycles that stay absolute.
+    The last window ends at the pipeline's halt, or at cycle max_cycles."""
+    while True:
+        run = run_core(core, mem, min(WINDOW_CYCLES, max_cycles - core.cycle),
+                       sink=sink)
+        halted = run.halt.kind is not HaltKind.MAX_CYCLES
+        yield run
+        del run  # so that a caller that drops a window frees its lists
+        if halted or core.cycle == max_cycles:
+            return
+
+
 def lockstep(program: Program, max_cycles: int,
              mul_latency: int = mul.DEFAULT_LATENCY,
-             max_steps: Optional[int] = None,
              sink: Optional[Callable[[tuple], None]] = None) -> Verdict:
     """Run golden and pipeline on separate copies of the program memory and
     compare their commit records whole; error halts on either side fail.
 
-    Both models start at program.entry and run in windows.  In each, the
-    pipeline runs WINDOW_CYCLES cycles (run_core on the one CoreState, so
-    cycles stay absolute), the golden model steps as many commits as the
-    pipeline made, and compare_traces compares the two; once the pipeline
+    Both models start at program.entry.  The pipeline runs in windows (see
+    windows); in each, the golden model steps as many commits as the
+    pipeline made, and compare_traces compares the two.  Once the pipeline
     has halted, the golden model steps CONTEXT_COMMITS + 1 more, to show a
-    commit the pipeline lacks and its context.  Lockstep stops at the end of
-    the window of the first mismatch, or once both models have halted, and
-    holds one window of commits plus the last CONTEXT_COMMITS of each side.
-
-    max_steps caps both models' commits: once the golden model stops at
-    that cap with n commits and the pipeline has made more, the pipeline
-    stops at the end of that window, and its run counts to commit n.  A
-    sink is handed to run_core and sees the pipeline's signals while it
-    runs, one tuple of SIGNAL_GROUPS values per cycle (see step_cycle):
-    with a step cap, up to the end of the window in which the pipeline
-    passed it.  A max_cycles
-    or max_steps below 1, or an entry that is not word-aligned, raises
-    ValueError before either model runs.
+    commit the pipeline lacks and its context; a pipeline stopped at
+    max_cycles lacks none, so a capped run in which no commit differs
+    passes.  Lockstep stops at the end of the window of the first mismatch,
+    or at the pipeline's last window, and holds one window of commits plus
+    the last CONTEXT_COMMITS of each side.  A sink is handed to run_core and
+    sees the pipeline's signals while it runs, one tuple of SIGNAL_GROUPS
+    values per cycle (see step_cycle).  A max_cycles below 1, or an entry
+    that is not word-aligned, raises ValueError before either model runs.
     """
-    for name, cap in (("max_cycles", max_cycles), ("max_steps", max_steps)):
-        if cap is not None and cap < 1:
-            raise ValueError(f"{name} must be at least 1, got {cap}")
+    if max_cycles < 1:
+        raise ValueError(f"max_cycles must be at least 1, got {max_cycles}")
     gstate = golden.ArchState(pc=program.entry, mem=program.image.clone())
-    gcap = max_cycles if max_steps is None else max_steps
+    ghalt = HaltCause(HaltKind.MAX_STEPS)
     core = CoreState.reset(PipelineConfig(program.entry, mul_latency))
-    pmem = program.image.clone()
 
-    gdone = False  # the golden model has halted, or stopped at gcap
-    retired = last_commit_cycle = 0
+    retired = 0
     context = None
     # each side's last CONTEXT_COMMITS compared commits
     gkept: list[CommitRecord] = []
     pkept: list[CommitRecord] = []
-    while True:
-        base = retired  # the ordinal of this window's first commit
-        run = run_core(core, pmem, min(WINDOW_CYCLES, max_cycles - core.cycle),
-                       sink=sink)
-        pchunk, pcycles, phalt, cycles = (run.commits, run.commit_cycles,
-                                          run.halt, run.cycles)
-        del run  # so that the del below frees its lists
-        pdone = phalt.kind is not HaltKind.MAX_CYCLES or cycles == max_cycles
+    for run in windows(core, program.image.clone(), max_cycles, sink):
+        base, retired, phalt = retired, retired + len(run.commits), run.halt
         gchunk: list[CommitRecord] = []
-        budget = min(gcap - base,
-                     len(pchunk) + (CONTEXT_COMMITS + 1 if pdone else 0))
-        if not gdone and budget:
+        budget = len(run.commits) + (
+            0 if phalt.kind is HaltKind.MAX_CYCLES else CONTEXT_COMMITS + 1)
+        if ghalt.kind is HaltKind.MAX_STEPS and budget:
             gchunk, ghalt = golden.run(gstate, budget)
-            gdone = (ghalt.kind is not HaltKind.MAX_STEPS
-                     or base + len(gchunk) == gcap)
-        if gdone and ghalt.kind is HaltKind.MAX_STEPS \
-                and len(pchunk) > len(gchunk):
-            # max_steps caps both models: the pipeline's run ends at commit n
-            del pchunk[len(gchunk):], pcycles[len(gchunk):]
-            cycles = (pcycles[-1] if pcycles else last_commit_cycle) + 1
-            phalt, pdone = ghalt, True
-        retired = base + len(pchunk)
 
-        mismatch = compare_traces(gchunk, pchunk, actual_cycles=pcycles)
+        mismatch = compare_traces(gchunk, run.commits, run.commit_cycles)
         if mismatch is not None:
             i = len(gkept) + mismatch.index  # its place in gkept + gchunk
             lo, hi = max(0, i - CONTEXT_COMMITS), i + CONTEXT_COMMITS + 1
             context = MismatchContext((gkept + gchunk)[lo:hi],
-                                      (pkept + pchunk)[lo:hi])
+                                      (pkept + run.commits)[lo:hi])
             mismatch = replace(mismatch, index=base + mismatch.index)
             break
-        if gdone and pdone:
-            break
         gkept = (gkept + gchunk[-CONTEXT_COMMITS:])[-CONTEXT_COMMITS:]
-        pkept = (pkept + pchunk[-CONTEXT_COMMITS:])[-CONTEXT_COMMITS:]
-        if pcycles:
-            last_commit_cycle = pcycles[-1]
-        del gchunk, pchunk, pcycles  # before the next window's are made
+        pkept = (pkept + run.commits[-CONTEXT_COMMITS:])[-CONTEXT_COMMITS:]
+        del gchunk, run  # before the next window's are made
 
-    report = cpi(retired, cycles) if retired else None
+    report = cpi(retired, core.cycle) if retired else None
     note = ""
     passed = mismatch is None
     if passed and HaltKind.ERROR in (ghalt.kind, phalt.kind):
@@ -212,7 +200,7 @@ def lockstep(program: Program, max_cycles: int,
         passed = False
         note = (f"halt mismatch: golden={ghalt.kind.value}({ghalt.code}) "
                 f"pipeline={phalt.kind.value}({phalt.code})")
-    return Verdict(passed, program.name, ghalt, phalt, retired, cycles,
+    return Verdict(passed, program.name, ghalt, phalt, retired, core.cycle,
                    report, mismatch, context, note)
 
 

@@ -376,6 +376,31 @@ def fib_program(n: int = 10) -> Program:
     return assemble(a.words(), f"fib_{n}")
 
 
+def register_file_programs() -> list[Program]:
+    """Programs that write every register x1-x31, by addi or by a jal link,
+    then read each as rs1 and as rs2 at a distance of d instructions: 1 to 3
+    through forwarding and the write-back bypass, 4 past them.  A chain up
+    (x[r+1] += x[r]) and one back down (x[r-1] ^= x[r]) fold every value
+    into x1, and x1 into a0, the exit code.  They are kept out of corpus(),
+    which the digest pins cover."""
+    regs = range(1, 32)
+    programs = []
+    for writer, write in (("addi", lambda r: ADDI(r, 0, 61 * r + 3)),
+                          ("jal", lambda r: JAL(r, 4))):
+        for d in (1, 2, 3, 4):
+            gap = [NOP()] * (d - 1)
+            words = [write(r) for r in regs]
+            for r in regs:  # x[r] as rs1; x[r+1], x1 after x31, as rs2
+                t = r % 31 + 1
+                words += gap + [ADD(t, r, t)]
+            for r in (1, *reversed(regs[1:])):  # x[r] as rs2; x[r-1] or x31
+                t = r - 1 or 31
+                words += gap + [XOR(t, t, r)]
+            words += gap + [ADD(10, 1, 0), ECALL()]
+            programs.append(assemble(words, f"regfile_{writer}_d{d}"))
+    return programs
+
+
 def fault_programs() -> list[Program]:
     """Programs that end in a fault while older instructions are in flight.
 

@@ -36,6 +36,9 @@ MUTANTS: dict[str, tuple[str, str]] = {
     # A store counts as issued when it enters ID/EX, so it never writes.
     "store_counts_as_issued": ("f.mem_issued = id_d.mnemonic not in MEM_WIDTH",
                                "f.mem_issued = not id_d.ctrl.mem_read"),
+    # A register file of 16 entries: a write to x16-x31 lands in x0-x15.
+    "regfile_16": ("core.regfile[wb_rd] = wb.mem_data",
+                   "core.regfile[wb_rd & 15] = wb.mem_data"),
 }
 
 # Read once, at import: after a test has installed a mutant,

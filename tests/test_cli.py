@@ -71,11 +71,27 @@ class TestCosim:
         assert vercore("cosim", flush_bug_hex) == EXIT_MISMATCH
         assert capsys.readouterr().out == FLUSH_BUG_REPORT
 
-    def test_vcd_matches_sim(self, fib_hex, tmp_path, capsys):
+    @pytest.mark.parametrize("cap", (None, 50, cosim.WINDOW_CYCLES + 476))
+    def test_vcd_matches_sim(self, cap, tmp_path, capsys):
+        """Both run the pipeline through cosim.windows: the same VCD to the
+        halt, or to a cycle cap in mid-window."""
+        program = progs.benchmark_program(32)  # 2,544 cycles
+        path = write_hex(tmp_path / "crc.hex", program)
+        capped = () if cap is None else ("--max-cycles", cap)
         co, sim = tmp_path / "cosim.vcd", tmp_path / "sim.vcd"
-        assert vercore("cosim", fib_hex, "--vcd", co) == 0
-        assert vercore("sim", fib_hex, "--vcd", sim) == FIB_EXIT
+        assert vercore("cosim", path, "--vcd", co, *capped) == 0
+        exit_code = cosim.lockstep(program, 10_000).core_halt.code
+        assert vercore("sim", path, "--vcd", sim, *capped) \
+            == (EXIT_SIM if cap else exit_code)
         assert co.read_text() == sim.read_text()
+
+    def test_a_program_that_never_halts_passes_under_a_cycle_cap(
+            self, tmp_path, capsys):
+        path = write_hex(tmp_path / "loop.hex",
+                         progs.assemble([progs.JAL(0, 0)], "loop"))
+        assert vercore("cosim", path, "--max-cycles", "50") == 0
+        assert capsys.readouterr().out.splitlines()[0] == \
+            "RESULT: PASS loop.hex"
 
     def test_vcd_runs_the_pipeline_once(self, no_flush, flush_bug_hex,
                                         tmp_path, monkeypatch, capsys):
@@ -87,7 +103,6 @@ class TestCosim:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cosim, "run_core", counting)
-        monkeypatch.setattr(cli, "run_core", counting)
         vcd = tmp_path / "fail.vcd"
         assert vercore("cosim", flush_bug_hex, "--vcd", vcd) == EXIT_MISMATCH
         assert len(calls) == 1
@@ -119,9 +134,9 @@ class TestCosim:
             "pipeline=ecall(0)",
             "CPI: cycles=81 retired=67 cpi=1.2090"]
 
-    def test_a_step_cap_below_the_program_length_passes(self, fib_hex,
-                                                        capsys):
-        assert vercore("cosim", fib_hex, "--max-steps", "1") == 0
+    def test_a_cycle_cap_below_the_program_length_passes(self, fib_hex,
+                                                         capsys):
+        assert vercore("cosim", fib_hex, "--max-cycles", "5") == 0
         assert capsys.readouterr().out.splitlines() == [
             "RESULT: PASS fib.hex", "CPI: cycles=5 retired=1 cpi=5.0000"]
 
@@ -492,7 +507,6 @@ class TestUsageErrors:
         ("run", "--max-steps", "0"),
         ("sim", "--mul-latency", "0"),
         ("sim", "--max-cycles", "0"),
-        ("cosim", "--max-steps", "0"),
         ("cosim", "--mul-latency", "-3"),
         ("bench", "--max-cycles", "0"),
         ("bench", "--mul-latency", "0"),
@@ -506,6 +520,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [
         ("sim", "--max-steps", "1"),
+        ("cosim", "--max-steps", "1"),
+        ("bench", "--max-steps", "1"),
         ("cosim", "--strict-pc"),
         ("cosim", "--ignore-load-txns"),
     ])

@@ -153,29 +153,47 @@ def test_generated_programs_pass_at_every_latency(latency):
     assert failed == []
 
 
-class TestHalts:
-    def test_capped_halts_agree_across_kinds(self):
-        loop = progs.assemble([progs.JAL(0, 0)], "loop")
-        retired = lockstep(loop, 50).retired
-        v = lockstep(loop, 50, max_steps=retired)
-        assert v.golden_halt.kind is HaltKind.MAX_STEPS
-        assert v.core_halt.kind is HaltKind.MAX_CYCLES
-        assert v.passed and v.mismatch is None and v.note == ""
+NEVER_HALTING = [
+    progs.assemble([progs.JAL(0, 0)], "jal_loop"),  # CPI 2
+    progs.assemble([progs.ADDI(5, 5, 1)] * 10 + [progs.JAL(0, -40)],
+                   "addi_loop")]  # CPI about 1.09
 
-    @pytest.mark.parametrize("steps", (1, 10))
-    def test_a_step_cap_below_the_program_length_caps_both(self, steps):
-        """The pipeline runs on to the ecall, but only its first `steps`
-        commits count, up to the cycle of the last of them."""
-        program = progs.fib_program()
-        uncapped = pipeline.run_core(
-            pipeline.CoreState.reset(pipeline.PipelineConfig(program.entry)),
-            program.image.clone(), 10_000)
-        v = lockstep(program, 10_000, max_steps=steps)
+
+def pipeline_run(program, max_cycles):
+    """The pipeline alone, run for up to max_cycles cycles."""
+    return pipeline.run_core(
+        pipeline.CoreState.reset(pipeline.PipelineConfig(program.entry)),
+        program.image.clone(), max_cycles)
+
+
+class TestHalts:
+    @pytest.mark.parametrize("cap", (1, 50, cosim.WINDOW_CYCLES,
+                                     2 * cosim.WINDOW_CYCLES))
+    @pytest.mark.parametrize("program", NEVER_HALTING,
+                             ids=lambda p: p.name)
+    def test_capped_halts_agree_across_kinds(self, program, cap):
+        """The golden model steps once per pipeline commit, so a program
+        that never halts passes whatever its CPI."""
+        v = lockstep(program, cap)
         assert v.passed and v.mismatch is None and v.note == ""
-        assert v.golden_halt == v.core_halt == HaltCause(HaltKind.MAX_STEPS)
-        assert v.retired == steps < len(uncapped.commits)
-        assert v.cycles == v.cpi_report.cycles \
-            == uncapped.commit_cycles[steps - 1] + 1
+        assert v.golden_halt == HaltCause(HaltKind.MAX_STEPS)
+        assert v.core_halt == HaltCause(HaltKind.MAX_CYCLES)
+        assert (v.retired, v.cycles) \
+            == (len(pipeline_run(program, cap).commits), cap)
+
+    @pytest.mark.parametrize("commits", (1, 10))
+    def test_a_cycle_cap_below_the_program_length_caps_both(self, commits):
+        """A cap at the cycle after the pipeline's k-th commit stops the
+        golden model at its k-th commit too."""
+        program = progs.fib_program()
+        uncapped = pipeline_run(program, 10_000)
+        cap = uncapped.commit_cycles[commits - 1] + 1
+        v = lockstep(program, cap)
+        assert v.passed and v.mismatch is None and v.note == ""
+        assert v.golden_halt == HaltCause(HaltKind.MAX_STEPS)
+        assert v.core_halt == HaltCause(HaltKind.MAX_CYCLES)
+        assert v.retired == commits < len(uncapped.commits)
+        assert v.cycles == v.cpi_report.cycles == cap
 
     def test_halt_mismatch_note(self, monkeypatch):
         real = cosim.run_core

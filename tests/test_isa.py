@@ -15,20 +15,111 @@ from vercore.isa import (ENCODINGS, DecodedInstr, Format, IllegalInstruction,
 
 from conftest import assemble_riscv, needs_clang
 
-# Reference words: the first two are canonical hand-checkable encodings, the
-# rest were produced by clang --target=riscv32 and frozen here.
+# Reference words, one per mnemonic, each written from the RISC-V
+# Unprivileged spec's "RV32/64G Instruction Set Listings" and shown in its
+# fields, high bits first:
+#   R:   funct7 rs2 rs1 funct3 rd opcode (shamt in rs2's place, for slli,
+#        srli and srai)
+#   I:   imm[11:0] rs1 funct3 rd opcode (fence: fm pred succ rs1 funct3 rd
+#        opcode)
+#   S:   imm[11:5] rs2 rs1 funct3 imm[4:0] opcode
+#   B:   imm[12|10:5] rs2 rs1 funct3 imm[4:1|11] opcode
+#   U:   imm[31:12] rd opcode
+#   J:   imm[20|10:1|11|19:12] rd opcode
+# The spec is the oracle, not encode: a wrong funct3 or opcode in ENCODINGS
+# fails both tests below.  The words of addi, add, ecall, ebreak, jal, beq,
+# jalr, sra, mulhsu, lb and srai are also clang's.
 KNOWN_WORDS = [
-    (0xFFF00093, Mnemonic.ADDI, dict(rd=1, rs1=0, imm=-1)),
-    (0x00000033, Mnemonic.ADD, dict(rd=0, rs1=0, rs2=0)),
-    (0x00000073, Mnemonic.ECALL, {}),
-    (0x00100073, Mnemonic.EBREAK, {}),
+    # lui x1, 0x12345: 00010010001101000101 00001 0110111
+    (0x123450B7, Mnemonic.LUI, dict(rd=1, imm=0x12345000)),
+    # auipc x31, 0x7ffff: 01111111111111111111 11111 0010111
+    (0x7FFFFF97, Mnemonic.AUIPC, dict(rd=31, imm=0x7FFFF000)),
+    # jal x0, 0: 00000000000000000000 00000 1101111
     (0x0000006F, Mnemonic.JAL, dict(rd=0, imm=0)),
-    (0xFE208EE3, Mnemonic.BEQ, dict(rs1=1, rs2=2, imm=-4)),
+    # jalr x1, 16(x2): 000000010000 00010 000 00001 1100111
     (0x010100E7, Mnemonic.JALR, dict(rd=1, rs1=2, imm=16)),
-    (0x405251B3, Mnemonic.SRA, dict(rd=3, rs1=4, rs2=5)),
-    (0x0283A333, Mnemonic.MULHSU, dict(rd=6, rs1=7, rs2=8)),
+    # beq x1, x2, -4: 1111111 00010 00001 000 11101 1100011
+    (0xFE208EE3, Mnemonic.BEQ, dict(rs1=1, rs2=2, imm=-4)),
+    # bne x3, x4, 8: 0000000 00100 00011 001 01000 1100011
+    (0x00419463, Mnemonic.BNE, dict(rs1=3, rs2=4, imm=8)),
+    # blt x5, x6, -2048: 1000000 00110 00101 100 00001 1100011
+    (0x8062C0E3, Mnemonic.BLT, dict(rs1=5, rs2=6, imm=-2048)),
+    # bge x7, x8, 4094: 0111111 01000 00111 101 11111 1100011
+    (0x7E83DFE3, Mnemonic.BGE, dict(rs1=7, rs2=8, imm=4094)),
+    # bltu x9, x10, 2: 0000000 01010 01001 110 00010 1100011
+    (0x00A4E163, Mnemonic.BLTU, dict(rs1=9, rs2=10, imm=2)),
+    # bgeu x11, x12, -4096: 1000000 01100 01011 111 00000 1100011
+    (0x80C5F063, Mnemonic.BGEU, dict(rs1=11, rs2=12, imm=-4096)),
+    # lb x9, -33(x10): 111111011111 01010 000 01001 0000011
     (0xFDF50483, Mnemonic.LB, dict(rd=9, rs1=10, imm=-33)),
+    # lh x13, 2(x14): 000000000010 01110 001 01101 0000011
+    (0x00271683, Mnemonic.LH, dict(rd=13, rs1=14, imm=2)),
+    # lw x15, -4(x16): 111111111100 10000 010 01111 0000011
+    (0xFFC82783, Mnemonic.LW, dict(rd=15, rs1=16, imm=-4)),
+    # lbu x17, 2047(x18): 011111111111 10010 100 10001 0000011
+    (0x7FF94883, Mnemonic.LBU, dict(rd=17, rs1=18, imm=2047)),
+    # lhu x19, -2048(x20): 100000000000 10100 101 10011 0000011
+    (0x800A5983, Mnemonic.LHU, dict(rd=19, rs1=20, imm=-2048)),
+    # sb x21, -1(x22): 1111111 10101 10110 000 11111 0100011
+    (0xFF5B0FA3, Mnemonic.SB, dict(rs1=22, rs2=21, imm=-1)),
+    # sh x23, 34(x24): 0000001 10111 11000 001 00010 0100011
+    (0x037C1123, Mnemonic.SH, dict(rs1=24, rs2=23, imm=34)),
+    # sw x25, 2044(x26): 0111111 11001 11010 010 11100 0100011
+    (0x7F9D2E23, Mnemonic.SW, dict(rs1=26, rs2=25, imm=2044)),
+    # addi x1, x0, -1: 111111111111 00000 000 00001 0010011
+    (0xFFF00093, Mnemonic.ADDI, dict(rd=1, rs1=0, imm=-1)),
+    # slti x27, x28, -5: 111111111011 11100 010 11011 0010011
+    (0xFFBE2D93, Mnemonic.SLTI, dict(rd=27, rs1=28, imm=-5)),
+    # sltiu x29, x30, 7: 000000000111 11110 011 11101 0010011
+    (0x007F3E93, Mnemonic.SLTIU, dict(rd=29, rs1=30, imm=7)),
+    # xori x31, x1, -256: 111100000000 00001 100 11111 0010011
+    (0xF000CF93, Mnemonic.XORI, dict(rd=31, rs1=1, imm=-256)),
+    # ori x2, x3, 1365: 010101010101 00011 110 00010 0010011
+    (0x5551E113, Mnemonic.ORI, dict(rd=2, rs1=3, imm=1365)),
+    # andi x4, x5, 255: 000011111111 00101 111 00100 0010011
+    (0x0FF2F213, Mnemonic.ANDI, dict(rd=4, rs1=5, imm=255)),
+    # slli x6, x7, 1: 0000000 00001 00111 001 00110 0010011
+    (0x00139313, Mnemonic.SLLI, dict(rd=6, rs1=7, imm=1)),
+    # srli x8, x9, 17: 0000000 10001 01001 101 01000 0010011
+    (0x0114D413, Mnemonic.SRLI, dict(rd=8, rs1=9, imm=17)),
+    # srai x11, x12, 31: 0100000 11111 01100 101 01011 0010011
     (0x41F65593, Mnemonic.SRAI, dict(rd=11, rs1=12, imm=31)),
+    # add x0, x0, x0: 0000000 00000 00000 000 00000 0110011
+    (0x00000033, Mnemonic.ADD, dict(rd=0, rs1=0, rs2=0)),
+    # sub x10, x11, x12: 0100000 01100 01011 000 01010 0110011
+    (0x40C58533, Mnemonic.SUB, dict(rd=10, rs1=11, rs2=12)),
+    # sll x13, x14, x15: 0000000 01111 01110 001 01101 0110011
+    (0x00F716B3, Mnemonic.SLL, dict(rd=13, rs1=14, rs2=15)),
+    # slt x16, x17, x18: 0000000 10010 10001 010 10000 0110011
+    (0x0128A833, Mnemonic.SLT, dict(rd=16, rs1=17, rs2=18)),
+    # sltu x19, x20, x21: 0000000 10101 10100 011 10011 0110011
+    (0x015A39B3, Mnemonic.SLTU, dict(rd=19, rs1=20, rs2=21)),
+    # xor x22, x23, x24: 0000000 11000 10111 100 10110 0110011
+    (0x018BCB33, Mnemonic.XOR, dict(rd=22, rs1=23, rs2=24)),
+    # srl x25, x26, x27: 0000000 11011 11010 101 11001 0110011
+    (0x01BD5CB3, Mnemonic.SRL, dict(rd=25, rs1=26, rs2=27)),
+    # sra x3, x4, x5: 0100000 00101 00100 101 00011 0110011
+    (0x405251B3, Mnemonic.SRA, dict(rd=3, rs1=4, rs2=5)),
+    # or x28, x29, x30: 0000000 11110 11101 110 11100 0110011
+    (0x01EEEE33, Mnemonic.OR, dict(rd=28, rs1=29, rs2=30)),
+    # and x31, x1, x2: 0000000 00010 00001 111 11111 0110011
+    (0x0020FFB3, Mnemonic.AND, dict(rd=31, rs1=1, rs2=2)),
+    # fence iorw, iorw: 0000 1111 1111 00000 000 00000 0001111
+    (0x0FF0000F, Mnemonic.FENCE, dict(imm=0x0FF)),
+    # fence.i: 000000000000 00000 001 00000 0001111
+    (0x0000100F, Mnemonic.FENCE_I, {}),
+    # ecall: 000000000000 00000 000 00000 1110011
+    (0x00000073, Mnemonic.ECALL, {}),
+    # ebreak: 000000000001 00000 000 00000 1110011
+    (0x00100073, Mnemonic.EBREAK, {}),
+    # mul x5, x6, x7: 0000001 00111 00110 000 00101 0110011
+    (0x027302B3, Mnemonic.MUL, dict(rd=5, rs1=6, rs2=7)),
+    # mulh x8, x9, x10: 0000001 01010 01001 001 01000 0110011
+    (0x02A49433, Mnemonic.MULH, dict(rd=8, rs1=9, rs2=10)),
+    # mulhsu x6, x7, x8: 0000001 01000 00111 010 00110 0110011
+    (0x0283A333, Mnemonic.MULHSU, dict(rd=6, rs1=7, rs2=8)),
+    # mulhu x11, x12, x13: 0000001 01101 01100 011 01011 0110011
+    (0x02D635B3, Mnemonic.MULHU, dict(rd=11, rs1=12, rs2=13)),
 ]
 
 

@@ -1,6 +1,6 @@
 """Windowed lockstep: the whole-trace verdict on a passing run and, on a
-failing one, the same mismatch from a run that stops at its window; a step
-cap that stops the pipeline, and memory that does not grow with the run."""
+failing one, the same mismatch from a run that stops at its window; the
+verdict under a cycle cap, and memory that does not grow with the run."""
 
 import tracemalloc
 
@@ -9,27 +9,25 @@ import pytest
 from vercore import cosim, golden, mul, pipeline, progs
 from vercore.cosim import (CONTEXT_COMMITS, MismatchContext, Verdict,
                            compare_traces, lockstep)
-from vercore.golden import HaltKind
+from vercore.golden import HaltCause, HaltKind
 
 from mutants import MUTANTS, mutant
 from test_mutants import PROGRAMS as MUTANT_PROGRAMS  # catch every mutant
 
 
-def whole_trace_lockstep(program, max_cycles, mul_latency=mul.DEFAULT_LATENCY,
-                         max_steps=None):
-    """The reference: run the golden model, then the pipeline, each to its
-    own halt, cut the pipeline at the step cap, and compare once."""
-    gstate = golden.ArchState(pc=program.entry, mem=program.image.clone())
-    gtrace, ghalt = golden.run(gstate, max_steps or max_cycles)
+def whole_trace_lockstep(program, max_cycles, mul_latency=mul.DEFAULT_LATENCY):
+    """The reference: run the pipeline to its halt or max_cycles, then the
+    golden model to its halt, or to the pipeline's commit count when the
+    pipeline stopped at max_cycles, and compare once."""
     core = pipeline.CoreState.reset(
         pipeline.PipelineConfig(program.entry, mul_latency))
     run = pipeline.run_core(core, program.image.clone(), max_cycles)
     commits, commit_cycles, cycles, halt = (run.commits, run.commit_cycles,
                                             run.cycles, run.halt)
-    n = len(gtrace)
-    if ghalt.kind is HaltKind.MAX_STEPS and len(commits) > n:
-        commits, commit_cycles = commits[:n], commit_cycles[:n]
-        cycles, halt = commit_cycles[-1] + 1, ghalt
+    gstate = golden.ArchState(pc=program.entry, mem=program.image.clone())
+    steps = len(commits) if halt.kind is HaltKind.MAX_CYCLES else max_cycles
+    gtrace, ghalt = (golden.run(gstate, steps) if steps
+                     else ([], HaltCause(HaltKind.MAX_STEPS)))
     mismatch = compare_traces(gtrace, commits, commit_cycles)
     note = context = None
     if mismatch is not None:
@@ -102,57 +100,40 @@ def test_windows_give_the_whole_trace_verdict_on_mutants(window, name,
 @pytest.mark.parametrize("program", [
     progs.fib_program(), progs.benchmark_program(16),
     progs.assemble([progs.JAL(0, 0)], "loop")], ids=lambda p: p.name)
-def test_windows_give_the_whole_trace_verdict_under_a_step_cap(window,
-                                                               program):
-    retired = whole_trace_lockstep(program, 3_000).retired
-    for steps in (1, 10, retired - 1, retired, retired + 1):
-        assert_same_verdicts([program], 3_000, max_steps=steps)
+def test_windows_give_the_whole_trace_verdict_under_a_cycle_cap(window,
+                                                                program):
+    cycles = whole_trace_lockstep(program, 3_000).cycles
+    for cap in (1, 10, cycles - 1, cycles, cycles + 1):
+        assert_same_verdicts([program], cap)
 
 
-def test_a_step_cap_after_a_mismatch_gives_the_whole_trace_verdict(
+def test_a_cycle_cap_after_a_mismatch_gives_the_whole_trace_verdict(
         window, monkeypatch):
     monkeypatch.setattr(pipeline, "step_cycle", mutant("no_flush"))
     program = progs.flush_bug_program()
     v = whole_trace_lockstep(program, 1_000)
     assert v.mismatch is not None
-    for steps in (v.mismatch.index, v.mismatch.index + 1, v.retired):
-        assert_same_verdicts([program], 1_000, max_steps=steps)
+    for cap in (v.mismatch.cycle, v.mismatch.cycle + 1, v.cycles):
+        assert_same_verdicts([program], cap)
 
 
 def test_a_cycle_cap_on_a_window_boundary(window):
+    """A capped run in which no commit differs passes."""
     program = progs.benchmark_program(32)  # 2,544 cycles
     for windows in (1, 2):
         v = lockstep(program, windows * window)
+        assert v.passed
+        assert v.golden_halt.kind is HaltKind.MAX_STEPS
         assert v.core_halt.kind is HaltKind.MAX_CYCLES
         assert v.cycles == windows * window
         assert_same_verdicts([program], windows * window)
 
 
-def test_a_step_cap_stops_the_pipeline_within_a_window(monkeypatch):
-    """The golden model stops at the cap after one commit, so the pipeline
-    stops at the end of the window in which it passed that commit instead
-    of running to its cycle cap."""
-    runs = []
-    real = cosim.run_core
-
-    def keeping_core(core, *args, **kwargs):
-        runs.append(core)
-        return real(core, *args, **kwargs)
-
-    monkeypatch.setattr(cosim, "run_core", keeping_core)
-    loop = progs.assemble([progs.JAL(0, 0)], "loop")
-    seen = []
-    v = lockstep(loop, 200_000, max_steps=1, sink=seen.append)
-    assert v.passed and (v.retired, v.cycles) == (1, 5)
-    assert v.core_halt.kind is HaltKind.MAX_STEPS
-    assert len(seen) == runs[-1].cycle <= cosim.WINDOW_CYCLES
-
-
 def test_a_capped_run_within_one_window_hands_the_sink_every_cycle():
     seen = []
-    v = lockstep(progs.fib_program(), 10_000, max_steps=1, sink=seen.append)
-    assert (v.retired, v.cycles) == (1, 5)
-    assert len(seen) == lockstep(progs.fib_program(), 10_000).cycles == 81
+    v = lockstep(progs.fib_program(), 5, sink=seen.append)
+    assert v.passed and (v.retired, v.cycles) == (1, 5)
+    assert len(seen) == 5
 
 
 def _lockstep_peak(program, max_cycles=100_000):
@@ -239,9 +220,3 @@ def no_model_runs(monkeypatch):
 def test_a_cycle_cap_below_one_is_refused(max_cycles, no_model_runs):
     with pytest.raises(ValueError):
         lockstep(progs.fib_program(), max_cycles)
-
-
-@pytest.mark.parametrize("max_steps", (0, -1))
-def test_a_step_cap_below_one_is_refused(max_steps, no_model_runs):
-    with pytest.raises(ValueError):
-        lockstep(progs.fib_program(), 100, max_steps=max_steps)

@@ -1,13 +1,16 @@
 """The named mutants of tests/mutants.py: each still applies to step_cycle,
-and lockstep catches each one."""
+and lockstep catches each one; the register-file programs reach all 31
+registers."""
 
 import inspect
 
 import pytest
 
+from conftest import program_words
 from mutants import MUTANTS, ORIGINAL_SOURCE, mutant
 from vercore import pipeline, progs
 from vercore.cosim import lockstep
+from vercore.isa import decode
 from vercore.progs import ADD, ADDI, ECALL, LUI, LW, NOP, SW
 
 # A load-use hold whose bubble takes the slot of a load to x5 that has just
@@ -18,7 +21,7 @@ HOLD_AFTER_LOAD = progs.assemble(
 
 PROGRAMS = (progs.directed_isa_programs() + progs.hazard_programs()
             + [progs.fib_program(), progs.flush_bug_program(),
-               HOLD_AFTER_LOAD])
+               HOLD_AFTER_LOAD] + progs.register_file_programs())
 
 
 def test_the_source_is_the_original_step_cycle():
@@ -34,6 +37,26 @@ def test_mutant_is_caught_by_lockstep(name, monkeypatch):
     monkeypatch.setattr(pipeline, "step_cycle", mutant(name))
     failed = [p.name for p in PROGRAMS if not lockstep(p, 10_000).passed]
     assert failed, f"no program tells mutant {name} from the pipeline"
+
+
+@pytest.mark.parametrize("program", progs.register_file_programs(),
+                         ids=lambda p: p.name)
+def test_a_register_file_program_uses_every_register(program):
+    """It writes x1-x31 and reads each as rs1 and as rs2."""
+    decoded = [decode(word) for word in program_words(program)]
+    for field in ("rd", "rs1", "rs2"):
+        assert {getattr(d, field) for d in decoded} >= set(range(1, 32)), \
+            field
+
+
+@pytest.mark.parametrize("program", progs.register_file_programs(),
+                         ids=lambda p: p.name)
+def test_a_register_file_program_catches_16_registers(program, monkeypatch):
+    """A program that names no register above x15 cannot tell a register
+    file that drops the top bit of rd from the pipeline."""
+    monkeypatch.setattr(pipeline, "step_cycle", mutant("regfile_16"))
+    v = lockstep(program, 10_000)
+    assert v.mismatch is not None and v.mismatch.kind == "reg"
 
 
 def test_a_missing_fragment_is_reported_by_name(monkeypatch):
