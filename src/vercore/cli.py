@@ -3,7 +3,9 @@ VCD-to-CSV conversion, register-trace diffing and batch benchmarking.
 
 Each command that runs a model has one cap, `run` --max-steps and the others
 --max-cycles; lockstep steps the golden model once per pipeline commit, so a
-`cosim` or `bench` run stopped at --max-cycles passes when no commit differs.
+`cosim` or `bench` run stopped at --max-cycles passes when no commit differs
+(`cosim` says so in a `RESULT-NOTE: capped` line), and one whose pipeline
+hangs (see cosim.HANG_CYCLES) fails.
 Exit codes are a stable contract: 0 success, 1 verification mismatch (of the
 commit traces, or of two clean halts) or a missed CPI bound, 2 usage error,
 3 input/parse error or a file that cannot be read or written, 4 simulation

@@ -4,15 +4,17 @@ Both simulators run the same program on independent memory copies; their
 commit traces are compared in retirement order, each commit record whole:
 pc, instruction word, register write and memory transaction.  The pipeline's
 cycle cap is the only cap: the golden model steps once per pipeline commit.
-They run in windows of WINDOW_CYCLES pipeline cycles, each compared as it
-ends, so lockstep holds one window of commits plus CONTEXT_COMMITS per side
-however long the run.  Lockstep stops at the end of the window of the first
-divergence, which is reported with the commits around it on both sides,
-taken from the one pipeline run.
+A pipeline that goes too long without a commit has hung (see HANG_CYCLES)
+and fails.  They run in windows of WINDOW_CYCLES pipeline cycles, each
+compared as it ends, so lockstep holds one window of commits plus
+CONTEXT_COMMITS per side however long the run.  Lockstep stops at the end of
+the window of the first divergence, which is reported with the commits
+around it on both sides, taken from the one pipeline run.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
@@ -95,9 +97,10 @@ class MismatchContext:
 @dataclass
 class Verdict:
     """One lockstep's outcome.  retired, cycles and both halts describe the
-    run it made: on a mismatch, up to the end of that window, where a side
-    that had not halted reports MAX_STEPS (golden) or MAX_CYCLES (pipeline).
-    Without a mismatch, the same holds at the end of the pipeline's run."""
+    run it made: on a mismatch or a hang, up to the end of that window
+    (retired counts no commit after the hang), where a side that had not
+    halted reports MAX_STEPS (golden) or MAX_CYCLES (pipeline).  Without
+    either, the same holds at the end of the pipeline's run."""
 
     passed: bool
     program: str
@@ -113,6 +116,10 @@ class Verdict:
 
 CONTEXT_COMMITS = 5
 WINDOW_CYCLES = 1024  # pipeline cycles per lockstep compare window
+# A correct pipeline commits or halts at most two multiplier latencies plus
+# its depth after its last commit (two multiplies back to back); one that
+# goes HANG_CYCLES + 4 * mul_latency cycles without either has hung.
+HANG_CYCLES = 64
 _CAPPED = frozenset((HaltKind.MAX_STEPS, HaltKind.MAX_CYCLES))
 
 
@@ -150,7 +157,10 @@ def lockstep(program: Program, max_cycles: int,
     has halted, the golden model steps CONTEXT_COMMITS + 1 more, to show a
     commit the pipeline lacks and its context; a pipeline stopped at
     max_cycles lacks none, so a capped run in which no commit differs
-    passes.  Lockstep stops at the end of the window of the first mismatch,
+    passes.  A pipeline that has hung (see HANG_CYCLES) fails with a note:
+    its commits from the late one on are dropped, and the golden model
+    steps as if it had halted, so a commit it still expects is `missing`.
+    Lockstep stops at the end of the window of the first mismatch or hang,
     or at the pipeline's last window, and holds one window of commits plus
     the last CONTEXT_COMMITS of each side.  A sink is handed to run_core and
     sees the pipeline's signals while it runs, one tuple of SIGNAL_GROUPS
@@ -163,34 +173,49 @@ def lockstep(program: Program, max_cycles: int,
     ghalt = HaltCause(HaltKind.MAX_STEPS)
     core = CoreState.reset(PipelineConfig(program.entry, mul_latency))
 
+    hang = HANG_CYCLES + 4 * mul_latency
+    last = 0  # the cycle of the pipeline's last commit
     retired = 0
     context = None
+    note = ""
     # each side's last CONTEXT_COMMITS compared commits
     gkept: list[CommitRecord] = []
     pkept: list[CommitRecord] = []
     for run in windows(core, program.image.clone(), max_cycles, sink):
-        base, retired, phalt = retired, retired + len(run.commits), run.halt
+        commits, commit_cycles, phalt = (run.commits, run.commit_cycles,
+                                         run.halt)
+        times = [last] + commit_cycles + [core.cycle - 1]
+        gaps = list(map(operator.sub, times[1:], times))
+        if max(gaps) > hang:  # a commit, or the window's end, is late
+            late = next(j for j, gap in enumerate(gaps) if gap > hang)
+            note = (f"hang: the pipeline made no commit in cycles "
+                    f"{times[late] + 1}-{times[late] + hang}")
+            commits, commit_cycles = commits[:late], commit_cycles[:late]
+        elif commit_cycles:
+            last = commit_cycles[-1]
+        base, retired = retired, retired + len(commits)
         gchunk: list[CommitRecord] = []
-        budget = len(run.commits) + (
-            0 if phalt.kind is HaltKind.MAX_CYCLES else CONTEXT_COMMITS + 1)
+        budget = len(commits) + (0 if phalt.kind is HaltKind.MAX_CYCLES
+                                 and not note else CONTEXT_COMMITS + 1)
         if ghalt.kind is HaltKind.MAX_STEPS and budget:
             gchunk, ghalt = golden.run(gstate, budget)
 
-        mismatch = compare_traces(gchunk, run.commits, run.commit_cycles)
+        mismatch = compare_traces(gchunk, commits, commit_cycles)
         if mismatch is not None:
             i = len(gkept) + mismatch.index  # its place in gkept + gchunk
             lo, hi = max(0, i - CONTEXT_COMMITS), i + CONTEXT_COMMITS + 1
             context = MismatchContext((gkept + gchunk)[lo:hi],
-                                      (pkept + run.commits)[lo:hi])
+                                      (pkept + commits)[lo:hi])
             mismatch = replace(mismatch, index=base + mismatch.index)
             break
+        if note:
+            break
         gkept = (gkept + gchunk[-CONTEXT_COMMITS:])[-CONTEXT_COMMITS:]
-        pkept = (pkept + run.commits[-CONTEXT_COMMITS:])[-CONTEXT_COMMITS:]
-        del gchunk, run  # before the next window's are made
+        pkept = (pkept + commits[-CONTEXT_COMMITS:])[-CONTEXT_COMMITS:]
+        del gchunk, run, commits, commit_cycles  # before the next window's
 
     report = cpi(retired, core.cycle) if retired else None
-    note = ""
-    passed = mismatch is None
+    passed = mismatch is None and not note
     if passed and HaltKind.ERROR in (ghalt.kind, phalt.kind):
         passed = False
         note = (f"simulation error: golden={ghalt.kind.value} "
@@ -228,6 +253,9 @@ def format_verdict(v: Verdict, show_context: bool = True) -> str:
     lines = [f"RESULT: {'PASS' if v.passed else 'FAIL'} {v.program}"]
     if v.note:
         lines.append(f"RESULT-NOTE: {v.note}")
+    elif v.passed and v.core_halt.kind is HaltKind.MAX_CYCLES:
+        lines.append(f"RESULT-NOTE: capped: the pipeline did not halt in "
+                     f"{v.cycles} cycles")
     mm = v.mismatch
     if mm is not None:
         # A register write shows as its value when the two writes differ;

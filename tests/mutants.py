@@ -39,6 +39,10 @@ MUTANTS: dict[str, tuple[str, str]] = {
     # A register file of 16 entries: a write to x16-x31 lands in x0-x15.
     "regfile_16": ("core.regfile[wb_rd] = wb.mem_data",
                    "core.regfile[wb_rd & 15] = wb.mem_data"),
+    # A busy multiplier ticks only when a multiply issues, so a multiply of
+    # latency 2 or more never completes and its global stall never ends.
+    "mul_never_completes": ("if issue is not None or unit.busy:",
+                            "if issue is not None:"),
 }
 
 # Read once, at import: after a test has installed a mutant,

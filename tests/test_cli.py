@@ -34,6 +34,10 @@ MISMATCH-CONTEXT: actual commits:
 CPI: cycles=11 retired=7 cpi=1.5714
 """
 FIB_EXIT = 89  # a0 at the ecall of fib_program()
+# a0 at the ecall of benchmark_program(32): (crc ^ hash) & 0xFF over the
+# bytes (37 * i + 11) & 0xFF, crc reflected with polynomial 0xEDB88320 from
+# 0, hash = 31 * hash + byte from 1.
+CRC32_EXIT = 233
 
 
 def vercore(*argv) -> int:
@@ -80,9 +84,8 @@ class TestCosim:
         capped = () if cap is None else ("--max-cycles", cap)
         co, sim = tmp_path / "cosim.vcd", tmp_path / "sim.vcd"
         assert vercore("cosim", path, "--vcd", co, *capped) == 0
-        exit_code = cosim.lockstep(program, 10_000).core_halt.code
         assert vercore("sim", path, "--vcd", sim, *capped) \
-            == (EXIT_SIM if cap else exit_code)
+            == (EXIT_SIM if cap else CRC32_EXIT)
         assert co.read_text() == sim.read_text()
 
     def test_a_program_that_never_halts_passes_under_a_cycle_cap(
@@ -90,8 +93,21 @@ class TestCosim:
         path = write_hex(tmp_path / "loop.hex",
                          progs.assemble([progs.JAL(0, 0)], "loop"))
         assert vercore("cosim", path, "--max-cycles", "50") == 0
-        assert capsys.readouterr().out.splitlines()[0] == \
-            "RESULT: PASS loop.hex"
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "RESULT: PASS loop.hex",
+            "RESULT-NOTE: capped: the pipeline did not halt in 50 cycles"]
+
+    def test_a_pipeline_that_stops_committing_fails(self, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.setattr(pipeline, "step_cycle",
+                            mutant("mul_never_completes"))
+        path = write_hex(tmp_path / "crc.hex", progs.benchmark_program(32))
+        assert vercore("cosim", path) == EXIT_MISMATCH
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            "RESULT: FAIL crc.hex",
+            "RESULT-NOTE: hang: the pipeline made no commit in cycles 7-86",
+            "MISMATCH: index=3 kind=missing pc=0x0000200c cycle=0 expected "
+            "x12=0x00000025 got <none>"]
 
     def test_vcd_runs_the_pipeline_once(self, no_flush, flush_bug_hex,
                                         tmp_path, monkeypatch, capsys):
@@ -138,7 +154,9 @@ class TestCosim:
                                                          capsys):
         assert vercore("cosim", fib_hex, "--max-cycles", "5") == 0
         assert capsys.readouterr().out.splitlines() == [
-            "RESULT: PASS fib.hex", "CPI: cycles=5 retired=1 cpi=5.0000"]
+            "RESULT: PASS fib.hex",
+            "RESULT-NOTE: capped: the pipeline did not halt in 5 cycles",
+            "CPI: cycles=5 retired=1 cpi=5.0000"]
 
     def test_a_mismatch_stops_the_run_at_its_window(self, no_flush, tmp_path,
                                                     capsys):

@@ -195,6 +195,33 @@ class TestHalts:
         assert v.retired == commits < len(uncapped.commits)
         assert v.cycles == v.cpi_report.cycles == cap
 
+    @pytest.mark.parametrize("program,retired", [
+        (progs.benchmark_program(16), 3),  # the first multiply stalls all
+        (progs.assemble([progs.MUL(5, 6, 7), progs.ECALL()], "mul_first"), 0)],
+        ids=("benchmark", "mul_first"))
+    def test_a_pipeline_that_stops_committing_fails(self, program, retired,
+                                                    monkeypatch):
+        """A hang is a commit the golden model expects and the pipeline
+        lacks, found in the window in which it hangs."""
+        monkeypatch.setattr(pipeline, "step_cycle",
+                            mutant("mul_never_completes"))
+        v = lockstep(program, 100_000)
+        assert not v.passed and v.note.startswith("hang: ")
+        assert v.mismatch.kind == "missing"
+        assert v.mismatch.index == v.retired == retired
+        assert v.context.actual_window == v.context.expected_window[:retired]
+        assert v.core_halt.kind is HaltKind.MAX_CYCLES
+        assert v.cycles == cosim.WINDOW_CYCLES
+
+    def test_a_long_multiply_is_not_a_hang(self):
+        """Two multiplies back to back go twice the latency without a
+        commit, short of the hang bound at any latency."""
+        programs = [progs.benchmark_program(16)] + [
+            p for p in progs.hazard_programs() if "mul" in p.name]
+        for program in programs:
+            v = lockstep(program, 100_000, mul_latency=200)
+            assert v.passed, format_verdict(v)
+
     def test_halt_mismatch_note(self, monkeypatch):
         real = cosim.run_core
 

@@ -16,28 +16,41 @@ from test_mutants import PROGRAMS as MUTANT_PROGRAMS  # catch every mutant
 
 
 def whole_trace_lockstep(program, max_cycles, mul_latency=mul.DEFAULT_LATENCY):
-    """The reference: run the pipeline to its halt or max_cycles, then the
-    golden model to its halt, or to the pipeline's commit count when the
-    pipeline stopped at max_cycles, and compare once."""
+    """The reference: run the pipeline to its halt or max_cycles and compare
+    once.  The pipeline has hung at its first commit, or at the end of its
+    run, that comes more than HANG_CYCLES + 4 * mul_latency cycles after the
+    commit before it (or cycle 0); its commits from there on are dropped.
+    The golden model runs to its halt, or to the pipeline's commit count
+    when the pipeline stopped at max_cycles without hanging."""
     core = pipeline.CoreState.reset(
         pipeline.PipelineConfig(program.entry, mul_latency))
     run = pipeline.run_core(core, program.image.clone(), max_cycles)
     commits, commit_cycles, cycles, halt = (run.commits, run.commit_cycles,
                                             run.cycles, run.halt)
+    limit = cosim.HANG_CYCLES + 4 * mul_latency
+    previous, hang = 0, None
+    for i, cycle in enumerate(commit_cycles + [cycles - 1]):
+        if cycle - previous > limit:
+            hang = (f"hang: the pipeline made no commit in cycles "
+                    f"{previous + 1}-{previous + limit}")
+            commits, commit_cycles = commits[:i], commit_cycles[:i]
+            break
+        previous = cycle
     gstate = golden.ArchState(pc=program.entry, mem=program.image.clone())
-    steps = len(commits) if halt.kind is HaltKind.MAX_CYCLES else max_cycles
+    steps = (len(commits) if halt.kind is HaltKind.MAX_CYCLES and not hang
+             else max_cycles)
     gtrace, ghalt = (golden.run(gstate, steps) if steps
                      else ([], HaltCause(HaltKind.MAX_STEPS)))
     mismatch = compare_traces(gtrace, commits, commit_cycles)
-    note = context = None
+    note, context = hang, None
     if mismatch is not None:
         lo = max(0, mismatch.index - CONTEXT_COMMITS)
         hi = mismatch.index + CONTEXT_COMMITS + 1
         context = MismatchContext(gtrace[lo:hi], commits[lo:hi])
-    elif HaltKind.ERROR in (ghalt.kind, halt.kind):
+    elif note is None and HaltKind.ERROR in (ghalt.kind, halt.kind):
         note = (f"simulation error: golden={ghalt.kind.value} "
                 f"{ghalt.message} / pipeline={halt.kind.value} {halt.message}")
-    elif not cosim._halts_agree(ghalt, halt):
+    elif note is None and not cosim._halts_agree(ghalt, halt):
         note = (f"halt mismatch: golden={ghalt.kind.value}({ghalt.code}) "
                 f"pipeline={halt.kind.value}({halt.code})")
     report = cosim.cpi(len(commits), cycles) if commits else None
