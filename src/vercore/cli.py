@@ -3,9 +3,10 @@ VCD-to-CSV conversion, register-trace diffing and batch benchmarking.
 
 Each command that runs a model has one cap, `run` --max-steps and the others
 --max-cycles; lockstep steps the golden model once per pipeline commit, so a
-`cosim` or `bench` run stopped at --max-cycles passes when no commit differs
-(`cosim` says so in a `RESULT-NOTE: capped` line), and one whose pipeline
-hangs (see cosim.HANG_CYCLES) fails.
+`cosim` or `bench` run stopped at --max-cycles passes when no commit differs,
+and one whose pipeline hangs (see cosim.HANG_CYCLES) fails.  A cap is not an
+error: `run`, `sim` and `cosim` stopped at theirs say so in a
+`RESULT-NOTE: capped:` line and exit 0.
 Exit codes are a stable contract: 0 success, 1 verification mismatch (of the
 commit traces, or of two clean halts) or a missed CPI bound, 2 usage error,
 3 input/parse error or a file that cannot be read or written, 4 simulation
@@ -97,9 +98,15 @@ def _load_from_args(args, path: str) -> Program:
     return program
 
 
-def _halt_exit(halt: HaltCause) -> int:
+def _halt_exit(halt: HaltCause, capped: str) -> int:
+    """The exit code of `run` or `sim`: the guest's for ecall and tohost, 0
+    for ebreak and for a run stopped at its cap, which a
+    `RESULT-NOTE: capped: <capped>` line on stdout reports, else EXIT_SIM."""
     if halt.kind in (HaltKind.ECALL, HaltKind.TOHOST):
         return halt.code & 0xFF
+    if halt.kind in (HaltKind.MAX_CYCLES, HaltKind.MAX_STEPS):
+        print(f"RESULT-NOTE: capped: {capped}")
+        return 0
     if halt.kind is HaltKind.EBREAK:
         return 0
     print(f"simulation did not terminate cleanly: {halt.kind.value} "
@@ -160,7 +167,8 @@ def cmd_run(args) -> int:
                     or retired == args.max_steps:
                 break
     print(f"retired {retired} instructions, halt: {halt.kind.value}")
-    return _halt_exit(halt)
+    return _halt_exit(
+        halt, f"the golden model did not halt in {retired} steps")
 
 
 def cmd_sim(args) -> int:
@@ -175,7 +183,8 @@ def cmd_sim(args) -> int:
             retired += len(run.commits)
     if retired:
         print(cpi(retired, core.cycle).line())
-    return _halt_exit(run.halt)
+    return _halt_exit(
+        run.halt, f"the pipeline did not halt in {core.cycle} cycles")
 
 
 def cmd_cosim(args) -> int:

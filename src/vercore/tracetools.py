@@ -1,49 +1,36 @@
 """Waveform trace tooling: VCD emission/parsing, CSV tabulation and the
 register-write diff against an expected reg_trace.hex.
 
-Every stage streams, so none holds a whole run.  vcd_write writes the
-header for the pipeline's SIGNAL_NAMES (declared by pipeline_decls()) and
-returns a per-cycle writer, a sink for run_core: it takes a cycle's values
-in the pipeline's SIGNAL_GROUPS, passes over each group that equals the
-previous cycle's, often as the same object, and formats only the signals
-that changed, in SIGNAL_NAMES order.  The VCD subset covers
-$timescale, nested $scope/$var declarations, $enddefinitions, $dumpvars,
-#time stamps, scalar and b-vector changes with x/z states.  vcd_parse takes
-an iterable of lines (an open file, say), reads the declarations at once
-and returns the changes as a lazy iterator of (time, id, bits) tuples: a
-fault in the body raises when the iterator reaches it.  vcd_to_csv hands
-each CSV row to a callback as the row completes: one row per distinct
-timestamp with sample-and-hold cell values (fixed-width lowercase hex for
-vectors); each column's cell is rendered when its signal changes and held,
-so a row is the time plus the held cells.  diff_reg_trace reads CSV lines,
-checks each row as it passes and returns (clean, report lines).
+Every stage streams, so none holds a whole run.  vcd_write returns a
+run_core sink that formats only the signals that changed.  The VCD subset
+covers $timescale, nested $scope/$var declarations, $enddefinitions,
+$dumpvars, #time stamps, scalar and b-vector changes with x/z states.
+vcd_parse reads the declarations at once and the changes lazily;
+vcd_to_csv hands each CSV row to a callback as it completes; diff_reg_trace
+checks each CSV row as it passes.
 
-Each stage memoizes the work it repeats on identical inputs, in
-functools.lru_cache memos made per call and sized by MEMO_CAP: the writer
-formats a signal's change line once per value, the parser reads a
-body line that is exactly one change once per distinct line, and the
-tabulator renders a vector column's cell once per distinct bits.  A
-pipeline trace repeats itself: on benchmark_program(256), pc and ic_d_in
-take 36 and 33 values over 18,445 changes each, branch_target 5 over
-9,217 and wb_rd 12 over 14,841; of the 97,814 vector changes only cycle's
-(every value new) and wb_data's (4,829 values over 14,054 changes) mostly
-miss.  So a small LRU keeps every hot entry, the misses churn only
-the least recently used ones, and memory stays flat however long the run.
+A pipeline trace repeats itself, so the writer and the tabulator memoize by
+value, in memos made per call and bounded by MEMO_CAP, and memory stays
+flat however long the run.  On benchmark_program(256), pc and ic_d_in take
+36 and 33 values over 18,445 changes each, while every cycle value is new.
+Its VCD has 147,159 change lines, 25,762 of them distinct: the tabulator
+finds 120,366 in its memo and reads 26,793, cycle's 20,240 among them.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TextIO
 
 from .memory import HEX_DIGITS
 from .pipeline import SIGNAL_GROUPS, SIGNAL_NAMES, flatten
 
 TIME_PER_CYCLE = 10000  # 1ps timescale units per pipeline clock
-MEMO_CAP = 256  # entries per memo; a larger cap buys little and costs RSS
+MEMO_CAP = 256  # entries per memo, or per generation of vcd_to_csv's
 
 
 class MalformedVcd(ValueError):
@@ -101,9 +88,8 @@ def _change_line(decl: SignalDecl) -> Callable[[int], str]:
 
 def _group_changes(lines: tuple[Callable[[int], str], ...]
                    ) -> Callable[[tuple, tuple], str]:
-    """A fresh memo of a group's change lines by (previous, current) values,
-    in an LRU of MEMO_CAP entries: the lines of the signals that differ, in
-    the group's order, joined by newlines."""
+    """A fresh LRU memo of MEMO_CAP entries: a group's change lines by
+    (previous, current) values, those that differ joined by newlines."""
 
     @lru_cache(MEMO_CAP)
     def changes(previous: tuple, values: tuple) -> str:
@@ -117,25 +103,19 @@ def vcd_write(out: TextIO) -> Callable[[tuple], None]:
     """Write the VCD header for pipeline_decls() to out and return the
     per-cycle writer, a run_core sink.
 
-    The writer takes one cycle's values as step_cycle hands them: one per
-    SIGNAL_GROUPS group, a group of several signals as a tuple in its
-    order (see pipeline.flatten).  Its k-th call dumps cycle k at timestamp
-    k * TIME_PER_CYCLE: every signal in the $dumpvars block for cycle 0,
-    afterwards only the signals whose value differs from the previous
-    cycle's, in SIGNAL_NAMES order, and no timestamp for a cycle that
-    changes nothing.  A group that is the previous cycle's object, or equal
-    to it, is passed over whole.  A tuple of another length than
-    SIGNAL_GROUPS raises ValueError.
-
-    Each signal's change line is memoized by value, in an LRU of MEMO_CAP
-    lines per signal: pc and ic_d_in repeat 36 and 33 values, while cycle's
-    always-new values only churn their own memo.  The hazard and valid
-    groups, four bits each, memoize their change lines by (previous,
-    current) pair.
+    The writer takes one cycle's values as step_cycle hands them, one per
+    SIGNAL_GROUPS group (see pipeline.flatten), else raises ValueError.  Its
+    k-th call dumps cycle k at timestamp k * TIME_PER_CYCLE: every signal in
+    the $dumpvars block for cycle 0, afterwards only the signals whose value
+    differs from the previous cycle's, in SIGNAL_NAMES order, and no
+    timestamp for a cycle that changes nothing.  A group that is, or
+    equals, the previous cycle's is passed over whole.  Change lines are
+    memoized by value, in an LRU of MEMO_CAP lines per signal but cycle
+    (whose values are all new), and by (previous, current) pair for the
+    hazard and valid groups.
     """
     decls = pipeline_decls()
-    out.write("$date\n    vercore trace\n$end\n")
-    out.write("$timescale 1ps $end\n")
+    out.write("$date\n    vercore trace\n$end\n$timescale 1ps $end\n")
     open_scopes: list[str] = []
     for d in decls:
         # scope path and var reference: 'a.b.pc[31:0]' -> a, b, 'pc [31:0]'
@@ -147,10 +127,7 @@ def vcd_write(out: TextIO) -> Callable[[tuple], None]:
             out.write(f"$scope module {s} $end\n")
             open_scopes.append(s)
         out.write(f"$var wire {d.width} {d.id_code} {ref} $end\n")
-    while open_scopes:
-        out.write("$upscope $end\n")
-        open_scopes.pop()
-    out.write("$enddefinitions $end\n")
+    out.write("$upscope $end\n" * len(open_scopes) + "$enddefinitions $end\n")
 
     lines = [_change_line(d) for d in decls]
     by_signal = iter(lines)
@@ -161,6 +138,7 @@ def vcd_write(out: TextIO) -> Callable[[tuple], None]:
      (va_line, dv_line, be_line, dout_line, din_line),
      (rd_line, we_line, wd_line), (target_line,), hz_lines, valid_lines) = [
         tuple(islice(by_signal, len(names))) for names in SIGNAL_GROUPS]
+    cycle_line = cycle_line.__wrapped__  # every value is new: no memo
     hz_changes = _group_changes(hz_lines)
     valid_changes = _group_changes(valid_lines)
     group_count = len(SIGNAL_GROUPS)
@@ -227,35 +205,139 @@ _DIRECTIVES = ("$scope", "$var", "$upscope", "$timescale", "$date",
                "$version", "$comment", "$enddefinitions")
 
 
+class _Body(Iterator[tuple[int, str, str]]):
+    """vcd_parse's token loop over numbered lines, which keeps the time,
+    the scopes and an open directive between lines.  Iterated, it yields
+    the changes; those read but not yet taken wait in `changes`, so that
+    vcd_to_csv can take over the `lines` left at any point."""
+
+    def __init__(self, stream: Iterable[str]):
+        self.lines = enumerate(stream, start=1)
+        self.by_id: dict[str, SignalDecl] = {}
+        self.scopes: list[str] = []
+        self.time = 0
+        self.in_defs = True
+        self.directive: Optional[str] = None
+        self.args: list[str] = []
+        self.changes: deque[tuple[int, str, str]] = deque()
+
+    def __next__(self) -> tuple[int, str, str]:
+        while not self.changes:
+            self.read(*next(self.lines))
+        return self.changes.popleft()
+
+    def read(self, lineno: int, raw: str) -> None:
+        """Read one line, and the lines after it while a directive it opens
+        stays open, appending their changes to `changes`."""
+        self._tokens(lineno, raw)
+        while self.directive is not None and (line := next(self.lines, None)):
+            self._tokens(*line)
+
+    def _tokens(self, lineno: int, raw: str) -> None:
+        toks = iter(raw.split())
+        for tok in toks:
+            if self.directive is not None:
+                if tok == "$end":
+                    self._finish(lineno)
+                else:
+                    self.args.append(tok)
+            elif tok[0] in "01xXzZbB":
+                if tok[0] in "bB":
+                    bits = tok[1:].lower()
+                    if not bits or bits.strip("01xz"):
+                        raise MalformedVcd(f"bad vector value {tok!r}",
+                                           lineno)
+                    sid = next(toks, None)
+                    if sid is None:
+                        raise MalformedVcd(
+                            f"vector value {tok!r} missing id", lineno)
+                else:
+                    bits, sid = tok[0].lower(), tok[1:]
+                decl = self.by_id.get(sid)
+                if decl is None:
+                    raise MalformedVcd(f"change for undeclared id {sid!r}",
+                                       lineno)
+                if len(bits) > decl.width:
+                    raise MalformedVcd(
+                        f"value {tok!r} wider than {decl.width} bits "
+                        f"declared for {decl.name!r}", lineno)
+                self.changes.append((self.time, sid, bits))
+            elif tok[0] == "#":
+                t = _decimal(tok[1:])
+                if t is None:
+                    raise MalformedVcd(f"bad timestamp {tok!r}", lineno)
+                if t < self.time:
+                    raise MalformedVcd(
+                        f"timestamp {t} decreases (previous {self.time})",
+                        lineno)
+                self.time = t
+            elif tok[0] == "$":
+                # $dumpvars ... $end holds ordinary changes at the current time
+                if tok in ("$dumpvars", "$end"):
+                    continue
+                if tok not in _DIRECTIVES:
+                    raise MalformedVcd(f"unknown directive {tok!r}", lineno)
+                if not self.in_defs and tok in ("$scope", "$var"):
+                    raise MalformedVcd(f"{tok} after $enddefinitions", lineno)
+                self.directive = tok
+            elif tok[0] in "rR":
+                raise MalformedVcd("real-valued signals are not supported",
+                                   lineno)
+            else:
+                raise MalformedVcd(f"unexpected token {tok!r}", lineno)
+
+    def _finish(self, lineno: int) -> None:
+        directive, args, scopes = self.directive, self.args, self.scopes
+        self.directive, self.args = None, []
+        if directive == "$scope":
+            if len(args) != 2:
+                raise MalformedVcd(
+                    f"$scope expects type and name, got {args}", lineno)
+            scopes.append(args[1])
+        elif directive == "$upscope":
+            if not scopes:
+                raise MalformedVcd("$upscope without open scope", lineno)
+            scopes.pop()
+        elif directive == "$var":
+            if len(args) < 4:
+                raise MalformedVcd(f"$var expects 4+ fields, got {args}",
+                                   lineno)
+            arg, sid = args[1], args[2]
+            try:
+                width = int(arg)
+            except ValueError:
+                raise MalformedVcd(f"bad $var width {arg!r}", lineno) from None
+            if width < 1:
+                raise MalformedVcd(f"bad $var width {width}", lineno)
+            ref = "".join(args[3:])  # 'pc [31:0]' -> 'pc[31:0]'
+            if sid in self.by_id:
+                raise MalformedVcd(f"duplicate id {sid!r}", lineno)
+            self.by_id[sid] = SignalDecl(sid, width, ".".join(scopes + [ref]))
+        elif directive == "$enddefinitions":
+            self.in_defs = False
+        # $timescale/$date/$version/$comment bodies are ignored
+
+
 def vcd_parse(stream: Iterable[str]
               ) -> tuple[list[SignalDecl], Iterator[tuple[int, str, str]]]:
-    """Parse an iterable of VCD lines (an open file, say) into declarations
-    and a lazy iterator of (time, id_code, bits) change tuples; bits is a
-    lowercase binary string, possibly with x/z.
+    """Parse an iterable of VCD lines (an open file, say, not a str) into
+    declarations and a lazy iterator of (time, id_code, bits) changes, bits
+    a lowercase binary string, possibly with x/z, by one token loop.
 
-    The declarations are read at once, up to the end of $enddefinitions;
-    the body is read only as the changes are iterated.  Changes appearing
-    before the first #timestamp (e.g. inside $dumpvars) are recorded at
-    time 0.  Unknown ids, value widths beyond the declared width, and
-    timestamps that decrease or are not ASCII digits raise MalformedVcd
-    with a line number, from the iterator when the fault is in the body.
-    A str is not taken as lines.
-
-    A body line that is exactly one change is read once per distinct line,
-    through an LRU memo of MEMO_CAP lines: benchmark_program(256)'s VCD has
-    46,032 distinct lines among 167,432, most of them its timestamps and
-    its always-new cycle values.
+    The declarations are read at once, to the end of the line that closes
+    $enddefinitions; the body only as the changes are iterated.  Changes
+    before the first #timestamp are at time 0.  Unknown ids, values wider
+    than declared, and timestamps that decrease or are not ASCII digits
+    raise MalformedVcd with a line number, from the iterator in the body.
     """
     if isinstance(stream, str):
         raise TypeError("vcd_parse takes an iterable of lines, not a str")
-    by_id: dict[str, SignalDecl] = {}
-    parser = _parse(stream, by_id)
-    early = []  # changes before $enddefinitions, if any
-    for change in parser:
-        if change is None:
+    body = _Body(stream)
+    for lineno, raw in body.lines:
+        body.read(lineno, raw)
+        if not body.in_defs:
             break
-        early.append(change)
-    return list(by_id.values()), chain(early, parser)
+    return list(body.by_id.values()), body
 
 
 def _decimal(text: str) -> Optional[int]:
@@ -270,146 +352,32 @@ def _decimal(text: str) -> Optional[int]:
         return None
 
 
-def _parse(stream: Iterable[str], by_id: dict[str, SignalDecl]
-           ) -> Iterator[Optional[tuple[int, str, str]]]:
-    """vcd_parse's token loop: fills by_id from the declarations, yields
-    None once $enddefinitions is closed and each change as it is read.
+def _cell(bits: str, width: int) -> str:
+    """A signal's CSV cell for its bits: a scalar's state as read, a
+    vector's fixed-width lowercase hex, all-x when any bit is x or z."""
+    if width == 1:
+        return bits[-1]
+    try:
+        return "%0*x" % ((width + 3) // 4, int(bits, 2))
+    except ValueError:  # an x or z bit
+        return "x" * ((width + 3) // 4)
 
-    A body line outside a directive that is exactly one change, as
-    vcd_write writes it, is read by the memoized body_change, and a
-    non-decreasing #<digits> line in place; every other line, every fault
-    included, goes through the token loop."""
 
-    @lru_cache(MEMO_CAP)
-    def body_change(raw: str) -> Optional[tuple[str, str]]:
-        # by_id is complete: no $var is accepted after $enddefinitions
-        line = raw.rstrip("\n")
-        if line[:1] == "b":
-            bits, _, sid = line[1:].partition(" ")
-            decl = by_id.get(sid)
-            if decl is not None and bits and not bits.strip("01xz") \
-                    and len(bits) <= decl.width:
-                return sid, bits
-        elif line[:1] in ("0", "1", "x", "z") and line[1:] in by_id:
-            return line[1:], line[0]
+def _one_change(raw: str, column: dict[str, tuple[int, int]]
+                ) -> Optional[tuple[int, str]]:
+    """The (column index, cell) of a line that the token loop would read
+    as exactly one change, lowercase, or None for any other line."""
+    toks = raw.split()
+    if len(toks) == 2 and toks[0][0] == "b":
+        bits, sid = toks[0][1:], toks[1]
+    elif len(toks) == 1 and toks[0][0] in "01xz":
+        bits, sid = toks[0][0], toks[0][1:]
+    else:
         return None
-
-    scopes: list[str] = []
-    time = 0
-    in_defs = True
-    directive: Optional[str] = None
-    directive_args: list[str] = []
-    for lineno, raw in enumerate(stream, start=1):
-        if not in_defs and directive is None:
-            change = body_change(raw)
-            if change is not None:
-                yield time, change[0], change[1]
-                continue
-            if raw[:1] == "#":
-                t = _decimal(raw[1:].rstrip("\n"))
-                if t is not None and t >= time:
-                    time = t
-                    continue
-        toks = iter(raw.split())
-        for tok in toks:
-            if directive is not None:
-                if tok == "$end":
-                    _finish_directive(directive, directive_args, scopes,
-                                      by_id, lineno)
-                    if directive == "$enddefinitions" and in_defs:
-                        in_defs = False
-                        yield None
-                    directive = None
-                    directive_args = []
-                else:
-                    directive_args.append(tok)
-            elif tok[0] in "01xXzZ":
-                sid = tok[1:]
-                if sid not in by_id:
-                    raise MalformedVcd(
-                        f"change for undeclared id {sid!r}", lineno)
-                yield time, sid, tok[0].lower()
-            elif tok[0] in "bB":
-                bits = tok[1:].lower()
-                if not bits or bits.strip("01xz"):
-                    raise MalformedVcd(f"bad vector value {tok!r}", lineno)
-                sid = next(toks, None)
-                if sid is None:
-                    raise MalformedVcd(f"vector value {tok!r} missing id",
-                                       lineno)
-                decl = by_id.get(sid)
-                if decl is None:
-                    raise MalformedVcd(f"change for undeclared id {sid!r}",
-                                       lineno)
-                if len(bits) > decl.width:
-                    raise MalformedVcd(
-                        f"value {tok!r} wider than {decl.width} bits "
-                        f"declared for {decl.name!r}", lineno)
-                yield time, sid, bits
-            elif tok[0] == "#":
-                t = _decimal(tok[1:])
-                if t is None:
-                    raise MalformedVcd(f"bad timestamp {tok!r}", lineno)
-                if t < time:
-                    raise MalformedVcd(
-                        f"timestamp {t} decreases (previous {time})", lineno)
-                time = t
-            elif tok[0] == "$":
-                # $dumpvars holds ordinary changes at the current time; a
-                # bare $end closes it
-                if tok in ("$dumpvars", "$end"):
-                    continue
-                if tok not in _DIRECTIVES:
-                    raise MalformedVcd(f"unknown directive {tok!r}", lineno)
-                if not in_defs and tok in ("$scope", "$var"):
-                    raise MalformedVcd(f"{tok} after $enddefinitions", lineno)
-                directive = tok
-            elif tok[0] in "rR":
-                raise MalformedVcd("real-valued signals are not supported",
-                                   lineno)
-            else:
-                raise MalformedVcd(f"unexpected token {tok!r}", lineno)
-
-
-def _finish_directive(directive: str, args: list[str], scopes: list[str],
-                      by_id: dict[str, SignalDecl], lineno: int) -> None:
-    if directive == "$scope":
-        if len(args) != 2:
-            raise MalformedVcd(f"$scope expects type and name, got {args}", lineno)
-        scopes.append(args[1])
-    elif directive == "$upscope":
-        if not scopes:
-            raise MalformedVcd("$upscope without open scope", lineno)
-        scopes.pop()
-    elif directive == "$var":
-        if len(args) < 4:
-            raise MalformedVcd(f"$var expects 4+ fields, got {args}", lineno)
-        width_s, sid = args[1], args[2]
-        try:
-            width = int(width_s)
-        except ValueError:
-            raise MalformedVcd(f"bad $var width {width_s!r}", lineno) from None
-        if width < 1:
-            raise MalformedVcd(f"bad $var width {width}", lineno)
-        ref = "".join(args[3:])  # 'pc [31:0]' -> 'pc[31:0]'
-        if sid in by_id:
-            raise MalformedVcd(f"duplicate id {sid!r}", lineno)
-        by_id[sid] = SignalDecl(sid, width, ".".join(scopes + [ref]))
-    # $timescale/$date/$version/$comment/$enddefinitions bodies are ignored
-
-
-def _hex_cell(digits: int) -> Callable[[str], str]:
-    """A fresh memo rendering a vector's bits as its CSV cell: fixed-width
-    lowercase hex, all-x when any bit is x or z."""
-    hex_format = f"%0{digits}x"  # about twice as fast as format() here
-
-    @lru_cache(MEMO_CAP)
-    def render(bits: str) -> str:
-        if "x" in bits or "z" in bits:
-            return "x" * digits
-        return hex_format % int(bits, 2)
-
-    return render
+    col = column.get(sid)
+    if col is None or not 0 < len(bits) <= col[1] or bits.strip("01xz"):
+        return None
+    return col[0], _cell(bits, col[1])
 
 
 def vcd_to_csv(decls: list[SignalDecl],
@@ -418,29 +386,61 @@ def vcd_to_csv(decls: list[SignalDecl],
     """Tabulate a change sequence as CSV text lines handed to emit: the
     header ('time' and the declared names), then one row per distinct
     timestamp as soon as the next timestamp completes it.  Columns are in
-    declaration order, values held between changes (hex for vectors).
-    Returns the number of rows.
+    declaration order, values held between changes (hex for vectors); a
+    signal with no value yet shows all-x.  Returns the number of rows.
 
-    A column's cell is re-rendered only when its signal changes, and a
-    vector column's cell is memoized by bits, in an LRU of MEMO_CAP cells
-    per column (the hot columns take at most 36 values); a signal with no
-    value yet shows all-x.
+    Handed vcd_parse's iterator, it reads the body lines itself: a
+    non-decreasing #<digits> line in place, a line that is one change
+    through one memo from the raw line to its (column index, cell), kept
+    in two generations of up to MEMO_CAP lines that act as one LRU, and
+    any other line, every fault included, through vcd_parse's token loop.
     """
-    digits = [(d.width + 3) // 4 for d in decls]
-    column = {d.id_code: (i, None if d.width == 1 else _hex_cell(n))
-              for i, (d, n) in enumerate(zip(decls, digits))}
-    cells = ["x" * n for n in digits]
+    column = {d.id_code: (i, d.width) for i, d in enumerate(decls)}
+    cells = ["x" * ((d.width + 3) // 4) for d in decls]
     emit(",".join(["time"] + [d.name for d in decls]) + "\n")
-    rows = 0
-    row_time = None
-    for t, sid, bits in changes:
-        if t != row_time:
-            if row_time is not None:
-                emit(f"{row_time},{','.join(cells)}\n")
-                rows += 1
-            row_time = t
-        i, render = column[sid]
-        cells[i] = bits[-1] if render is None else render(bits)
+    rows, row_time = 0, None
+    body = changes if isinstance(changes, _Body) else None
+    pending = changes if body is None else body.changes
+    memo: dict[str, tuple[int, str]] = {}
+    older: dict[str, tuple[int, str]] = {}  # memo's last full generation
+    while True:
+        for t, sid, bits in pending:
+            if t != row_time:
+                if row_time is not None:
+                    emit(f"{row_time},{','.join(cells)}\n")
+                    rows += 1
+                row_time = t
+            i, width = column[sid]
+            cells[i] = _cell(bits, width)
+        if body is None:
+            break
+        pending.clear()
+        time = body.time
+        for lineno, raw in body.lines:
+            hit = memo.get(raw)
+            if hit is None:
+                if raw[:1] == "#":
+                    t = _decimal(raw[1:].rstrip("\n"))
+                    if t is not None and t >= time:
+                        time = t
+                        continue
+                hit = older.get(raw) or _one_change(raw, column)
+                if hit is None:
+                    body.time = time
+                    body.read(lineno, raw)
+                    break
+                memo[raw] = hit
+                if len(memo) == MEMO_CAP:
+                    older, memo = memo, {}
+            if time != row_time:
+                if row_time is not None:
+                    emit(f"{row_time},{','.join(cells)}\n")
+                    rows += 1
+                row_time = time
+            i, cell = hit
+            cells[i] = cell
+        else:
+            break
     if row_time is not None:
         emit(f"{row_time},{','.join(cells)}\n")
         rows += 1

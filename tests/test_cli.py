@@ -85,7 +85,7 @@ class TestCosim:
         co, sim = tmp_path / "cosim.vcd", tmp_path / "sim.vcd"
         assert vercore("cosim", path, "--vcd", co, *capped) == 0
         assert vercore("sim", path, "--vcd", sim, *capped) \
-            == (EXIT_SIM if cap else CRC32_EXIT)
+            == (0 if cap else CRC32_EXIT)
         assert co.read_text() == sim.read_text()
 
     def test_a_program_that_never_halts_passes_under_a_cycle_cap(
@@ -230,10 +230,18 @@ class TestSim:
         assert capsys.readouterr().out == \
             "CPI: cycles=81 retired=67 cpi=1.2090\n"
 
-    def test_unclean_halt(self, fib_hex, capsys):
-        assert vercore("sim", fib_hex, "--max-cycles", "5") == EXIT_SIM
-        assert capsys.readouterr().err == \
-            "simulation did not terminate cleanly: max_cycles\n"
+    def test_unclean_halt(self, fib_hex, tmp_path, capsys):
+        """A cap is not an error, as under cosim; a fault is."""
+        assert vercore("sim", fib_hex, "--max-cycles", "5") == 0
+        assert capsys.readouterr() == (
+            "CPI: cycles=5 retired=1 cpi=5.0000\n"
+            "RESULT-NOTE: capped: the pipeline did not halt in 5 cycles\n",
+            "")
+        image = write_hex(tmp_path / "p.hex",
+                          progs.assemble([0xFFFFFFFF], "p"))
+        assert vercore("sim", image) == EXIT_SIM
+        assert capsys.readouterr().err.startswith(
+            "simulation did not terminate cleanly: error ")
 
 
 class TestMisalignedStartPc:
@@ -372,14 +380,18 @@ class TestStreamedTraceFiles:
             pc=program.entry, mem=program.image.clone()), cap)
         assert len(trace) == cap
         assert self.files(tmp_path, "run", hex_path, "--max-steps", cap) \
-            == (EXIT_SIM, _exports(trace))
+            == (0, _exports(trace))
+        assert capsys.readouterr().out.splitlines() == [
+            f"retired {cap} instructions, halt: max_steps",
+            f"RESULT-NOTE: capped: the golden model did not halt in {cap} "
+            "steps"]
         run = run_core(CoreState.reset(PipelineConfig(program.entry)),
                        program.image.clone(), cap)
         assert self.files(tmp_path, "sim", hex_path, "--max-cycles", cap) \
-            == (EXIT_SIM, _exports(run.commits))
-        out = capsys.readouterr().out
-        assert f"retired {cap} instructions, halt: max_steps" in out
-        assert f"CPI: cycles={cap} retired={len(run.commits)} " in out
+            == (0, _exports(run.commits))
+        assert capsys.readouterr().out.splitlines() == [
+            cosim.cpi(len(run.commits), cap).line(),
+            f"RESULT-NOTE: capped: the pipeline did not halt in {cap} cycles"]
 
     @pytest.mark.parametrize("command", ["run", "sim"])
     @pytest.mark.parametrize("words,code,expected", [

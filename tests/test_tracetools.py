@@ -287,6 +287,23 @@ def test_malformed_vcd_names_the_line(lines, offset, message):
     assert str(info.value).startswith(f"line {first + offset}: ")
 
 
+@pytest.mark.parametrize("line", [
+    "#20000", "#3x", "#-5", "#+5", "#1_0", "#\u0663", "#" + "9" * 5000,
+    "1zz", "b102 !", "b !", "B102 !", "b1 zz", "b1 ! !",
+    f"b111111 {_id('vercore_tb.u_vercore.wb_rd')}"])
+def test_the_line_loop_raises_as_the_token_loop_does(line):
+    """A body fault after a timestamp read in place and a change read
+    twice, the second time from the memo, raises the same error from
+    vcd_to_csv's line loop as from vcd_parse's changes."""
+    text, first = _lines_after_definitions("#30000", "1!", "1!", line)
+    with pytest.raises(MalformedVcd) as parsed:
+        list(vcd_parse(io.StringIO(text))[1])
+    with pytest.raises(MalformedVcd) as tabulated:
+        _to_csv(text)
+    assert parsed.value.line == tabulated.value.line == first + 3
+    assert str(tabulated.value) == str(parsed.value)
+
+
 @pytest.mark.parametrize("lines,offset,message", [
     (["$var wire 1 ! b $end"], 0, "duplicate id '!'"),
     (['$var wire w " b $end'], 0, r"bad \$var width 'w'"),
@@ -405,6 +422,57 @@ def test_hand_written_vcd():
                           ["5", "1", "01", "z", "xxx"],
                           ["10", "x", "01", "z", "005"],
                           ["20", "x", "ff", "0", "005"]]
+
+
+# The body edges vcd_to_csv's own line loop must get right: a change on
+# the $enddefinitions line, a timestamp given twice, a $comment whose lines
+# look like changes and a timestamp (the first is a line the loop has
+# already memoized), a line with a timestamp and changes, and a $dumpvars
+# block in mid-body.
+EDGES_VCD = """\
+$scope module top $end
+$var wire 1 ! clk $end
+$var wire 8 " data [7:0] $end
+$upscope $end
+$enddefinitions $end 1!
+#0
+b00000001 "
+#5
+0!
+#5
+b00000010 "
+$comment
+b00000001 "
+#3
+$end
+#10 1! b00000011 "
+$dumpvars
+0!
+b00000100 "
+$end
+#20
+1!
+"""
+
+EDGES_CHANGES = [(0, "!", "1"), (0, '"', "00000001"), (5, "!", "0"),
+                 (5, '"', "00000010"), (10, "!", "1"), (10, '"', "00000011"),
+                 (10, "!", "0"), (10, '"', "00000100"), (20, "!", "1")]
+
+
+def test_the_line_loop_keeps_the_token_loop_state():
+    """The token loop's changes, and one CSV from the line loop, from the
+    token loop's changes as a list, and from the body on one line, which
+    only the token loop reads."""
+    assert list(vcd_parse(io.StringIO(EDGES_VCD))[1]) == EDGES_CHANGES
+    decls, changes = vcd_parse(io.StringIO(EDGES_VCD))
+    head, body = EDGES_VCD.split("$upscope $end\n")
+    one_line = head + "$upscope $end\n" + body.replace("\n", " ")
+    tables = [_to_csv(EDGES_VCD), Table(decls, list(changes)),
+              _to_csv(one_line)]
+    for table in tables:
+        assert table.header == ["time", "top.clk", "top.data[7:0]"]
+        assert table.rows == [["0", "1", "01"], ["5", "0", "02"],
+                              ["10", "0", "04"], ["20", "1", "04"]]
 
 
 WB_KEYS = ("reg_write", "rd", "data", "pc")
