@@ -8,9 +8,10 @@ and one whose pipeline hangs (see cosim.HANG_CYCLES) fails.  A cap is not an
 error: `run`, `sim` and `cosim` stopped at theirs say so in a
 `RESULT-NOTE: capped:` line and exit 0.
 Exit codes are a stable contract: 0 success, 1 verification mismatch (of the
-commit traces, or of two clean halts) or a missed CPI bound, 2 usage error,
-3 input/parse error or a file that cannot be read or written, 4 simulation
-error (either model halted with an error).
+commit traces, or of two clean halts) or a missed CPI bound, 2 usage error
+(a path named by two of --trace, --reg-trace and --vcd among them, refused
+before any file is opened), 3 input/parse error or a file that cannot be
+read or written, 4 simulation error (either model halted with an error).
 `run`/`sim` propagate the guest exit code (a0 at ecall, or the tohost word).
 Lockstep stops at the window of its first mismatch, so the `CPI:` line of a
 failing `cosim`, and a FAIL row of `bench` with its `BENCH:` line, count the
@@ -26,7 +27,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
-from typing import Optional
 
 from . import golden, mul, tracetools
 from .cosim import (WINDOW_CYCLES, Program, cpi, format_verdict, lockstep,
@@ -36,8 +36,7 @@ from .golden import DEFAULT_RESET_PC, HaltCause, HaltKind
 from .memory import MalformedHexLine, MemoryImage, load_hex
 from .pipeline import CoreState, PipelineConfig
 from .tracetools import (MalformedCsv, MalformedTraceLine, MalformedVcd,
-                         MissingColumn, diff_reg_trace, vcd_parse,
-                         vcd_to_csv, vcd_write)
+                         diff_reg_trace, vcd_parse, vcd_to_csv, vcd_write)
 
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
@@ -63,12 +62,12 @@ def _word_aligned(text: str) -> int:
     return value
 
 
-def load_program(path: str, fmt: str = "auto", base: Optional[int] = None,
-                 reset_pc: Optional[int] = None,
-                 tohost: Optional[int] = None) -> Program:
-    """Load an ELF32/hex/bin file into a Program (image + entry point)."""
+def load_program(args, path: str) -> Program:
+    """Load an ELF32/hex/bin file into a Program (image + entry point) as
+    --fmt, --base, --reset-pc and --tohost say."""
     p = Path(path)
     data = p.read_bytes()
+    fmt = args.fmt
     if fmt == "auto":
         if data[:4] == b"\x7fELF":
             fmt = "elf"
@@ -76,26 +75,21 @@ def load_program(path: str, fmt: str = "auto", base: Optional[int] = None,
             fmt = "bin"
         else:
             fmt = "hex"
+    reset_pc, tohost = args.reset_pc, args.tohost
     if fmt == "elf":
         image, summary = load_elf(data, tohost_addr=tohost)
         entry = reset_pc if reset_pc is not None else summary.entry
+        if entry & 0x3:  # the ELF's own: --reset-pc was parsed aligned
+            raise ElfFormatError(f"entry 0x{entry:08x} is not word-aligned")
         return Program(image, entry, p.name)
     entry = reset_pc if reset_pc is not None else DEFAULT_RESET_PC
-    origin = base if base is not None else entry
+    origin = args.base if args.base is not None else entry
     if fmt == "bin":
         image = MemoryImage(tohost)
         image.load_bytes(origin, data)
     else:
         image = load_hex(data.decode("ascii"), base=origin, tohost_addr=tohost)
     return Program(image, entry, p.name)
-
-
-def _load_from_args(args, path: str) -> Program:
-    program = load_program(path, fmt=args.fmt, base=args.base,
-                           reset_pc=args.reset_pc, tohost=args.tohost)
-    if program.entry & 0x3:  # an ELF entry; --reset-pc was parsed aligned
-        raise ElfFormatError(f"entry 0x{program.entry:08x} is not word-aligned")
-    return program
 
 
 def _halt_exit(halt: HaltCause, capped: str) -> int:
@@ -115,17 +109,23 @@ def _halt_exit(halt: HaltCause, capped: str) -> int:
 
 
 @contextlib.contextmanager
-def _trace_files(args):
-    """Open the --trace and --reg-trace files asked for and yield a callable
-    that appends a window of commits to each as the run makes them.  A
-    file ends as one export of the whole run would be written: each line
-    ends in a newline, and an empty trace is a lone newline."""
-    exports = {path: export for path, export in  # one path: the last wins
-               ((args.trace, golden.export_commit_trace),
-                (args.reg_trace, golden.export_reg_trace)) if path}
+def _outputs(args):
+    """Open the --vcd, --trace and --reg-trace files asked for and yield
+    (write, sink).  write appends a window of commits to each trace file as
+    the run makes them; a trace file ends as one export of the whole run
+    would be written: each line ends in a newline, and an empty trace is a
+    lone newline.  sink is a run_core sink that writes each cycle's signal
+    groups to the VCD as the pipeline runs (see tracetools.vcd_write), or
+    None without --vcd.  main has refused a path named twice."""
+    paths = vars(args)
     with contextlib.ExitStack() as stack:
+        vcd = paths.get("vcd")
+        sink = vcd_write(stack.enter_context(open(vcd, "w"))) if vcd else None
         files = [(stack.enter_context(open(path, "w")), export)
-                 for path, export in exports.items()]
+                 for path, export in (
+                     (paths.get("trace"), golden.export_commit_trace),
+                     (paths.get("reg_trace"), golden.export_reg_trace))
+                 if path]
 
         def write(commits: list) -> None:
             for out, export in files:
@@ -133,31 +133,19 @@ def _trace_files(args):
                 if lines:
                     out.write("\n".join(lines) + "\n")
 
-        yield write
+        yield write, sink
         for out, _ in files:
             if out.tell() == 0:
                 out.write("\n")
 
 
-@contextlib.contextmanager
-def _vcd_sink(path: Optional[str]):
-    """A run_core sink that writes each cycle's signal groups to a VCD file
-    at path as the pipeline runs (see tracetools.vcd_write), or None
-    without a path."""
-    if path is None:
-        yield None
-        return
-    with open(path, "w") as out:
-        yield vcd_write(out)
-
-
 def cmd_run(args) -> int:
     """The golden model runs in windows of WINDOW_CYCLES steps, each written
     to the trace files as it ends, so that no file waits for the whole run."""
-    program = _load_from_args(args, args.program)
+    program = load_program(args, args.program)
     state = golden.ArchState(pc=program.entry, mem=program.image)
     retired = 0
-    with _trace_files(args) as write:
+    with _outputs(args) as (write, _):
         while True:
             trace, halt = golden.run(
                 state, min(WINDOW_CYCLES, args.max_steps - retired))
@@ -174,10 +162,10 @@ def cmd_run(args) -> int:
 def cmd_sim(args) -> int:
     """The pipeline runs in windows, as lockstep does (see cosim.windows),
     each written to the trace files as it ends."""
-    program = _load_from_args(args, args.program)
+    program = load_program(args, args.program)
     core = CoreState.reset(PipelineConfig(program.entry, args.mul_latency))
     retired = 0
-    with _vcd_sink(args.vcd) as sink, _trace_files(args) as write:
+    with _outputs(args) as (write, sink):
         for run in windows(core, program.image, args.max_cycles, sink):
             write(run.commits)
             retired += len(run.commits)
@@ -188,8 +176,8 @@ def cmd_sim(args) -> int:
 
 
 def cmd_cosim(args) -> int:
-    program = _load_from_args(args, args.program)
-    with _vcd_sink(args.vcd) as sink:
+    program = load_program(args, args.program)
+    with _outputs(args) as (_, sink):
         verdict = lockstep(program, args.max_cycles,
                            mul_latency=args.mul_latency, sink=sink)
     print(format_verdict(verdict))
@@ -239,7 +227,7 @@ def cmd_diff_trace(args) -> int:
 
 
 def _bench_one(args, path: str) -> tuple[str, int, int, float, bool]:
-    program = _load_from_args(args, path)
+    program = load_program(args, path)
     verdict = lockstep(program, args.max_cycles, mul_latency=args.mul_latency)
     cpi_value = verdict.cpi_report.cpi if verdict.cpi_report else float("nan")
     return (program.name, verdict.retired, verdict.cycles, cpi_value,
@@ -350,11 +338,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    named: dict[str, str] = {}  # an output's real path -> its option
+    for flag in ("--trace", "--reg-trace", "--vcd"):
+        path = vars(args).get(flag[2:].replace("-", "_"))
+        other = path and named.setdefault(os.path.realpath(path), flag)
+        if other and other != flag:
+            print(f"vercore {args.command}: error: argument {flag}: {path} "
+                  f"is also named by {other}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.fn(args)
     except (ElfFormatError, MalformedHexLine, MalformedVcd, MalformedCsv,
-            MissingColumn, MalformedTraceLine, UnicodeDecodeError,
-            OSError) as exc:
+            MalformedTraceLine, UnicodeDecodeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -115,7 +115,9 @@ class Verdict:
 
 
 CONTEXT_COMMITS = 5
-WINDOW_CYCLES = 1024  # pipeline cycles per lockstep compare window
+# Pipeline cycles per window of lockstep and `sim`, and golden steps per
+# window of `run`: each compares, or writes its trace files, once a window.
+WINDOW_CYCLES = 1024
 # A correct pipeline commits or halts at most two multiplier latencies plus
 # its depth after its last commit (two multiplies back to back); one that
 # goes HANG_CYCLES + 4 * mul_latency cycles without either has hung.

@@ -14,35 +14,7 @@ SHT_SYMTAB = 2
 
 
 class ElfFormatError(ValueError):
-    """Base class for rejected ELF inputs."""
-
-
-class NotElf(ElfFormatError):
-    pass
-
-
-class Not32Bit(ElfFormatError):
-    pass
-
-
-class NotLittleEndian(ElfFormatError):
-    pass
-
-
-class NotRiscv(ElfFormatError):
-    pass
-
-
-class TruncatedFile(ElfFormatError):
-    pass
-
-
-class UnterminatedSymbolName(ElfFormatError):
-    pass
-
-
-class BadSegment(ElfFormatError):
-    pass
+    """A rejected ELF input; the message names the fault."""
 
 
 @dataclass
@@ -61,7 +33,7 @@ class ElfSummary:
 
 def _slice(data: bytes, off: int, size: int, what: str) -> bytes:
     if off + size > len(data):
-        raise TruncatedFile(f"{what} at offset {off} runs past end of file")
+        raise ElfFormatError(f"{what} at offset {off} runs past end of file")
     return data[off:off + size]
 
 
@@ -70,25 +42,25 @@ def load_elf(data: bytes, tohost_addr: Optional[int] = None) -> tuple[MemoryImag
 
     File contents are copied to their virtual addresses and the memsz tail
     beyond filesz is zero-filled (BSS).  A segment whose filesz exceeds its
-    memsz, or that runs past the 32-bit address space, raises BadSegment
-    instead of loading bytes the ELF spec forbids.  If the symbol table defines `tohost`
-    its address is used as the image's tohost trigger unless an explicit
-    address is passed in.
+    memsz, or that runs past the 32-bit address space, is refused instead
+    of loading bytes the ELF spec forbids; every refusal raises
+    ElfFormatError.  If the symbol table defines `tohost` its address is
+    used as the image's tohost trigger unless an explicit address is given.
     """
     ident = _slice(data, 0, 16, "ELF identification")
     if ident[:4] != b"\x7fELF":
-        raise NotElf("missing ELF magic")
+        raise ElfFormatError("missing ELF magic")
     if ident[4] != 1:
-        raise Not32Bit(f"ELF class {ident[4]} is not ELFCLASS32")
+        raise ElfFormatError(f"ELF class {ident[4]} is not ELFCLASS32")
     if ident[5] != 1:
-        raise NotLittleEndian(f"ELF data encoding {ident[5]} is not little-endian")
+        raise ElfFormatError(f"ELF data encoding {ident[5]} is not little-endian")
 
     hdr = _slice(data, 16, 36, "ELF header")
     (_e_type, e_machine, _e_version, e_entry, e_phoff, e_shoff, _e_flags,
      _e_ehsize, e_phentsize, e_phnum, e_shentsize, e_shnum,
      _e_shstrndx) = struct.unpack("<HHIIIIIHHHHHH", hdr)
     if e_machine != EM_RISCV:
-        raise NotRiscv(f"e_machine {e_machine} is not RISC-V ({EM_RISCV})")
+        raise ElfFormatError(f"e_machine {e_machine} is not RISC-V ({EM_RISCV})")
 
     summary = ElfSummary(entry=e_entry)
     img = MemoryImage()
@@ -100,11 +72,11 @@ def load_elf(data: bytes, tohost_addr: Optional[int] = None) -> tuple[MemoryImag
         if p_type != PT_LOAD:
             continue
         if p_filesz > p_memsz:
-            raise BadSegment(
+            raise ElfFormatError(
                 f"segment {i} filesz {p_filesz} exceeds memsz {p_memsz}")
         if p_vaddr + p_memsz > 1 << 32:
-            raise BadSegment(f"segment {i} at 0x{p_vaddr:08x} with memsz "
-                             f"{p_memsz} runs past the 32-bit address space")
+            raise ElfFormatError(f"segment {i} at 0x{p_vaddr:08x} with memsz "
+                                 f"{p_memsz} runs past the 32-bit address space")
         contents = _slice(data, p_offset, p_filesz, f"segment {i} contents")
         img.load_bytes(p_vaddr, contents)
         if p_memsz > p_filesz:
@@ -128,7 +100,7 @@ def load_elf(data: bytes, tohost_addr: Optional[int] = None) -> tuple[MemoryImag
                 continue
             end = strtab.find(b"\x00", st_name)
             if end < 0:
-                raise UnterminatedSymbolName(
+                raise ElfFormatError(
                     f"symbol {j} name at strtab offset {st_name} has no NUL")
             name = strtab[st_name:end].decode("ascii", errors="replace")
             if name:

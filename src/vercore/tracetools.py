@@ -39,10 +39,6 @@ class MalformedVcd(ValueError):
         self.line = line
 
 
-class MissingColumn(ValueError):
-    pass
-
-
 class MalformedCsv(ValueError):
     pass
 
@@ -319,7 +315,7 @@ class _Body(Iterator[tuple[int, str, str]]):
 
 
 def vcd_parse(stream: Iterable[str]
-              ) -> tuple[list[SignalDecl], Iterator[tuple[int, str, str]]]:
+              ) -> tuple[list[SignalDecl], _Body]:
     """Parse an iterable of VCD lines (an open file, say, not a str) into
     declarations and a lazy iterator of (time, id_code, bits) changes, bits
     a lowercase binary string, possibly with x/z, by one token loop.
@@ -380,27 +376,26 @@ def _one_change(raw: str, column: dict[str, tuple[int, int]]
     return col[0], _cell(bits, col[1])
 
 
-def vcd_to_csv(decls: list[SignalDecl],
-               changes: Iterable[tuple[int, str, str]],
+def vcd_to_csv(decls: list[SignalDecl], body: _Body,
                emit: Callable[[str], object]) -> int:
-    """Tabulate a change sequence as CSV text lines handed to emit: the
+    """Tabulate vcd_parse's changes as CSV text lines handed to emit: the
     header ('time' and the declared names), then one row per distinct
     timestamp as soon as the next timestamp completes it.  Columns are in
     declaration order, values held between changes (hex for vectors); a
     signal with no value yet shows all-x.  Returns the number of rows.
 
-    Handed vcd_parse's iterator, it reads the body lines itself: a
-    non-decreasing #<digits> line in place, a line that is one change
-    through one memo from the raw line to its (column index, cell), kept
-    in two generations of up to MEMO_CAP lines that act as one LRU, and
-    any other line, every fault included, through vcd_parse's token loop.
+    body is the iterator vcd_parse returns, the one input this takes; it
+    reads the body lines itself: a non-decreasing #<digits> line in place,
+    a line that is one change through one memo from the raw line to its
+    (column index, cell), kept in two generations of up to MEMO_CAP lines
+    that act as one LRU, and any other line, every fault included, through
+    vcd_parse's token loop.
     """
     column = {d.id_code: (i, d.width) for i, d in enumerate(decls)}
     cells = ["x" * ((d.width + 3) // 4) for d in decls]
     emit(",".join(["time"] + [d.name for d in decls]) + "\n")
     rows, row_time = 0, None
-    body = changes if isinstance(changes, _Body) else None
-    pending = changes if body is None else body.changes
+    pending = body.changes
     memo: dict[str, tuple[int, str]] = {}
     older: dict[str, tuple[int, str]] = {}  # memo's last full generation
     while True:
@@ -412,8 +407,6 @@ def vcd_to_csv(decls: list[SignalDecl],
                 row_time = t
             i, width = column[sid]
             cells[i] = _cell(bits, width)
-        if body is None:
-            break
         pending.clear()
         time = body.time
         for lineno, raw in body.lines:
@@ -451,8 +444,8 @@ def read_csv(lines: Iterable[str]) -> Iterator[list[str]]:
     """The cells of CSV text lines, header first, blank lines skipped.
 
     Each row is checked as it is read: it has as many cells as the header
-    and an ASCII decimal time, else MalformedCsv names its row number.  A CSV
-    without a header raises MissingColumn.
+    and an ASCII decimal time, else MalformedCsv, the one CSV error, names
+    its row number.  A CSV without a header raises it too.
     """
     header = None
     i = 0
@@ -475,7 +468,7 @@ def read_csv(lines: Iterable[str]) -> Iterator[list[str]]:
                         f"row {i}: time {row[0]!r} is not decimal")
             yield row
     if header is None:
-        raise MissingColumn("empty CSV")
+        raise MalformedCsv("empty CSV")
 
 
 # The SIGNAL_NAMES columns diff_reg_trace reads, by role.
@@ -535,7 +528,7 @@ def diff_reg_trace(csv_lines: Iterable[str], expected_lines: Iterable[str],
         name = columns.get(key)
         if name is None or name not in header:
             if required:
-                raise MissingColumn(f"CSV is missing column {name!r}")
+                raise MalformedCsv(f"CSV is missing column {name!r}")
             return None
         return header.index(name)
 

@@ -43,6 +43,10 @@ MUTANTS: dict[str, tuple[str, str]] = {
     # latency 2 or more never completes and its global stall never ends.
     "mul_never_completes": ("if issue is not None or unit.busy:",
                             "if issue is not None:"),
+    # WB commits an ecall or ebreak but reports no halt; fetch has stopped
+    # behind it, so the pipeline hangs after its last commit.
+    "ecall_never_halts": ("wb_halt = _HALT_MNEMONICS.get(wb.d.mnemonic)",
+                          "wb_halt = None"),
 }
 
 # Read once, at import: after a test has installed a mutant,

@@ -68,3 +68,22 @@ def test_lockstep_calls_every_layer_the_benchmark_requires():
     assert missed == []
     assert tracer.layers["pipeline.step_cycle"].calls == verdict.cycles
     assert tracer.layers["golden.step"].calls == verdict.retired
+
+
+def test_the_trace_round_trip_calls_every_layer_the_benchmark_requires(
+        tmp_path):
+    """The same guard over one operation of the benchmark's trace round
+    trip, which runs `run`, `sim --vcd`, `vcd2csv` and `diff-trace` through
+    cli.main on files in tmp_path."""
+    workload = _load_perfbench("workloads").TraceRoundtrip(1, True, tmp_path)
+    try:
+        with _load_perfbench("tracer").Tracer() as tracer:
+            (op,) = workload.run(workload.build(1))
+    finally:
+        workload.close()
+    assert op.error == ""
+    missed = [name for name in workload.layers
+              if tracer.layers[name].calls == 0]
+    assert missed == []
+    assert tracer.layers["pipeline.step_cycle"].calls == op.cycles
+    assert tracer.layers["golden.step"].calls == op.retired

@@ -109,6 +109,16 @@ class TestCosim:
             "MISMATCH: index=3 kind=missing pc=0x0000200c cycle=0 expected "
             "x12=0x00000025 got <none>"]
 
+    def test_a_hang_after_the_golden_halt_is_a_mismatch(self, fib_hex,
+                                                        monkeypatch, capsys):
+        monkeypatch.setattr(pipeline, "step_cycle",
+                            mutant("ecall_never_halts"))
+        assert vercore("cosim", fib_hex) == EXIT_MISMATCH
+        assert capsys.readouterr().out.splitlines() == [
+            "RESULT: FAIL fib.hex",
+            "RESULT-NOTE: hang: the pipeline made no commit in cycles 81-160",
+            "CPI: cycles=1024 retired=67 cpi=15.2836"]
+
     def test_vcd_runs_the_pipeline_once(self, no_flush, flush_bug_hex,
                                         tmp_path, monkeypatch, capsys):
         calls = []
@@ -559,3 +569,22 @@ class TestUsageErrors:
         assert vercore(*argv[:1], fib_hex, *argv[1:]) == EXIT_USAGE
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,first,second", [
+        ("run", "--trace", "--reg-trace"),
+        ("sim", "--trace", "--reg-trace"),
+        ("sim", "--trace", "--vcd"),
+        ("sim", "--reg-trace", "--vcd")])
+    def test_a_path_named_by_two_outputs_is_a_usage_error(
+            self, command, first, second, tmp_path, capsys):
+        """Paths are compared as real paths, before any file is opened:
+        the program is not read and no output is made."""
+        out = tmp_path / "out.txt"
+        again = tmp_path / "sub" / ".." / "out.txt"
+        (tmp_path / "sub").mkdir()
+        assert vercore(command, tmp_path / "absent.hex", first, out,
+                       second, again) == EXIT_USAGE
+        assert capsys.readouterr() == ("", (
+            f"vercore {command}: error: argument {second}: {again} is also "
+            f"named by {first}\n"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]

@@ -213,6 +213,20 @@ class TestHalts:
         assert v.core_halt.kind is HaltKind.MAX_CYCLES
         assert v.cycles == cosim.WINDOW_CYCLES
 
+    def test_a_hang_after_the_golden_halt_stops_at_its_window(
+            self, monkeypatch):
+        """The pipeline commits fib's ecall without halting: no commit is
+        missing, since the golden model has halted at it, and the hang
+        alone fails the run, at the end of the window in which it hangs."""
+        monkeypatch.setattr(pipeline, "step_cycle",
+                            mutant("ecall_never_halts"))
+        v = lockstep(progs.fib_program(), 100_000)
+        assert (v.passed, v.mismatch, v.note) == (
+            False, None, "hang: the pipeline made no commit in cycles 81-160")
+        assert (v.retired, v.golden_halt.kind, v.core_halt.kind) \
+            == (67, HaltKind.ECALL, HaltKind.MAX_CYCLES)
+        assert v.cycles == cosim.WINDOW_CYCLES
+
     def test_a_long_multiply_is_not_a_hang(self):
         """Two multiplies back to back go twice the latency without a
         commit, short of the hang bound at any latency."""

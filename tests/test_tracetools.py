@@ -144,7 +144,9 @@ def _reshaped(text):
     $dumpvars and $end shares a line with the next line, and of every four
     other lines, the first shares a line with the next, the third is
     uppercased (a B prefix, X/Z values; the ids hold no letters) and the
-    fourth gets leading whitespace."""
+    fourth gets leading whitespace.  vcd_to_csv's line loop hands the
+    joined and the uppercased lines to the token loop, and reads the
+    indented ones, which str.split takes as written, through its memo."""
     head, body = text.split("$enddefinitions $end\n")
     out = []
     for k, line in enumerate(body.splitlines()):
@@ -159,10 +161,11 @@ def _reshaped(text):
     return f"{head}$enddefinitions $end\n" + "".join(out)
 
 
-def test_token_loop_agrees_with_the_one_change_fast_path():
-    """The same changes and CSV from lines vcd_write writes, which the
-    parser's memoized fast path reads, and from the same body in shapes
-    only the token loop reads."""
+def test_the_line_loop_and_the_token_loop_agree_on_every_line_shape():
+    """The same changes from vcd_parse's token loop, and the same CSV from
+    vcd_to_csv's line loop, for the lines vcd_write writes and for the same
+    body reshaped (see _reshaped), whose joined and uppercased lines the
+    line loop hands to the token loop."""
     written = _with_unknowns(_write(_spread_log(60, 60)))
     reshaped = _reshaped(written)
     assert all(f"\n{c}" in reshaped for c in "BXZ")
@@ -460,16 +463,12 @@ EDGES_CHANGES = [(0, "!", "1"), (0, '"', "00000001"), (5, "!", "0"),
 
 
 def test_the_line_loop_keeps_the_token_loop_state():
-    """The token loop's changes, and one CSV from the line loop, from the
-    token loop's changes as a list, and from the body on one line, which
-    only the token loop reads."""
+    """The token loop's changes, and one CSV from the line loop and from
+    the body on one line, which only the token loop reads."""
     assert list(vcd_parse(io.StringIO(EDGES_VCD))[1]) == EDGES_CHANGES
-    decls, changes = vcd_parse(io.StringIO(EDGES_VCD))
     head, body = EDGES_VCD.split("$upscope $end\n")
     one_line = head + "$upscope $end\n" + body.replace("\n", " ")
-    tables = [_to_csv(EDGES_VCD), Table(decls, list(changes)),
-              _to_csv(one_line)]
-    for table in tables:
+    for table in (_to_csv(EDGES_VCD), _to_csv(one_line)):
         assert table.header == ["time", "top.clk", "top.data[7:0]"]
         assert table.rows == [["0", "1", "01"], ["5", "0", "02"],
                               ["10", "0", "04"], ["20", "1", "04"]]
