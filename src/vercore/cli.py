@@ -9,9 +9,11 @@ error: `run`, `sim` and `cosim` stopped at theirs say so in a
 `RESULT-NOTE: capped:` line and exit 0.
 Exit codes are a stable contract: 0 success, 1 verification mismatch (of the
 commit traces, or of two clean halts) or a missed CPI bound, 2 usage error
-(a path named by two of --trace, --reg-trace and --vcd among them, refused
-before any file is opened), 3 input/parse error or a file that cannot be
-read or written, 4 simulation error (either model halted with an error).
+(among them one file named twice by the program, --trace, --reg-trace and
+--vcd, or by both arguments of vcd2csv, so that no command writes over its
+input or another output; refused before any file is opened), 3 input/parse
+error or a file that cannot be read or written, 4 simulation error (either
+model halted with an error).
 `run`/`sim` propagate the guest exit code (a0 at ecall, or the tohost word).
 Lockstep stops at the window of its first mismatch, so the `CPI:` line of a
 failing `cosim`, and a FAIL row of `bench` with its `BENCH:` line, count the
@@ -338,12 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    named: dict[str, str] = {}  # an output's real path -> its option
-    for flag in ("--trace", "--reg-trace", "--vcd"):
-        path = vars(args).get(flag[2:].replace("-", "_"))
-        other = path and named.setdefault(os.path.realpath(path), flag)
-        if other and other != flag:
-            print(f"vercore {args.command}: error: argument {flag}: {path} "
+    # The files of a command that writes any (diff-trace and bench write
+    # none): vcd2csv's `vcd` is its input, not the --vcd output of others.
+    files = (("vcd", "csv") if args.command == "vcd2csv"
+             else ("program", "--trace", "--reg-trace", "--vcd"))
+    named: dict[str, str] = {}  # a file's real path -> its argument
+    for arg in files:
+        path = vars(args).get(arg.lstrip("-").replace("-", "_"))
+        other = path and named.setdefault(os.path.realpath(path), arg)
+        if other and other != arg:
+            print(f"vercore {args.command}: error: argument {arg}: {path} "
                   f"is also named by {other}", file=sys.stderr)
             return EXIT_USAGE
     try:

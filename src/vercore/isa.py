@@ -131,7 +131,6 @@ class DecodedInstr:
     imm: int  # sign-interpreted
     fmt: Format
     ctrl: Control
-    funct3: int
 
 
 @dataclass(frozen=True)
@@ -270,8 +269,8 @@ for _mn, _enc in ENCODINGS.items():
 # decode fills a bare DecodedInstr through its slot descriptors, which
 # costs about half of the frozen dataclass __init__.
 _new = object.__new__
-(_set_mnemonic, _set_rd, _set_rs1, _set_rs2, _set_imm, _set_fmt, _set_ctrl,
- _set_funct3) = (getattr(DecodedInstr, f).__set__ for f in DecodedInstr.__slots__)
+(_set_mnemonic, _set_rd, _set_rs1, _set_rs2, _set_imm, _set_fmt,
+ _set_ctrl) = (getattr(DecodedInstr, f).__set__ for f in DecodedInstr.__slots__)
 
 
 @lru_cache(maxsize=8192)
@@ -300,7 +299,6 @@ def decode(word: int) -> DecodedInstr:
     _set_imm(d, imm_of(word))
     _set_fmt(d, fmt)
     _set_ctrl(d, ctrl)
-    _set_funct3(d, (word >> 12) & 0x7)
     return d
 
 

@@ -1,7 +1,7 @@
 """Cycle-accurate model of the 5-stage in-order RV32I+Zmmul pipeline.
 
 Stages are evaluated combinationally each cycle in a fixed dependency order
-(EX ALU -> MEM load extract -> ID forwarding/branch resolution -> hazard ->
+(EX ALU -> MEM access -> ID forwarding/branch resolution -> hazard ->
 latch), then every pipeline register is latched at the cycle boundary.
 Branches and jumps resolve in ID with a 1-cycle taken penalty (IF/ID flush);
 the register file has flip-flop write timing (a WB write is readable the
@@ -37,10 +37,11 @@ no register write, and for a bubble) as it enters ID/EX, the EX result and
 the write-back value in EX, which a load's data replaces in MEM.  Field d
 holds the instruction as `isa.decode` returned it; `d is None` is a bubble.
 Later stages read everything else from d: register indices, immediate,
-funct3, mnemonic and `isa.Control` flags.  They take the EX result, branch
-comparator and halt kind from this module's own per-mnemonic tables, never
-from the golden model's.  A multiply hands its mnemonic to the multiplier
-as its operation.
+mnemonic and `isa.Control` flags, and decode no field of the word again.
+They take the EX result, branch comparator, halt kind and load sign from
+this module's own per-mnemonic tables, never from the golden model's, and
+an access's width from `isa.MEM_WIDTH`.  A multiply hands its mnemonic to
+the multiplier as its operation.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .golden import (DEFAULT_RESET_PC, CommitRecord, HaltCause, HaltKind,
                      MemTxn, commit_record, fault)
 from .isa import (ENCODINGS, MULS, DecodedInstr, Format, IllegalInstruction,
                   MASK32, MEM_WIDTH, Mnemonic, decode, to_signed)
-from .memory import MemoryImage, MisalignedAccess, misaligned
+from .memory import MemoryImage, misaligned
 from .mul import MulRequest, MulUnitState
 
 
@@ -98,6 +99,10 @@ _BRANCH_TAKEN = {
 
 _HALT_MNEMONICS = {Mnemonic.ECALL: HaltKind.ECALL,
                    Mnemonic.EBREAK: HaltKind.EBREAK}
+
+# The sign bit of each load that sign-extends its data; lw's fills the
+# register, and lbu and lhu zero-extend.
+_LOAD_SIGN = {Mnemonic.LB: 0x80, Mnemonic.LH: 0x8000}
 
 
 def _ex_result(mn: Mnemonic, fmt: Format) -> Callable[[int, int, int, int], int]:
@@ -257,47 +262,6 @@ def hazard_detect(id_instr: Optional[DecodedInstr], idex: Slot,
     return _FLUSH if branch_in_id else _NO_HAZARD
 
 
-def store_align(funct3: int, addr: int, rs2_val: int) -> tuple[int, int]:
-    """Byte enables and shifted store data for the 32-bit dcache lane:
-    SB: byte_en = 1 << addr[1:0];  SH: addr[1] ? 1100 : 0011;  SW: 1111;
-    data is rs2 shifted into the addressed lane bytes."""
-    off = addr & 0x3
-    if funct3 == 0b000:
-        return 1 << off, (rs2_val << (8 * off)) & MASK32
-    if funct3 == 0b001:
-        if addr & 0x1:
-            raise misaligned("sh", addr, 2, store=True)
-        return (0b1100 if addr & 0x2 else 0b0011), (rs2_val << (8 * off)) & MASK32
-    # sw: decode admits no other store funct3
-    if addr & 0x3:
-        raise misaligned("sw", addr, 4, store=True)
-    return 0b1111, rs2_val & MASK32
-
-
-def load_extract(funct3: int, addr: int, mem_word: int) -> int:
-    """Select the addressed byte/half from an aligned word and extend per
-    funct3 (LB/LH/LW sign, LBU/LHU zero)."""
-    off = addr & 0x3
-    if funct3 == 0b000:  # lb
-        b = (mem_word >> (8 * off)) & 0xFF
-        return b | 0xFFFFFF00 if b & 0x80 else b
-    if funct3 == 0b100:  # lbu
-        return (mem_word >> (8 * off)) & 0xFF
-    if funct3 == 0b001:  # lh
-        if addr & 0x1:
-            raise misaligned("lh", addr, 2, store=False)
-        h = (mem_word >> (8 * off)) & 0xFFFF
-        return h | 0xFFFF0000 if h & 0x8000 else h
-    if funct3 == 0b101:  # lhu
-        if addr & 0x1:
-            raise misaligned("lhu", addr, 2, store=False)
-        return (mem_word >> (8 * off)) & 0xFFFF
-    # lw: decode admits no other load funct3
-    if addr & 0x3:
-        raise misaligned("lw", addr, 4, store=False)
-    return mem_word & MASK32
-
-
 # The per-cycle signals in the groups step_cycle hands a sink, in order;
 # SIGNAL_NAMES is the groups' names in turn.  Each signal carries a fact of
 # its own: none is constant, and no two are equal on every cycle.  Names
@@ -413,29 +377,34 @@ def step_cycle(core: CoreState, mem: MemoryImage,
         ex.store_data = b_fwd
 
     # ---------------- MEM: single-issue dcache access ---------------------
+    # An access of MEM_WIDTH bytes must be aligned to its width; its data
+    # sits in the word's bytes from addr[1:0] on, which a store enables.
     dc = _DC_IDLE  # (va, valid, byte_en, d_out, d_in) for a sink
     if not m.mem_issued and halt is None:
         m.mem_issued = True
         md = m.d
         addr = m.alu_result
         width = MEM_WIDTH[md.mnemonic]
+        shift = 8 * (addr & 0x3)
         lane = (1 << (8 * width)) - 1
-        d_in = 0
-        try:
-            if md.ctrl.mem_write:
-                byte_en, d_out = store_align(md.funct3, addr, m.store_data)
-                dc = (addr, 1, byte_en, d_out, 0)
-                m.tohost = mem.write_bytes(addr & ~0x3, d_out, byte_en)
-                m.mem_txn = MemTxn("store", addr, m.store_data & lane, width)
-            else:
-                d_in = mem.read_word(addr & ~0x3)
-                dc = (addr, 1, 0, 0, d_in)
-                m.mem_data = load_extract(md.funct3, addr, d_in)
-                m.mem_txn = MemTxn("load", addr,
-                                   (d_in >> (8 * (addr & 0x3))) & lane, width)
-        except MisalignedAccess as exc:
-            dc = (addr, 1, 0, 0, d_in)
-            halt = fault("misaligned access", m.pc, exc)
+        store = md.ctrl.mem_write
+        # A load reads its word first: a misaligned one shows it on dc_d_in.
+        d_in = 0 if store else mem.read_word(addr & ~0x3)
+        dc = (addr, 1, 0, 0, d_in)
+        if addr & (width - 1):
+            halt = fault("misaligned access", m.pc,
+                         misaligned(md.mnemonic.value, addr, width, store))
+        elif store:
+            byte_en = ((1 << width) - 1) << (addr & 0x3)
+            d_out = (m.store_data << shift) & MASK32
+            dc = (addr, 1, byte_en, d_out, 0)
+            m.tohost = mem.write_bytes(addr & ~0x3, d_out, byte_en)
+            m.mem_txn = MemTxn("store", addr, m.store_data & lane, width)
+        else:
+            raw = (d_in >> shift) & lane
+            sign = _LOAD_SIGN.get(md.mnemonic, 0)
+            m.mem_data = ((raw ^ sign) - sign) & MASK32
+            m.mem_txn = MemTxn("load", addr, raw, width)
 
     # ---------------- ID: decode, capture with WB bypass, resolve branches -
     f = core.ifid

@@ -47,6 +47,17 @@ MUTANTS: dict[str, tuple[str, str]] = {
     # behind it, so the pipeline hangs after its last commit.
     "ecall_never_halts": ("wb_halt = _HALT_MNEMONICS.get(wb.d.mnemonic)",
                           "wb_halt = None"),
+    # A load never sign-extends: lb and lh load as lbu and lhu.
+    "load_never_sign_extends": ("sign = _LOAD_SIGN.get(md.mnemonic, 0)",
+                                "sign = 0"),
+    # A store's byte enables ignore addr[1:0]: an sb or sh above the low
+    # bytes of its word enables those instead, and writes them from its
+    # shifted data.
+    "byte_en_ignores_offset": ("byte_en = ((1 << width) - 1) << (addr & 0x3)",
+                               "byte_en = (1 << width) - 1"),
+    # Every access is tested for word alignment: an lb, lbu or sb off a
+    # word boundary, and an lh, lhu or sh at addr[1:0] = 2, faults.
+    "word_alignment_for_all": ("if addr & (width - 1):", "if addr & 0x3:"),
 }
 
 # Read once, at import: after a test has installed a mutant,

@@ -87,3 +87,27 @@ def test_the_trace_round_trip_calls_every_layer_the_benchmark_requires(
     assert missed == []
     assert tracer.layers["pipeline.step_cycle"].calls == op.cycles
     assert tracer.layers["golden.step"].calls == op.retired
+
+
+def _cpi_stack(name, tmp_path):
+    """perfbench's CPI stack over iteration 0 of a tiny workload."""
+    workloads = _load_perfbench("workloads")
+    return workloads.cpi_stack(workloads.make(name, 0, True, tmp_path).build(0))
+
+
+@pytest.mark.parametrize("name,programs", [("crc_hash", 1), ("corpus", 65)])
+def test_the_cpi_stack_explains_every_cycle(name, programs, tmp_path):
+    """The benchmark's CPI stack reads the recorded flush_ifid,
+    global_stall and bubble_idex signals, which only its own smoke tests
+    run otherwise: every program halts cleanly, and the causes and the
+    retired instructions add up to the cycles with nothing left over."""
+    ops, stack = _cpi_stack(name, tmp_path)
+    assert len(ops) == programs
+    assert [op.error for op in ops if op.error] == []
+    assert stack["other"] == 0
+
+
+def test_the_crc_hash_cpi_stack_is_pinned(tmp_path):
+    _, stack = _cpi_stack("crc_hash", tmp_path)
+    assert dict(stack) == {"cycles": 1280, "retired": 948, "flush": 216,
+                           "mul": 96, "load_use": 16, "fill": 4, "other": 0}

@@ -588,3 +588,39 @@ class TestUsageErrors:
             f"vercore {command}: error: argument {second}: {again} is also "
             f"named by {first}\n"))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same", "symlink"])
+    @pytest.mark.parametrize("command,flag", [
+        ("run", "--trace"), ("run", "--reg-trace"), ("sim", "--trace"),
+        ("sim", "--reg-trace"), ("sim", "--vcd"), ("cosim", "--vcd")])
+    def test_an_output_onto_the_program_is_a_usage_error(
+            self, command, flag, link, fib_hex, capsys):
+        """The program is compared by real path with the outputs, a
+        symlink to it included, and is left as it was."""
+        before = fib_hex.read_bytes()
+        out = fib_hex.with_name("link.hex") if link else fib_hex
+        if link:
+            out.symlink_to(fib_hex.name)
+        assert vercore(command, fib_hex, flag, out) == EXIT_USAGE
+        assert capsys.readouterr() == ("", (
+            f"vercore {command}: error: argument {flag}: {out} is also "
+            f"named by program\n"))
+        assert fib_hex.read_bytes() == before
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same", "symlink"])
+    def test_vcd2csv_onto_its_vcd_is_a_usage_error(self, link, fib_hex,
+                                                   tmp_path, capsys):
+        vcd = tmp_path / "w.vcd"
+        assert vercore("sim", fib_hex, "--vcd", vcd) == FIB_EXIT
+        before = vcd.read_bytes()
+        csv = tmp_path / "w.csv" if link else vcd
+        if link:
+            csv.symlink_to(vcd.name)
+        capsys.readouterr()
+        assert vercore("vcd2csv", vcd, csv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", (
+            f"vercore vcd2csv: error: argument csv: {csv} is also named by "
+            f"vcd\n"))
+        assert vcd.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            {"fib.hex", "w.vcd", csv.name})

@@ -10,15 +10,13 @@ from vercore import golden, pipeline, progs
 from vercore import mul as mulunit
 from vercore.golden import HaltKind
 from vercore.isa import decode
-from vercore.memory import MisalignedAccess
 from vercore.mul import MulUnitState
 from vercore.pipeline import (CoreState, HazardDecision, PipelineConfig,
                               SIGNAL_GROUPS, SIGNAL_NAMES, Slot, flatten,
                               forward_ex, forward_id, hazard_detect,
-                              load_extract, next_pc, run_core, step_cycle,
-                              store_align)
-from vercore.progs import (ADD, ADDI, ECALL, JAL, LUI, LW, MUL, NOP, SB, SW,
-                           assemble)
+                              next_pc, run_core, step_cycle)
+from vercore.progs import (ADD, ADDI, ECALL, JAL, LB, LBU, LH, LHU, LUI, LW,
+                           MUL, NOP, SB, SH, SW, assemble)
 from vercore.tracetools import vcd_write
 
 from conftest import grouped
@@ -44,6 +42,17 @@ def run_words(words, name="t", mul_latency=4, max_cycles=10_000,
     result = run_core(core, program.image, max_cycles,
                       record_signals=record_signals)
     return result, core
+
+
+def li(rd, value):
+    """The lui and addi that set rd to a 32-bit value."""
+    upper = (value + 0x800) >> 12
+    return [LUI(rd, upper & 0xFFFFF), ADDI(rd, rd, value - (upper << 12))]
+
+
+def lane_id(value):
+    """A test id part: an instruction by its name, a number in hex."""
+    return value.__name__.lower() if callable(value) else f"{value:#x}"
 
 
 def record_fetches(image):
@@ -161,75 +170,6 @@ class TestHazardDetect:
         d = decode(progs.encode(progs.M.BEQ, rs1=5, rs2=0, imm=8))
         hz = hazard_detect(d, self._load_idex(5), MulUnitState.idle(), True)
         assert hz.stall_ifid and not hz.flush_ifid
-
-
-class TestStoreAlign:
-    """The quoted lane formulas, exhaustively over addr[1:0]."""
-
-    @pytest.mark.parametrize("off,expect_be", [(0, 0b0001), (1, 0b0010),
-                                               (2, 0b0100), (3, 0b1000)])
-    def test_sb(self, off, expect_be):
-        be, data = store_align(0b000, 0x3000 + off, 0x000000AB)
-        assert be == expect_be
-        assert data == 0xAB << (8 * off)
-
-    @pytest.mark.parametrize("off,expect_be", [(0, 0b0011), (2, 0b1100)])
-    def test_sh(self, off, expect_be):
-        be, data = store_align(0b001, 0x3000 + off, 0x0000BEEF)
-        assert be == expect_be
-        assert data == 0xBEEF << (8 * off)
-
-    def test_sw(self):
-        be, data = store_align(0b010, 0x3000, 0x11223344)
-        assert be == 0b1111 and data == 0x11223344
-
-    def test_spec_sb_example(self):
-        assert store_align(0b000, 2, 0x000000AB) == (0b0100, 0x00AB0000)
-
-    def test_spec_sh_example(self):
-        assert store_align(0b001, 2, 0x0000BEEF) == (0b1100, 0xBEEF0000)
-
-    def test_misaligned(self):
-        with pytest.raises(MisalignedAccess):
-            store_align(0b001, 1, 0)
-        with pytest.raises(MisalignedAccess):
-            store_align(0b010, 2, 0)
-
-
-class TestLoadExtract:
-    WORD = 0x84A3C2E1  # bytes e1 c2 a3 84
-
-    @pytest.mark.parametrize("off,expected", [(0, 0xFFFFFFE1), (1, 0xFFFFFFC2),
-                                              (2, 0xFFFFFFA3), (3, 0xFFFFFF84)])
-    def test_lb(self, off, expected):
-        assert load_extract(0b000, off, self.WORD) == expected
-
-    @pytest.mark.parametrize("off,expected", [(0, 0xE1), (1, 0xC2),
-                                              (2, 0xA3), (3, 0x84)])
-    def test_lbu(self, off, expected):
-        assert load_extract(0b100, off, self.WORD) == expected
-
-    @pytest.mark.parametrize("off,expected", [(0, 0xFFFFC2E1), (2, 0xFFFF84A3)])
-    def test_lh(self, off, expected):
-        assert load_extract(0b001, off, self.WORD) == expected
-
-    @pytest.mark.parametrize("off,expected", [(0, 0xC2E1), (2, 0x84A3)])
-    def test_lhu(self, off, expected):
-        assert load_extract(0b101, off, self.WORD) == expected
-
-    def test_lw(self):
-        assert load_extract(0b010, 0, self.WORD) == self.WORD
-
-    def test_spec_examples(self):
-        assert load_extract(0b100, 3, 0x80FF0000) == 0x00000080
-        assert load_extract(0b001, 2, 0x80001234) == 0xFFFF8000
-        assert load_extract(0b010, 0, 0xDEADBEEF) == 0xDEADBEEF
-
-    def test_misaligned(self):
-        with pytest.raises(MisalignedAccess):
-            load_extract(0b001, 1, 0)
-        with pytest.raises(MisalignedAccess):
-            load_extract(0b010, 2, 0)
 
 
 class TestCycleCounts:
@@ -385,16 +325,66 @@ class TestMulHandshake:
 
 
 class TestBusAndStallSignals:
-    def test_sb_lane_signals(self):
-        words = [LUI(15, 3), ADDI(1, 0, 0xAB), SB(1, 2, 15), ECALL()]
-        result, _ = run_words(words, record_signals=True)
-        active = [s for s in result.signals
-                  if s[SIG + "dc_valid"] and s[SIG + "dc_byte_en[3:0]"]]
-        assert len(active) == 1
-        s = active[0]
-        assert s[SIG + "dc_byte_en[3:0]"] == 0b0100
-        assert s[SIG + "dc_d_out[31:0]"] == 0x00AB0000
-        assert s[SIG + "dc_va[31:0]"] == 0x3002
+    WORD = 0x84A3C2E1  # bytes e1 c2 a3 84, stored at 0x3000
+
+    @staticmethod
+    def run_sink(words):
+        """run_core over words with a list sink: the result, and each
+        cycle's signals by short name."""
+        program = assemble([LUI(15, 3), *words, ECALL()], "t")
+        seen = []
+        result = run_core(CoreState.reset(PipelineConfig(program.entry)),
+                          program.image, 1_000, sink=seen.append)
+        return result, [{name.removeprefix(SIG): v for name, v in
+                         zip(SIGNAL_NAMES, flatten(values), strict=True)}
+                        for values in seen]
+
+    @pytest.mark.parametrize("store,off,value,byte_en,d_out", [
+        (SB, 0, 0xAB, 0b0001, 0x000000AB), (SB, 1, 0xAB, 0b0010, 0x0000AB00),
+        (SB, 2, 0xAB, 0b0100, 0x00AB0000),  # the spec's sb example
+        (SB, 3, 0xAB, 0b1000, 0xAB000000),
+        (SH, 0, 0xBEEF, 0b0011, 0x0000BEEF),
+        (SH, 2, 0xBEEF, 0b1100, 0xBEEF0000),  # the spec's sh example
+        (SW, 0, 0x11223344, 0b1111, 0x11223344)], ids=lane_id)
+    def test_sb_lane_signals(self, store, off, value, byte_en, d_out):
+        """A store's one dcache write enables the bytes from addr[1:0] on
+        and drives rs2 shifted into them."""
+        _, signals = self.run_sink([*li(1, value), store(1, off, 15)])
+        assert [(s["dc_va[31:0]"], s["dc_byte_en[3:0]"], s["dc_d_out[31:0]"])
+                for s in signals if s["dc_valid"]] \
+            == [(0x3000 + off, byte_en, d_out)]
+
+    @pytest.mark.parametrize("load,off,value", [
+        (LB, 0, 0xFFFFFFE1), (LB, 1, 0xFFFFFFC2), (LB, 2, 0xFFFFFFA3),
+        (LB, 3, 0xFFFFFF84), (LBU, 0, 0xE1), (LBU, 1, 0xC2), (LBU, 2, 0xA3),
+        (LBU, 3, 0x84), (LH, 0, 0xFFFFC2E1), (LH, 2, 0xFFFF84A3),
+        (LHU, 0, 0xC2E1), (LHU, 2, 0x84A3), (LW, 0, 0x84A3C2E1)],
+        ids=lane_id)
+    def test_load_lane_value(self, load, off, value):
+        """A load commits the bytes from addr[1:0] on, extended by its
+        mnemonic."""
+        result, _ = self.run_sink([*li(1, self.WORD), SW(1, 0, 15),
+                                   load(2, off, 15)])
+        assert [c.wb_value for c in result.commits if c.rd == 2] == [value]
+
+    @pytest.mark.parametrize("access,off,message", [
+        (SH, 1, "sh to 0x00003001 (width 2)"),
+        (SW, 2, "sw to 0x00003002 (width 4)"),
+        (LH, 1, "lh from 0x00003001 (width 2)"),
+        (LHU, 3, "lhu from 0x00003003 (width 2)"),
+        (LW, 1, "lw from 0x00003001 (width 4)")],
+        ids=("sh", "sw", "lh", "lhu", "lw"))
+    def test_misaligned_access_faults(self, access, off, message):
+        """A misaligned access halts with the golden model's message, and a
+        load has read its word first."""
+        result, signals = self.run_sink([*li(1, self.WORD), SW(1, 0, 15),
+                                         access(2, off, 15)])
+        assert (result.halt.kind, result.halt.message) == (
+            HaltKind.ERROR, f"misaligned access at pc=0x00002010: {message}")
+        last = signals[-1]
+        assert (last["dc_va[31:0]"], last["dc_valid"], last["dc_byte_en[3:0]"],
+                last["dc_d_out[31:0]"], last["dc_d_in[31:0]"]) == (
+            0x3000 + off, 1, 0, 0, 0 if access in (SH, SW) else self.WORD)
 
     def test_dc_valid_issues_once_under_global_stall(self):
         # load enters MEM as the mul enters EX; the access must not repeat
