@@ -10,10 +10,11 @@ error: `run`, `sim` and `cosim` stopped at theirs say so in a
 Exit codes are a stable contract: 0 success, 1 verification mismatch (of the
 commit traces, or of two clean halts) or a missed CPI bound, 2 usage error
 (among them one file named twice by the program, --trace, --reg-trace and
---vcd, or by both arguments of vcd2csv, so that no command writes over its
-input or another output; refused before any file is opened), 3 input/parse
-error or a file that cannot be read or written, 4 simulation error (either
-model halted with an error).
+--vcd, or by the two arguments of vcd2csv and the `<csv>.partial` file it
+writes first, so that no command writes over its input or another output;
+refused before any file is opened), 3 input/parse error or a file that
+cannot be read or written, 4 simulation error (either model halted with an
+error).
 `run`/`sim` propagate the guest exit code (a0 at ecall, or the tohost word).
 Lockstep stops at the window of its first mismatch, so the `CPI:` line of a
 failing `cosim`, and a FAIL row of `bench` with its `BENCH:` line, count the
@@ -200,16 +201,16 @@ def cmd_vcd2csv(args) -> int:
     """Rows go to a sibling file as they complete, which replaces the CSV
     only once the whole VCD has parsed: a malformed VCD leaves the CSV as
     it was."""
-    partial = f"{args.csv}.partial"
+    sibling = f"{args.csv}.partial"
     with open(args.vcd) as vcd:
         decls, changes = vcd_parse(vcd)
         try:
-            with open(partial, "w") as csv:
+            with open(sibling, "w") as csv:
                 rows = vcd_to_csv(decls, changes, csv.write)
-            os.replace(partial, args.csv)
+            os.replace(sibling, args.csv)
         except BaseException:
             with contextlib.suppress(OSError):
-                os.remove(partial)
+                os.remove(sibling)
             raise
     print(f"{rows} rows, {len(decls)} signals")
     return 0
@@ -341,12 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # The files of a command that writes any (diff-trace and bench write
-    # none): vcd2csv's `vcd` is its input, not the --vcd output of others.
+    # none): vcd2csv's `vcd` is its input, not the --vcd output of others,
+    # and its csv is written first to the sibling cmd_vcd2csv names.
     files = (("vcd", "csv") if args.command == "vcd2csv"
              else ("program", "--trace", "--reg-trace", "--vcd"))
+    paths = [(arg, vars(args).get(arg.lstrip("-").replace("-", "_")))
+             for arg in files]
+    if args.command == "vcd2csv":
+        paths.append(("csv", f"{args.csv}.partial"))
     named: dict[str, str] = {}  # a file's real path -> its argument
-    for arg in files:
-        path = vars(args).get(arg.lstrip("-").replace("-", "_"))
+    for arg, path in paths:
         other = path and named.setdefault(os.path.realpath(path), arg)
         if other and other != arg:
             print(f"vercore {args.command}: error: argument {arg}: {path} "

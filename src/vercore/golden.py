@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
-from .isa import (Format, IllegalInstruction, MASK32, MEM_WIDTH, Mnemonic,
-                  decode, to_signed)
+from .isa import (ENCODINGS, Format, IllegalInstruction, MASK32, MEM_WIDTH,
+                  Mnemonic, decode, to_signed)
 from .memory import MemoryImage, MisalignedAccess, misaligned
 
 DEFAULT_RESET_PC = 0x2000
@@ -87,11 +87,14 @@ class ArchState:
 
 
 # Each mnemonic's handler(state, d, pc, a, b) gets a = rs1's value and b =
-# rs2's value, or the 32-bit immediate for I-format, and returns (value to
+# rs2's value, or the 32-bit immediate for _I_FORMAT, and returns (value to
 # write back, next pc before the 32-bit wrap, memory transaction).  Loads
 # and stores raise MisalignedAccess; ecall, ebreak and a tohost store record
 # their halt on state.halted.
 Handler = Callable[..., tuple[int, int, Optional[MemTxn]]]
+
+# The I-format mnemonics, whose operand b is the immediate.
+_I_FORMAT = {mn for mn, enc in ENCODINGS.items() if enc.fmt is Format.I}
 
 # Register/immediate ALU and host widening multiply results on unsigned
 # 32-bit patterns; the multiply is independent of the Booth-Wallace unit.
@@ -223,7 +226,7 @@ def step(state: ArchState) -> Union[CommitRecord, HaltCause]:
         return fault("illegal instruction", pc, exc)
 
     regs = state.regs
-    b = d.imm & MASK32 if d.fmt is Format.I else regs[d.rs2]
+    b = d.imm & MASK32 if d.mnemonic in _I_FORMAT else regs[d.rs2]
     try:
         wb, next_pc, txn = _EXECUTE[d.mnemonic](state, d, pc, regs[d.rs1], b)
     except MisalignedAccess as exc:

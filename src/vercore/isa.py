@@ -3,8 +3,8 @@
 The multiply-only subset of M (mul/mulh/mulhsu/mulhu) is supported; division,
 CSRs, compressed instructions and privileged encodings are rejected.
 
-`decode` is table-driven: each mnemonic's "shape" (format, control, immediate
-extractor, kept registers) sits in one of four dicts derived from ENCODINGS,
+`decode` is table-driven: each mnemonic's "shape" (mnemonic, immediate
+extractor, register masks) sits in one of four dicts derived from ENCODINGS,
 keyed on the bits its encoding fixes -- `word & 0xFE00707F` for R-type and
 immediate shifts, `word & 0x707F` for the other I/S/B, the opcode for U/J and
 the whole word for ecall/ebreak.  The dicts stay separate because the keys
@@ -105,32 +105,21 @@ class Mnemonic(enum.Enum):
     MULHU = "mulhu"
 
 
-@dataclass(frozen=True)
-class Control:
-    """Per-instruction control classification derived from the mnemonic.
-
-    Register use is not a flag: decode zeroes each register field that an
-    instruction does not use, the reserved FENCE and FENCE.I rd and rs1
-    included (see _KEEPS), so a non-zero rd is a write and a non-zero rs1
-    or rs2 a read."""
-
-    mem_read: bool = False
-    mem_write: bool = False
-    is_branch: bool = False
-    mul_en: bool = False
-
-
 @dataclass(frozen=True, slots=True)
 class DecodedInstr:
-    """One decoded instruction: register indices, immediate, classification."""
+    """One decoded instruction: its mnemonic, register indices and immediate.
+
+    Its class is the mnemonic's: its format is ENCODINGS[mnemonic].fmt, and
+    LOADS, MEM_WIDTH and MULS hold the loads, the accesses and the
+    multiplies.  Register use is a field: decode zeroes each register field
+    that the instruction does not use (see _KEEPS), so a non-zero rd is a
+    write and a non-zero rs1 or rs2 a read."""
 
     mnemonic: Mnemonic
     rd: int
     rs1: int
     rs2: int
     imm: int  # sign-interpreted
-    fmt: Format
-    ctrl: Control
 
 
 @dataclass(frozen=True)
@@ -207,6 +196,7 @@ MEM_WIDTH: dict[Mnemonic, int] = {
     Mnemonic.LB: 1, Mnemonic.LBU: 1, Mnemonic.LH: 2, Mnemonic.LHU: 2,
     Mnemonic.LW: 4, Mnemonic.SB: 1, Mnemonic.SH: 2, Mnemonic.SW: 4}
 MULS = {Mnemonic.MUL, Mnemonic.MULH, Mnemonic.MULHSU, Mnemonic.MULHU}
+LOADS = {mn for mn, enc in ENCODINGS.items() if enc.opcode == OP_LOAD}
 _SHIFTS_IMM = {Mnemonic.SLLI, Mnemonic.SRLI, Mnemonic.SRAI}
 _NO_EFFECT = {Mnemonic.FENCE, Mnemonic.FENCE_I, Mnemonic.ECALL, Mnemonic.EBREAK}
 _SYSTEM_WORDS = {Mnemonic.ECALL: 0x00000073, Mnemonic.EBREAK: 0x00100073}
@@ -220,12 +210,6 @@ _KEEPS: dict[Format, tuple[bool, bool, bool]] = {
     Format.R: (True, True, True), Format.I: (True, True, False),
     Format.S: (False, True, True), Format.B: (False, True, True),
     Format.U: (True, False, False), Format.J: (True, False, False)}
-
-
-def _control_for(mn: Mnemonic, enc: Encoding) -> Control:
-    return Control(mem_read=enc.opcode == OP_LOAD,
-                   mem_write=enc.opcode == OP_STORE,
-                   is_branch=enc.opcode == OP_BRANCH, mul_en=mn in MULS)
 
 
 # Immediate extractors of a 32-bit word, one per format; (x ^ s) - s
@@ -244,8 +228,8 @@ _IMM: dict[Format, Callable[[int], int]] = {
 
 
 # Decode tables of shapes, keyed on the bits each encoding fixes (see the
-# module docstring).  A shape is (mnemonic, fmt, ctrl, imm_of, rd_mask,
-# rs1_mask, rs2_mask): a register the instruction does not keep has mask 0.
+# module docstring).  A shape is (mnemonic, imm_of, rd_mask, rs1_mask,
+# rs2_mask): a register the instruction does not keep has mask 0.
 _BY_F3F7: dict[int, tuple] = {}  # word & 0xFE00707F: R-type, shifts
 _BY_F3: dict[int, tuple] = {}    # word & 0x707F: other I, S, B
 _BY_OP: dict[int, tuple] = {}    # word & 0x7F: U, J
@@ -254,7 +238,7 @@ for _mn, _enc in ENCODINGS.items():
     # A shift's immediate is its shamt; R-type has none.
     _imm_of = ((lambda w: (w >> 20) & 0x1F) if _mn in _SHIFTS_IMM
                else _IMM.get(_enc.fmt, lambda w: 0))
-    _shape = (_mn, _enc.fmt, _control_for(_mn, _enc), _imm_of,
+    _shape = (_mn, _imm_of,
               *(0x1F if keep and _mn not in _NO_EFFECT else 0
                 for keep in _KEEPS[_enc.fmt]))
     if _mn in _SYSTEM_WORDS:
@@ -269,8 +253,8 @@ for _mn, _enc in ENCODINGS.items():
 # decode fills a bare DecodedInstr through its slot descriptors, which
 # costs about half of the frozen dataclass __init__.
 _new = object.__new__
-(_set_mnemonic, _set_rd, _set_rs1, _set_rs2, _set_imm, _set_fmt,
- _set_ctrl) = (getattr(DecodedInstr, f).__set__ for f in DecodedInstr.__slots__)
+(_set_mnemonic, _set_rd, _set_rs1, _set_rs2, _set_imm) = (
+    getattr(DecodedInstr, f).__set__ for f in DecodedInstr.__slots__)
 
 
 @lru_cache(maxsize=8192)
@@ -290,15 +274,13 @@ def decode(word: int) -> DecodedInstr:
     if shape is None:
         kind = "unsupported system/CSR" if system else "unknown"
         raise IllegalInstruction(f"{kind} encoding 0x{word:08x}")
-    mn, fmt, ctrl, imm_of, rd_mask, rs1_mask, rs2_mask = shape
+    mn, imm_of, rd_mask, rs1_mask, rs2_mask = shape
     d = _new(DecodedInstr)
     _set_mnemonic(d, mn)
     _set_rd(d, (word >> 7) & rd_mask)
     _set_rs1(d, (word >> 15) & rs1_mask)
     _set_rs2(d, (word >> 20) & rs2_mask)
     _set_imm(d, imm_of(word))
-    _set_fmt(d, fmt)
-    _set_ctrl(d, ctrl)
     return d
 
 
@@ -367,18 +349,19 @@ def disassemble(d: DecodedInstr) -> str:
     name = mn.value
     if mn in _NO_EFFECT:
         return name
-    if d.fmt == Format.R:
+    fmt = ENCODINGS[mn].fmt
+    if fmt == Format.R:
         return f"{name} x{d.rd}, x{d.rs1}, x{d.rs2}"
     if mn in _SHIFTS_IMM:
         return f"{name} x{d.rd}, x{d.rs1}, {d.imm}"
-    if d.ctrl.mem_read or mn == Mnemonic.JALR:
+    if mn in LOADS or mn == Mnemonic.JALR:
         return f"{name} x{d.rd}, {d.imm}(x{d.rs1})"
-    if d.fmt == Format.I:
+    if fmt == Format.I:
         return f"{name} x{d.rd}, x{d.rs1}, {d.imm}"
-    if d.fmt == Format.S:
+    if fmt == Format.S:
         return f"{name} x{d.rs2}, {d.imm}(x{d.rs1})"
-    if d.fmt == Format.B:
+    if fmt == Format.B:
         return f"{name} x{d.rs1}, x{d.rs2}, {d.imm}"
-    if d.fmt == Format.U:
+    if fmt == Format.U:
         return f"{name} x{d.rd}, 0x{(d.imm >> 12) & 0xFFFFF:x}"
     return f"{name} x{d.rd}, {d.imm}"  # Format.J

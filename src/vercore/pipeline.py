@@ -28,20 +28,21 @@ table.  `flatten` gives the SIGNAL_NAMES values back.  Without a sink
 `step_cycle` builds no values, and `run_core` passes its sink down, so a
 run that records nothing pays nothing for signals.
 
-Control is decoded once, in ID.  Each instruction travels in one `Slot`,
-and the four pipeline registers refer to the slots of the instructions in
-them: the latch moves those references downstream and copies no field.
+Each instruction is decoded once, in ID, and travels in one `Slot`; the
+four pipeline registers refer to the slots of the instructions in them:
+the latch moves those references downstream and copies no field.
 The slot leaving WB is refilled by IF, or becomes the ID/EX bubble of a
 hold.  The facts later stages need are written on the slot once: rd (0 for
 no register write, and for a bubble) as it enters ID/EX, the EX result and
 the write-back value in EX, which a load's data replaces in MEM.  Field d
 holds the instruction as `isa.decode` returned it; `d is None` is a bubble.
-Later stages read everything else from d: register indices, immediate,
-mnemonic and `isa.Control` flags, and decode no field of the word again.
-They take the EX result, branch comparator, halt kind and load sign from
-this module's own per-mnemonic tables, never from the golden model's, and
-an access's width from `isa.MEM_WIDTH`.  A multiply hands its mnemonic to
-the multiplier as its operation.
+Later stages read the register indices, the immediate and the mnemonic
+from d, and decode no field of the word again.  They take each class from
+a per-mnemonic table: the EX result, branch comparator, halt kind and load
+sign from this module's own, never from the golden model's; the
+multiplies, the loads and each access's width from `isa.MULS`,
+`isa.LOADS` and `isa.MEM_WIDTH`.  A multiply hands its mnemonic to the
+multiplier as its operation.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ from typing import Callable, NamedTuple, Optional
 from . import mul as mulunit
 from .golden import (DEFAULT_RESET_PC, CommitRecord, HaltCause, HaltKind,
                      MemTxn, commit_record, fault)
-from .isa import (ENCODINGS, MULS, DecodedInstr, Format, IllegalInstruction,
-                  MASK32, MEM_WIDTH, Mnemonic, decode, to_signed)
+from .isa import (ENCODINGS, LOADS, MULS, DecodedInstr, Format,
+                  IllegalInstruction, MASK32, MEM_WIDTH, Mnemonic, decode,
+                  to_signed)
 from .memory import MemoryImage, misaligned
 from .mul import MulRequest, MulUnitState
 
@@ -254,9 +256,9 @@ def hazard_detect(id_instr: Optional[DecodedInstr], idex: Slot,
     it reads none.  A taken branch/jump in ID flushes IF/ID.
     """
     ex = idex.d
-    if ex is not None and ex.ctrl.mul_en and not mul.out_valid:
+    if ex is not None and ex.mnemonic in MULS and not mul.out_valid:
         return _MUL_STALL
-    if (id_instr is not None and ex is not None and ex.ctrl.mem_read
+    if (id_instr is not None and ex is not None and ex.mnemonic in LOADS
             and ex.rd != 0 and ex.rd in (id_instr.rs1, id_instr.rs2)):
         return _HOLD_ID
     return _FLUSH if branch_in_id else _NO_HAZARD
@@ -352,10 +354,9 @@ def step_cycle(core: CoreState, mem: MemoryImage,
     issue: Optional[MulRequest] = None
     unit = core.mul
     if d is not None:
-        ctrl = d.ctrl
         a_fwd = forward_ex(d.rs1, ex.rs1_val, m, wb)
         b_fwd = forward_ex(d.rs2, ex.rs2_val, m, wb)
-        if ctrl.mul_en and (not unit.busy or unit.out_valid):
+        if d.mnemonic in MULS and (not unit.busy or unit.out_valid):
             issue = MulRequest(d.mnemonic, a_fwd, b_fwd)
     if issue is not None or unit.busy:  # an idle tick changes nothing
         core.mul = unit = mulunit.tick(unit, issue=issue,
@@ -363,13 +364,13 @@ def step_cycle(core: CoreState, mem: MemoryImage,
 
     ex_rd = ex_result = 0  # EX forwards ex_result to ex_rd; 0: none
     if d is not None:
-        if ctrl.mul_en:
+        if d.mnemonic in MULS:
             if unit.out_valid:
                 ex_result = unit.result
                 ex_rd = ex.rd
         else:
             ex_result = _EX_RESULT[d.mnemonic](ex.pc, a_fwd, b_fwd, d.imm)
-            if not ctrl.mem_read:
+            if d.mnemonic not in LOADS:
                 ex_rd = ex.rd
         # Written on the slot, which carries them on into EX/MEM; a stalled
         # EX writes them again the next cycle.
@@ -387,7 +388,7 @@ def step_cycle(core: CoreState, mem: MemoryImage,
         width = MEM_WIDTH[md.mnemonic]
         shift = 8 * (addr & 0x3)
         lane = (1 << (8 * width)) - 1
-        store = md.ctrl.mem_write
+        store = md.mnemonic not in LOADS
         # A load reads its word first: a misaligned one shows it on dc_d_in.
         d_in = 0 if store else mem.read_word(addr & ~0x3)
         dc = (addr, 1, 0, 0, d_in)
@@ -433,7 +434,7 @@ def step_cycle(core: CoreState, mem: MemoryImage,
             # yet, so bypass it into the operand values the slot captures.
             f.rs1_val = wb.mem_data if wb_rd and wb_rd == id_d.rs1 else rf1
             f.rs2_val = wb.mem_data if wb_rd and wb_rd == id_d.rs2 else rf2
-            if id_d.ctrl.is_branch:
+            if id_d.mnemonic in _BRANCH_TAKEN:
                 s1 = forward_id(id_d.rs1, rf1, ex_rd, ex_result, m.rd,
                                 m.mem_data, wb)
                 s2 = forward_id(id_d.rs2, rf2, ex_rd, ex_result, m.rd,

@@ -203,9 +203,10 @@ _DIRECTIVES = ("$scope", "$var", "$upscope", "$timescale", "$date",
 
 class _Body(Iterator[tuple[int, str, str]]):
     """vcd_parse's token loop over numbered lines, which keeps the time,
-    the scopes and an open directive between lines.  Iterated, it yields
-    the changes; those read but not yet taken wait in `changes`, so that
-    vcd_to_csv can take over the `lines` left at any point."""
+    the scopes and an open directive, with the line it opened on, between
+    lines.  Iterated, it yields the changes; those read but not yet taken
+    wait in `changes`, so that vcd_to_csv can take over the `lines` left
+    at any point."""
 
     def __init__(self, stream: Iterable[str]):
         self.lines = enumerate(stream, start=1)
@@ -214,6 +215,7 @@ class _Body(Iterator[tuple[int, str, str]]):
         self.time = 0
         self.in_defs = True
         self.directive: Optional[str] = None
+        self.directive_line = 0
         self.args: list[str] = []
         self.changes: deque[tuple[int, str, str]] = deque()
 
@@ -222,12 +224,20 @@ class _Body(Iterator[tuple[int, str, str]]):
             self.read(*next(self.lines))
         return self.changes.popleft()
 
-    def read(self, lineno: int, raw: str) -> None:
+    def read(self, lineno: int, raw: str) -> int:
         """Read one line, and the lines after it while a directive it opens
-        stays open, appending their changes to `changes`."""
+        stays open, appending their changes to `changes`; returns the number
+        of the last line read.  Lines that end with the directive open raise
+        MalformedVcd."""
         self._tokens(lineno, raw)
-        while self.directive is not None and (line := next(self.lines, None)):
-            self._tokens(*line)
+        while self.directive is not None:
+            line = next(self.lines, None)
+            if line is None:
+                raise MalformedVcd(f"{self.directive} has no $end",
+                                   self.directive_line)
+            lineno, raw = line
+            self._tokens(lineno, raw)
+        return lineno
 
     def _tokens(self, lineno: int, raw: str) -> None:
         toks = iter(raw.split())
@@ -275,7 +285,7 @@ class _Body(Iterator[tuple[int, str, str]]):
                     raise MalformedVcd(f"unknown directive {tok!r}", lineno)
                 if not self.in_defs and tok in ("$scope", "$var"):
                     raise MalformedVcd(f"{tok} after $enddefinitions", lineno)
-                self.directive = tok
+                self.directive, self.directive_line = tok, lineno
             elif tok[0] in "rR":
                 raise MalformedVcd("real-valued signals are not supported",
                                    lineno)
@@ -323,17 +333,20 @@ def vcd_parse(stream: Iterable[str]
     The declarations are read at once, to the end of the line that closes
     $enddefinitions; the body only as the changes are iterated.  Changes
     before the first #timestamp are at time 0.  Unknown ids, values wider
-    than declared, and timestamps that decrease or are not ASCII digits
-    raise MalformedVcd with a line number, from the iterator in the body.
+    than declared, timestamps that decrease or are not ASCII digits, and a
+    directive that the lines end in raise MalformedVcd with a line number,
+    from the iterator in the body; lines that end before $enddefinitions
+    raise it here, with the last line's number.
     """
     if isinstance(stream, str):
         raise TypeError("vcd_parse takes an iterable of lines, not a str")
     body = _Body(stream)
+    last = 0
     for lineno, raw in body.lines:
-        body.read(lineno, raw)
+        last = body.read(lineno, raw)
         if not body.in_defs:
-            break
-    return list(body.by_id.values()), body
+            return list(body.by_id.values()), body
+    raise MalformedVcd("VCD ends before $enddefinitions", last)
 
 
 def _decimal(text: str) -> Optional[int]:

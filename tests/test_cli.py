@@ -527,6 +527,32 @@ class TestMalformedInput:
             ["fib.hex", "wave.vcd"] + ([] if existing is None
                                        else ["wave.csv"]))
 
+    @pytest.mark.parametrize("cut", ["comment", "header", "empty"])
+    def test_a_truncated_vcd_leaves_the_csv_alone(self, cut, fib_hex,
+                                                  tmp_path, capsys):
+        """A VCD whose lines end in a directive or before $enddefinitions
+        is an input error, not a shorter CSV."""
+        vcd, csv = tmp_path / "wave.vcd", tmp_path / "wave.csv"
+        assert vercore("sim", fib_hex, "--vcd", vcd) == FIB_EXIT
+        lines = vcd.read_text().splitlines()
+        header = lines[:lines.index("$enddefinitions $end")]
+        # after the $end of $dumpvars and the timestamp that follows it
+        body = lines.index("$end", len(header)) + 2
+        kept, error = {
+            "comment": (lines[:body] + ["$comment"] + lines[body:],
+                        f"line {body + 1}: $comment has no $end"),
+            "header": (header,
+                       f"line {len(header)}: VCD ends before $enddefinitions"),
+            "empty": ([], "VCD ends before $enddefinitions")}[cut]
+        vcd.write_text("".join(f"{line}\n" for line in kept))
+        csv.write_text("old,csv\n1,2\n")
+        capsys.readouterr()
+        assert vercore("vcd2csv", vcd, csv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: {error}\n"
+        assert csv.read_text() == "old,csv\n1,2\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["fib.hex", "wave.csv", "wave.vcd"]
+
     @pytest.mark.parametrize("command", ["sim", "cosim", "run", "vcd2csv"])
     def test_output_path_under_a_file(self, command, fib_hex, tmp_path,
                                       capsys):
@@ -624,3 +650,26 @@ class TestUsageErrors:
         assert vcd.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             {"fib.hex", "w.vcd", csv.name})
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same", "symlink"])
+    def test_vcd2csv_from_its_partial_file_is_a_usage_error(
+            self, link, fib_hex, tmp_path, capsys):
+        """vcd2csv writes its rows to <csv>.partial first, which would
+        truncate an input of that name, or one that a symlink of that name
+        points to: refused before any file is opened."""
+        vcd = tmp_path / "w.vcd"
+        assert vercore("sim", fib_hex, "--vcd", vcd) == FIB_EXIT
+        before = vcd.read_bytes()
+        sibling = tmp_path / "x.csv.partial"
+        if link:
+            sibling.symlink_to(vcd.name)
+        else:
+            vcd = vcd.rename(sibling)
+        capsys.readouterr()
+        assert vercore("vcd2csv", vcd, tmp_path / "x.csv") == EXIT_USAGE
+        assert capsys.readouterr() == ("", (
+            f"vercore vcd2csv: error: argument csv: {sibling} is also named "
+            f"by vcd\n"))
+        assert vcd.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            {"fib.hex", vcd.name, sibling.name})

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vercore import golden, pipeline, progs
-from vercore.isa import ENCODINGS, OP_SYSTEM, Format, Mnemonic, decode, encode
+from vercore.isa import (ENCODINGS, LOADS, MULS, OP_BRANCH, OP_LOAD, OP_SYSTEM,
+                         Format, Mnemonic, decode, encode)
 from vercore.mul import MulRequest, mul_result
 from vercore.pipeline import CoreState, PipelineConfig, run_core
 from vercore.progs import ADDI, ECALL, LH, LHU, LUI, LW, SH, SW
@@ -16,15 +17,20 @@ from vercore.progs import ADDI, ECALL, LH, LHU, LUI, LW, SH, SW
 U32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
 
-def _ctrl(mn):
-    return decode(encode(mn)).ctrl
-
-
 def _where(pred):
     return {mn for mn in Mnemonic if pred(mn)}
 
 
+# The reference classes, from the encodings rather than the isa class sets.
+_LOADS = _where(lambda mn: ENCODINGS[mn].opcode == OP_LOAD)
+_MULS = _where(lambda mn: ENCODINGS[mn].funct7 == 1)
+
+
 class TestCompleteness:
+    def test_the_class_sets_are_the_encodings_classes(self):
+        assert LOADS == _LOADS and len(LOADS) == 5
+        assert MULS == _MULS and len(MULS) == 4
+
     def test_every_mnemonic_has_a_golden_handler(self):
         assert set(golden._EXECUTE) == set(Mnemonic)
 
@@ -33,27 +39,26 @@ class TestCompleteness:
         that reaches the ALU has its own entry."""
         alu = _where(lambda mn: ENCODINGS[mn].fmt in (Format.R, Format.I)
                      and decode(encode(mn, rd=1)).rd
-                     and not _ctrl(mn).mem_read
-                     and not _ctrl(mn).mul_en and mn is not Mnemonic.JALR)
+                     and mn not in _LOADS and mn not in _MULS
+                     and mn is not Mnemonic.JALR)
         assert set(pipeline._ALU_OP) == alu
 
     def test_ex_table_covers_every_mnemonic_but_the_multiplies(self):
         assert set(pipeline._EX_RESULT) == \
-            set(Mnemonic) - _where(lambda mn: _ctrl(mn).mul_en)
+            set(Mnemonic) - _MULS
 
     def test_branch_table_covers_the_branches(self):
         assert set(pipeline._BRANCH_TAKEN) == \
-            _where(lambda mn: _ctrl(mn).is_branch)
+            _where(lambda mn: ENCODINGS[mn].opcode == OP_BRANCH)
 
     def test_mul_table_covers_the_multiplies(self):
         """The multiplier takes each multiply's mnemonic as its operation
         and computes the value the golden model does."""
         a, b = 0xFFFFFFFD, 0xFFFFFFFB  # -3 and -5: the four results differ
-        muls = _where(lambda mn: _ctrl(mn).mul_en)
-        results = {mn: mul_result(MulRequest(mn, a, b)) for mn in muls}
+        results = {mn: mul_result(MulRequest(mn, a, b)) for mn in _MULS}
         assert results == {mn: golden._ALU_SEMANTICS[(mn,)](a, b)
-                           for mn in muls}
-        assert len(set(results.values())) == len(muls) == 4
+                           for mn in _MULS}
+        assert len(set(results.values())) == len(_MULS) == 4
 
     def test_halt_table_covers_the_system_instructions(self):
         assert set(pipeline._HALT_MNEMONICS) == \

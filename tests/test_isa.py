@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vercore.isa import (ENCODINGS, DecodedInstr, Format, IllegalInstruction,
-                         InvalidOperandForFormat, Mnemonic,
-                         OutOfRangeImmediate, decode, disassemble, encode)
+from vercore.isa import (ENCODINGS, LOADS, MEM_WIDTH, MULS, DecodedInstr,
+                         Format, IllegalInstruction, InvalidOperandForFormat,
+                         Mnemonic, OutOfRangeImmediate, decode, disassemble,
+                         encode)
 
 from conftest import assemble_riscv, needs_clang
 
@@ -143,18 +144,19 @@ class TestDecodeKnownWords:
         assert d.imm == 0x0000A000  # low 12 bits cleared by definition
 
     def test_control_flags(self):
-        """The flags, and the register fields that stand for register use:
-        a field that the instruction does not use decodes as x0, whatever
-        its bits (here the immediate's)."""
+        """The class sets, and the register fields that stand for register
+        use: a field that the instruction does not use decodes as x0,
+        whatever its bits (here the immediate's)."""
         lw = decode(encode(Mnemonic.LW, rd=5, rs1=6, imm=8))
-        assert lw.ctrl.mem_read and (lw.rd, lw.rs1, lw.rs2) == (5, 6, 0)
+        assert lw.mnemonic in LOADS and (lw.rd, lw.rs1, lw.rs2) == (5, 6, 0)
         sw = decode(encode(Mnemonic.SW, rs1=6, rs2=5, imm=8))
-        assert sw.ctrl.mem_write and (sw.rd, sw.rs1, sw.rs2) == (0, 6, 5)
+        assert sw.mnemonic in MEM_WIDTH and sw.mnemonic not in LOADS
+        assert (sw.rd, sw.rs1, sw.rs2) == (0, 6, 5)
         jal = decode(encode(Mnemonic.JAL, rd=1, imm=-4))
-        assert not jal.ctrl.is_branch
+        assert ENCODINGS[jal.mnemonic].fmt is Format.J
         assert (jal.rd, jal.rs1, jal.rs2) == (1, 0, 0)
         mul = decode(encode(Mnemonic.MUL, rd=7, rs1=5, rs2=6))
-        assert mul.ctrl.mul_en and (mul.rd, mul.rs1, mul.rs2) == (7, 5, 6)
+        assert mul.mnemonic in MULS and (mul.rd, mul.rs1, mul.rs2) == (7, 5, 6)
 
 
 class TestDecodeErrors:
@@ -211,10 +213,10 @@ class TestDecodeErrors:
 # sha256 of decode over one word per (opcode, funct3, funct7), its other bits
 # from random.Random(12): each word adds the repr of its DecodedInstr, or
 # "<exception type>: <message>", and a newline.  Taken from the if-chain
-# decoder that the table-driven one replaced, with the jump, reg_write,
-# uses_rs1 and uses_rs2 flags of Control and the funct3 field left out of
-# each repr, and rd and rs1 of fence and fence.i, reserved fields, read as 0.
-SWEEP_DIGEST = "2c6629b63327cf1d64ac891bd5a49a7baa61e948ba4e173e5022d56c3225e462"
+# decoder that the table-driven one replaced, with the funct3, fmt and ctrl
+# fields left out of each repr, and rd and rs1 of fence and fence.i,
+# reserved fields, read as 0.
+SWEEP_DIGEST = "754547220c79908ecfc83e7b5d0b7772ff9c513fad627300cda81414da182868"
 
 
 def _sweep_digest() -> str:

@@ -111,7 +111,7 @@ def test_windows_give_the_whole_trace_verdict(window, latency):
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_windows_give_the_whole_trace_verdict_on_mutants(window, name,
                                                          monkeypatch):
-    monkeypatch.setattr(pipeline, "step_cycle", mutant(name))
+    monkeypatch.setattr(pipeline, MUTANTS[name].function, mutant(name))
     assert_same_verdicts(MUTANT_PROGRAMS + [progs.benchmark_program(16)],
                          max_cycles=5_000)
 

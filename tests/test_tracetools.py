@@ -281,6 +281,8 @@ def _id(name_prefix):
     (["#1_0"], 0, "bad timestamp '#1_0'"),
     (["#\u0663"], 0, "bad timestamp '#\u0663'"),
     (["#" + "9" * 5000], 0, "bad timestamp '#999"),
+    (["#30000", "$comment", "1!", "#40000", "0!"], 1,
+     r"\$comment has no \$end"),
 ])
 def test_malformed_vcd_names_the_line(lines, offset, message):
     text, first = _lines_after_definitions(*lines)
@@ -293,7 +295,8 @@ def test_malformed_vcd_names_the_line(lines, offset, message):
 @pytest.mark.parametrize("line", [
     "#20000", "#3x", "#-5", "#+5", "#1_0", "#\u0663", "#" + "9" * 5000,
     "1zz", "b102 !", "b !", "B102 !", "b1 zz", "b1 ! !",
-    f"b111111 {_id('vercore_tb.u_vercore.wb_rd')}"])
+    f"b111111 {_id('vercore_tb.u_vercore.wb_rd')}", "$comment",
+    "$comment #40000 0!"])
 def test_the_line_loop_raises_as_the_token_loop_does(line):
     """A body fault after a timestamp read in place and a change read
     twice, the second time from the memo, raises the same error from
@@ -305,6 +308,23 @@ def test_the_line_loop_raises_as_the_token_loop_does(line):
         _to_csv(text)
     assert parsed.value.line == tabulated.value.line == first + 3
     assert str(tabulated.value) == str(parsed.value)
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("", 0, r"VCD ends before \$enddefinitions"),
+    ("$timescale 1ps $end\n$scope module top $end\n$var wire 1 ! a $end\n",
+     3, r"VCD ends before \$enddefinitions"),
+    ("$timescale 1ps $end\n$comment two\nlines $end\n", 3,
+     r"VCD ends before \$enddefinitions"),
+    ("$timescale 1ps $end\n$scope module top\n", 2, r"\$scope has no \$end"),
+])
+def test_lines_that_end_in_the_header_are_malformed(text, line, message):
+    """The last line read is named, or no line for an empty file; an open
+    directive is named with the line it opened on."""
+    with pytest.raises(MalformedVcd, match=message) as info:
+        vcd_parse(io.StringIO(text))
+    assert info.value.line == line
+    assert str(info.value).startswith(f"line {line}: " if line else "VCD")
 
 
 @pytest.mark.parametrize("lines,offset,message", [
