@@ -8,13 +8,16 @@ and one whose pipeline hangs (see cosim.HANG_CYCLES) fails.  A cap is not an
 error: `run`, `sim` and `cosim` stopped at theirs say so in a
 `RESULT-NOTE: capped:` line and exit 0.
 Exit codes are a stable contract: 0 success, 1 verification mismatch (of the
-commit traces, or of two clean halts) or a missed CPI bound, 2 usage error
-(among them one file named twice by the program, --trace, --reg-trace and
---vcd, or by the two arguments of vcd2csv and the `<csv>.partial` file it
-writes first, so that no command writes over its input or another output;
-refused before any file is opened), 3 input/parse error or a file that
-cannot be read or written, 4 simulation error (either model halted with an
-error).
+commit traces, or of two clean halts) or a missed CPI bound, 2 usage error, 3
+input/parse error or a file that cannot be read or written, 4 simulation
+error (either model halted with an error).  A usage error is refused before
+any file is opened; among them are an --base, --tohost or --reset-pc outside
+0..0xFFFFFFFF, an unaligned --reset-pc, and one file named twice by the
+program, --trace, --reg-trace and --vcd, or by the two arguments of vcd2csv
+and the `<csv>.partial` file it writes first, so that no command writes over
+its input or another output.  A file that is there is known by its device
+and inode, so a symlink or hard link to it names it too; a path not there is
+known by its real path.
 `run`/`sim` propagate the guest exit code (a0 at ecall, or the tohost word).
 Lockstep stops at the window of its first mismatch, so the `CPI:` line of a
 failing `cosim`, and a FAIL row of `bench` with its `BENCH:` line, count the
@@ -58,11 +61,29 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _word_aligned(text: str) -> int:
+def _address(text: str) -> int:
     value = _parse_int(text)
+    if not 0 <= value <= 0xFFFFFFFF:
+        raise argparse.ArgumentTypeError(
+            f"must be a 32-bit address, got {text}")
+    return value
+
+
+def _word_aligned(text: str) -> int:
+    value = _address(text)
     if value & 0x3:
         raise argparse.ArgumentTypeError(f"must be word-aligned, got {text}")
     return value
+
+
+def _file_key(path: str):
+    """A file's device and inode, which its symlinks and hard links share,
+    or the real path of a file that is not there."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
 
 
 def load_program(args, path: str) -> Program:
@@ -267,12 +288,12 @@ PROGRAM_HELP = "ELF32, readmemh hex, or raw binary"
 def _add_common(sub, pipeline: bool = True) -> None:
     sub.add_argument("--fmt", choices=("auto", "elf", "hex", "bin"),
                      default="auto")
-    sub.add_argument("--base", type=_parse_int, default=None,
+    sub.add_argument("--base", type=_address, default=None,
                      help="load address for hex/bin (default: reset pc)")
     sub.add_argument("--reset-pc", type=_word_aligned, default=None,
                      help="start pc (default: ELF entry, else "
                           f"{DEFAULT_RESET_PC:#x})")
-    sub.add_argument("--tohost", type=_parse_int, default=None,
+    sub.add_argument("--tohost", type=_address, default=None,
                      help="halt-on-store address (default: ELF symbol)")
     if pipeline:  # the one cap: the pipeline's cycles, or the golden steps
         sub.add_argument("--max-cycles", type=_positive_int, default=2_000_000)
@@ -350,9 +371,9 @@ def main(argv=None) -> int:
              for arg in files]
     if args.command == "vcd2csv":
         paths.append(("csv", f"{args.csv}.partial"))
-    named: dict[str, str] = {}  # a file's real path -> its argument
+    named: dict[object, str] = {}  # a file's _file_key -> its argument
     for arg, path in paths:
-        other = path and named.setdefault(os.path.realpath(path), arg)
+        other = path and named.setdefault(_file_key(path), arg)
         if other and other != arg:
             print(f"vercore {args.command}: error: argument {arg}: {path} "
                   f"is also named by {other}", file=sys.stderr)

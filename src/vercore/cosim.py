@@ -167,7 +167,8 @@ def lockstep(program: Program, max_cycles: int,
     the last CONTEXT_COMMITS of each side.  A sink is handed to run_core and
     sees the pipeline's signals while it runs, one tuple of SIGNAL_GROUPS
     values per cycle (see step_cycle).  A max_cycles below 1, or an entry
-    that is not word-aligned, raises ValueError before either model runs.
+    that is not a word-aligned 32-bit address, raises ValueError before
+    either model runs.
     """
     if max_cycles < 1:
         raise ValueError(f"max_cycles must be at least 1, got {max_cycles}")

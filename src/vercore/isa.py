@@ -3,13 +3,15 @@
 The multiply-only subset of M (mul/mulh/mulhsu/mulhu) is supported; division,
 CSRs, compressed instructions and privileged encodings are rejected.
 
-`decode` is table-driven: each mnemonic's "shape" (mnemonic, immediate
-extractor, register masks) sits in one of four dicts derived from ENCODINGS,
-keyed on the bits its encoding fixes -- `word & 0xFE00707F` for R-type and
-immediate shifts, `word & 0x707F` for the other I/S/B, the opcode for U/J and
-the whole word for ecall/ebreak.  The dicts stay separate because the keys
-of different kinds collide: `0x40001013 & 0x707F` equals slli's fixed bits,
-and an R-type word with a junk funct7 would match sll's.
+decode, encode and disassemble read the same facts about each format: the
+registers it keeps (_KEEPS), its immediate row (_IMM; _SHAMT for the
+immediate shifts), which gathers, scatters and bounds the immediate, and the
+bits each encoding fixes (_FIXED).  decode keys each mnemonic's shape on its
+fixed bits in one of four dicts -- `word & 0xFE00707F` for R-type and
+immediate shifts, `word & 0x707F` for the other I/S/B, the opcode for U/J
+and the whole word for ecall/ebreak.  The dicts stay separate because the
+keys of different kinds collide: `0x40001013 & 0x707F` equals slli's fixed
+bits, and an R-type word with a junk funct7 would match sll's.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 MASK32 = 0xFFFFFFFF
 
@@ -204,51 +205,80 @@ _SYSTEM_WORDS = {Mnemonic.ECALL: 0x00000073, Mnemonic.EBREAK: 0x00100073}
 
 # Which of rd, rs1 and rs2 each format keeps: the rest decode as x0, so
 # that the decoded fields alone say what an instruction writes and reads.
-# fence, fence.i, ecall and ebreak keep none: the spec reserves the FENCE
-# and FENCE.I rd and rs1 fields, and implementations shall ignore them.
+# fence, fence.i, ecall and ebreak decode keeping none: the spec reserves
+# the FENCE and FENCE.I rd and rs1 fields, which encode still places.
 _KEEPS: dict[Format, tuple[bool, bool, bool]] = {
     Format.R: (True, True, True), Format.I: (True, True, False),
     Format.S: (False, True, True), Format.B: (False, True, True),
     Format.U: (True, False, False), Format.J: (True, False, False)}
 
 
-# Immediate extractors of a 32-bit word, one per format; (x ^ s) - s
-# sign-extends x from its sign bit s.  B and J bit 0 is zero by construction.
-_IMM: dict[Format, Callable[[int], int]] = {
-    Format.I: lambda w: ((w >> 20) ^ 0x800) - 0x800,
-    Format.S: lambda w: ((((w >> 20) & 0xFE0) | ((w >> 7) & 0x1F)) ^ 0x800) - 0x800,
-    Format.B: lambda w: ((((w >> 19) & 0x1000) | ((w << 4) & 0x800)
-                          | ((w >> 20) & 0x7E0) | ((w >> 7) & 0x1E))
-                         ^ 0x1000) - 0x1000,
-    Format.U: lambda w: ((w & 0xFFFFF000) ^ 0x80000000) - 0x80000000,
-    Format.J: lambda w: ((((w >> 11) & 0x100000) | (w & 0xFF000)
-                          | ((w >> 9) & 0x800) | ((w >> 20) & 0x7FE))
-                         ^ 0x100000) - 0x100000,
+# One row per format, (gather, scatter, low, high, step): gather extracts
+# the immediate of a word, scatter places one in a word, and encode accepts
+# the multiples of step in low..high.  (x ^ s) - s sign-extends x from its
+# sign bit s; B and J bit 0 is zero by construction.  R-type has no
+# immediate, so encode ignores its imm.
+_INF = float("inf")
+_IMM: dict[Format, tuple] = {
+    Format.R: (lambda w: 0, lambda i: 0, -_INF, _INF, 1),
+    Format.I: (lambda w: ((w >> 20) ^ 0x800) - 0x800,
+               lambda i: (i & 0xFFF) << 20, -2048, 2047, 1),
+    Format.S: (lambda w: ((((w >> 20) & 0xFE0) | ((w >> 7) & 0x1F))
+                          ^ 0x800) - 0x800,
+               lambda i: (i & 0xFE0) << 20 | (i & 0x1F) << 7, -2048, 2047, 1),
+    Format.B: (lambda w: ((((w >> 19) & 0x1000) | ((w << 4) & 0x800)
+                           | ((w >> 20) & 0x7E0) | ((w >> 7) & 0x1E))
+                          ^ 0x1000) - 0x1000,
+               lambda i: ((i & 0x1000) << 19 | (i & 0x800) >> 4
+                          | (i & 0x7E0) << 20 | (i & 0x1E) << 7),
+               -4096, 4094, 2),
+    Format.U: (lambda w: ((w & 0xFFFFF000) ^ 0x80000000) - 0x80000000,
+               lambda i: i & 0xFFFFF000, -(1 << 31), (1 << 32) - 4096, 4096),
+    Format.J: (lambda w: ((((w >> 11) & 0x100000) | (w & 0xFF000)
+                           | ((w >> 9) & 0x800) | ((w >> 20) & 0x7FE))
+                          ^ 0x100000) - 0x100000,
+               lambda i: ((i & 0x100000) << 11 | i & 0xFF000
+                          | (i & 0x800) << 9 | (i & 0x7FE) << 20),
+               -(1 << 20), (1 << 20) - 2, 2),
 }
+# An immediate shift's immediate is its shamt, in the low bits of I's.
+_SHAMT = (lambda w: (w >> 20) & 0x1F, lambda i: i << 20, 0, 31, 1)
+
+# The bits each encoding fixes: the whole word of ecall and ebreak, else
+# its funct7, funct3 and opcode, as far as it has them.
+_FIXED: dict[Mnemonic, int] = {
+    mn: _SYSTEM_WORDS.get(mn, (enc.funct7 or 0) << 25
+                          | (enc.funct3 or 0) << 12 | enc.opcode)
+    for mn, enc in ENCODINGS.items()}
 
 
-# Decode tables of shapes, keyed on the bits each encoding fixes (see the
-# module docstring).  A shape is (mnemonic, imm_of, rd_mask, rs1_mask,
-# rs2_mask): a register the instruction does not keep has mask 0.
+# Decode tables of shapes, keyed on _FIXED.  A shape is (mnemonic, gather,
+# rd_mask, rs1_mask, rs2_mask): a register the instruction does not keep has
+# mask 0.  encode's row of a mnemonic is (fixed, scatter, low, high, step,
+# rd_mask, rs1_mask, rs2_mask), its masks in place; ecall and ebreak are
+# their fixed bits alone.
 _BY_F3F7: dict[int, tuple] = {}  # word & 0xFE00707F: R-type, shifts
 _BY_F3: dict[int, tuple] = {}    # word & 0x707F: other I, S, B
 _BY_OP: dict[int, tuple] = {}    # word & 0x7F: U, J
 _BY_WORD: dict[int, tuple] = {}  # the whole word: ecall, ebreak
+_ENCODE: dict[Mnemonic, tuple] = {}
 for _mn, _enc in ENCODINGS.items():
-    # A shift's immediate is its shamt; R-type has none.
-    _imm_of = ((lambda w: (w >> 20) & 0x1F) if _mn in _SHIFTS_IMM
-               else _IMM.get(_enc.fmt, lambda w: 0))
-    _shape = (_mn, _imm_of,
-              *(0x1F if keep and _mn not in _NO_EFFECT else 0
-                for keep in _KEEPS[_enc.fmt]))
+    _row = _SHAMT if _mn in _SHIFTS_IMM else _IMM[_enc.fmt]
+    _keeps = _KEEPS[_enc.fmt]
+    _shape = (_mn, _row[0], *(0x1F if keep and _mn not in _NO_EFFECT else 0
+                              for keep in _keeps))
     if _mn in _SYSTEM_WORDS:
-        _BY_WORD[_SYSTEM_WORDS[_mn]] = _shape
+        _BY_WORD[_FIXED[_mn]] = _shape
+        _row, _keeps = _IMM[Format.R], (False,) * 3
     elif _enc.funct7 is not None:
-        _BY_F3F7[_enc.funct7 << 25 | _enc.funct3 << 12 | _enc.opcode] = _shape
+        _BY_F3F7[_FIXED[_mn]] = _shape
     elif _enc.funct3 is not None:
-        _BY_F3[_enc.funct3 << 12 | _enc.opcode] = _shape
+        _BY_F3[_FIXED[_mn]] = _shape
     else:
-        _BY_OP[_enc.opcode] = _shape
+        _BY_OP[_FIXED[_mn]] = _shape
+    _ENCODE[_mn] = (_FIXED[_mn], *_row[1:],
+                    *(mask if keep else 0 for keep, mask
+                      in zip(_keeps, (0xF80, 0xF8000, 0x1F00000))))
 
 # decode fills a bare DecodedInstr through its slot descriptors, which
 # costs about half of the frozen dataclass __init__.
@@ -286,82 +316,45 @@ def decode(word: int) -> DecodedInstr:
 
 def encode(mnemonic: Mnemonic, rd: int = 0, rs1: int = 0, rs2: int = 0,
            imm: int = 0) -> int:
-    """Assemble an instruction word; inverse of decode for in-range operands."""
-    enc = ENCODINGS[mnemonic]
-    fmt = enc.fmt
-    op = enc.opcode
-    for name, idx in (("rd", rd), ("rs1", rs1), ("rs2", rs2)):
-        if not 0 <= idx <= 31:
-            raise InvalidOperandForFormat(f"{name}=x{idx} is not a valid register")
+    """Assemble an instruction word; inverse of decode for in-range operands.
 
-    if mnemonic in _SYSTEM_WORDS:
-        return _SYSTEM_WORDS[mnemonic]
+    A field that the format lacks is ignored: the imm of R-type, ecall and
+    ebreak, the rd of S and B, and the rs1 and rs2 of U and J."""
+    fixed, scatter, low, high, step, rd_mask, rs1_mask, rs2_mask = \
+        _ENCODE[mnemonic]
+    if (rd | rs1 | rs2) >> 5:  # some register is outside 0..31
+        for name, idx in (("rd", rd), ("rs1", rs1), ("rs2", rs2)):
+            if not 0 <= idx <= 31:
+                raise InvalidOperandForFormat(
+                    f"{name}=x{idx} is not a valid register")
+    if imm % step:
+        raise InvalidOperandForFormat(
+            f"{mnemonic.value} immediate {imm} is not a multiple of {step}")
+    if not low <= imm <= high:
+        raise OutOfRangeImmediate(
+            f"{mnemonic.value} immediate {imm} not in {low}..{high}")
+    return (fixed | scatter(imm) | rd << 7 & rd_mask | rs1 << 15 & rs1_mask
+            | rs2 << 20 & rs2_mask)
 
-    if fmt == Format.R:
-        return (enc.funct7 << 25) | (rs2 << 20) | (rs1 << 15) \
-            | (enc.funct3 << 12) | (rd << 7) | op
-    if mnemonic in _SHIFTS_IMM:
-        if not 0 <= imm <= 31:
-            raise OutOfRangeImmediate(f"shift amount {imm} not in 0..31")
-        return (enc.funct7 << 25) | (imm << 20) | (rs1 << 15) \
-            | (enc.funct3 << 12) | (rd << 7) | op
-    if fmt == Format.I:
-        if not -2048 <= imm <= 2047:
-            raise OutOfRangeImmediate(f"I-type immediate {imm} not in -2048..2047")
-        return ((imm & 0xFFF) << 20) | (rs1 << 15) | (enc.funct3 << 12) \
-            | (rd << 7) | op
-    if fmt == Format.S:
-        if not -2048 <= imm <= 2047:
-            raise OutOfRangeImmediate(f"S-type immediate {imm} not in -2048..2047")
-        i = imm & 0xFFF
-        return ((i >> 5) << 25) | (rs2 << 20) | (rs1 << 15) \
-            | (enc.funct3 << 12) | ((i & 0x1F) << 7) | op
-    if fmt == Format.B:
-        if imm & 1:
-            raise InvalidOperandForFormat(f"branch offset {imm} is odd")
-        if not -4096 <= imm <= 4094:
-            raise OutOfRangeImmediate(f"B-type offset {imm} not in -4096..4094")
-        i = imm & 0x1FFF
-        return (((i >> 12) & 0x1) << 31) | (((i >> 5) & 0x3F) << 25) \
-            | (rs2 << 20) | (rs1 << 15) | (enc.funct3 << 12) \
-            | (((i >> 1) & 0xF) << 8) | (((i >> 11) & 0x1) << 7) | op
-    if fmt == Format.U:
-        if imm & 0xFFF:
-            raise InvalidOperandForFormat(
-                f"U-type immediate 0x{imm & MASK32:x} has nonzero low 12 bits")
-        if not -(1 << 31) <= imm < (1 << 32):
-            raise OutOfRangeImmediate(f"U-type immediate {imm} out of range")
-        return (imm & 0xFFFFF000) | (rd << 7) | op
-    # Format.J
-    if imm & 1:
-        raise InvalidOperandForFormat(f"jump offset {imm} is odd")
-    if not -1048576 <= imm <= 1048574:
-        raise OutOfRangeImmediate(f"J-type offset {imm} out of range")
-    i = imm & 0x1FFFFF
-    return (((i >> 20) & 0x1) << 31) | (((i >> 1) & 0x3FF) << 21) \
-        | (((i >> 11) & 0x1) << 20) | (((i >> 12) & 0xFF) << 12) \
-        | (rd << 7) | op
+
+# disassemble's text of each mnemonic, formatted with the instruction and
+# the upper 20 bits of its immediate: the operands of its format, or the
+# offset form of loads and jalr.  fence, fence.i, ecall and ebreak print
+# their name alone.
+_OPERANDS = {
+    Format.R: "x{0.rd}, x{0.rs1}, x{0.rs2}",
+    Format.I: "x{0.rd}, x{0.rs1}, {0.imm}",
+    Format.S: "x{0.rs2}, {0.imm}(x{0.rs1})",
+    Format.B: "x{0.rs1}, x{0.rs2}, {0.imm}",
+    Format.U: "x{0.rd}, 0x{1:x}",
+    Format.J: "x{0.rd}, {0.imm}"}
+_OFFSET = "x{0.rd}, {0.imm}(x{0.rs1})"
+_TEXT: dict[Mnemonic, str] = {
+    mn: mn.value if mn in _NO_EFFECT else f"{mn.value} " + (
+        _OFFSET if mn in LOADS or mn is Mnemonic.JALR else _OPERANDS[enc.fmt])
+    for mn, enc in ENCODINGS.items()}
 
 
 def disassemble(d: DecodedInstr) -> str:
     """Render a decoded instruction in standard assembly syntax."""
-    mn = d.mnemonic
-    name = mn.value
-    if mn in _NO_EFFECT:
-        return name
-    fmt = ENCODINGS[mn].fmt
-    if fmt == Format.R:
-        return f"{name} x{d.rd}, x{d.rs1}, x{d.rs2}"
-    if mn in _SHIFTS_IMM:
-        return f"{name} x{d.rd}, x{d.rs1}, {d.imm}"
-    if mn in LOADS or mn == Mnemonic.JALR:
-        return f"{name} x{d.rd}, {d.imm}(x{d.rs1})"
-    if fmt == Format.I:
-        return f"{name} x{d.rd}, x{d.rs1}, {d.imm}"
-    if fmt == Format.S:
-        return f"{name} x{d.rs2}, {d.imm}(x{d.rs1})"
-    if fmt == Format.B:
-        return f"{name} x{d.rs1}, x{d.rs2}, {d.imm}"
-    if fmt == Format.U:
-        return f"{name} x{d.rd}, 0x{(d.imm >> 12) & 0xFFFFF:x}"
-    return f"{name} x{d.rd}, {d.imm}"  # Format.J
+    return _TEXT[d.mnemonic].format(d, (d.imm >> 12) & 0xFFFFF)

@@ -199,6 +199,9 @@ class CoreState:
     def reset(config: PipelineConfig = PipelineConfig()) -> "CoreState":
         """The state a run starts from; refuses a reset pc that no
         instruction fetch could use."""
+        if not 0 <= config.reset_pc <= MASK32:
+            raise ValueError(
+                f"reset pc {config.reset_pc:#x} is not a 32-bit address")
         if config.reset_pc & 0x3:
             raise ValueError(
                 f"reset pc 0x{config.reset_pc:08x} is not word-aligned")

@@ -1,6 +1,7 @@
 """The CLI's exit-code and line-format contract, its trace round trip and
 its streamed trace files."""
 
+import os
 import tracemalloc
 
 import pytest
@@ -275,6 +276,39 @@ class TestMisalignedStartPc:
         assert err.splitlines()[-1] == (
             f"vercore {command}: error: argument --reset-pc: "
             "must be word-aligned, got 0x2002")
+
+    @pytest.mark.parametrize("value", ["-8", "0x100002000"])
+    @pytest.mark.parametrize("command", ["run", "sim", "cosim", "bench"])
+    def test_reset_pc_outside_32_bits_is_a_usage_error(self, command, value,
+                                                       fib_hex, capsys):
+        """An aligned start pc that no 32-bit fetch could reach: the golden
+        model would mask it and the pipeline would not."""
+        assert vercore(command, fib_hex, "--reset-pc", value) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"vercore {command}: error: argument --reset-pc: "
+            f"must be a 32-bit address, got {value}")
+
+    @pytest.mark.parametrize("value", ["-4", "0x100000000"])
+    @pytest.mark.parametrize("flag", ["--base", "--tohost"])
+    @pytest.mark.parametrize("command", ["run", "sim", "cosim", "bench"])
+    def test_an_address_outside_32_bits_is_a_usage_error(
+            self, command, flag, value, fib_hex, capsys):
+        assert vercore(command, fib_hex, flag, value) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"vercore {command}: error: argument {flag}: "
+            f"must be a 32-bit address, got {value}")
+
+    def test_the_top_word_is_an_address(self, fib_hex):
+        """0xFFFFFFFC is a reset pc and 0xFFFFFFFF a tohost: the program,
+        loaded at 0x2000, runs as it does without them."""
+        assert vercore("cosim", fib_hex, "--base", "0x2000", "--tohost",
+                       "0xFFFFFFFF") == 0
+        assert vercore("run", fib_hex, "--base", "0x2000", "--reset-pc",
+                       "0xFFFFFFFC", "--max-steps", "1") == EXIT_SIM
 
     @pytest.mark.parametrize("command", ["run", "sim", "cosim", "bench"])
     def test_elf_entry_is_an_input_error(self, command, unaligned_elf,
@@ -633,6 +667,36 @@ class TestUsageErrors:
             f"named by program\n"))
         assert fib_hex.read_bytes() == before
 
+    @pytest.mark.parametrize("command,flag", [
+        ("run", "--trace"), ("run", "--reg-trace"), ("sim", "--trace"),
+        ("sim", "--vcd"), ("cosim", "--vcd")])
+    def test_an_output_hard_linked_to_the_program_is_a_usage_error(
+            self, command, flag, fib_hex, capsys):
+        """A hard link has its own real path: the program is known by its
+        device and inode, and is left as it was."""
+        before = fib_hex.read_bytes()
+        out = fib_hex.with_name("t.txt")
+        os.link(fib_hex, out)
+        assert vercore(command, fib_hex, flag, out) == EXIT_USAGE
+        assert capsys.readouterr() == ("", (
+            f"vercore {command}: error: argument {flag}: {out} is also "
+            f"named by program\n"))
+        assert fib_hex.read_bytes() == before
+        assert sorted(p.name for p in fib_hex.parent.iterdir()) == [
+            "fib.hex", "t.txt"]
+
+    def test_two_outputs_hard_linked_are_a_usage_error(self, fib_hex,
+                                                       capsys):
+        trace, again = (fib_hex.with_name(n) for n in ("a.txt", "b.txt"))
+        trace.write_text("kept\n")
+        os.link(trace, again)
+        assert vercore("sim", fib_hex, "--trace", trace, "--reg-trace",
+                       again) == EXIT_USAGE
+        assert capsys.readouterr() == ("", (
+            f"vercore sim: error: argument --reg-trace: {again} is also "
+            f"named by --trace\n"))
+        assert trace.read_text() == "kept\n"
+
     @pytest.mark.parametrize("link", [False, True], ids=["same", "symlink"])
     def test_vcd2csv_onto_its_vcd_is_a_usage_error(self, link, fib_hex,
                                                    tmp_path, capsys):
@@ -673,3 +737,23 @@ class TestUsageErrors:
         assert vcd.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             {"fib.hex", vcd.name, sibling.name})
+
+    @pytest.mark.parametrize("target", ["csv", "partial"])
+    def test_vcd2csv_onto_a_hard_link_of_its_vcd_is_a_usage_error(
+            self, target, fib_hex, tmp_path, capsys):
+        """A hard link of the VCD as the CSV, or as the `<csv>.partial`
+        file written first, would truncate the VCD through their shared
+        inode: refused before any file is opened."""
+        vcd = tmp_path / "w.vcd"
+        assert vercore("sim", fib_hex, "--vcd", vcd) == FIB_EXIT
+        before = vcd.read_bytes()
+        link = tmp_path / ("x.csv" if target == "csv" else "x.csv.partial")
+        os.link(vcd, link)
+        capsys.readouterr()
+        assert vercore("vcd2csv", vcd, tmp_path / "x.csv") == EXIT_USAGE
+        assert capsys.readouterr() == ("", (
+            f"vercore vcd2csv: error: argument csv: {link} is also named "
+            f"by vcd\n"))
+        assert vcd.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            {"fib.hex", "w.vcd", link.name})

@@ -280,6 +280,21 @@ class TestUnalignedEntry:
         assert str(exc.value) == "reset pc 0x00002002 is not word-aligned"
         assert run_core_calls == []
 
+    @pytest.mark.parametrize("entry", [-8, 0x100002000])
+    def test_an_entry_outside_32_bits_is_refused_before_either_model_runs(
+            self, entry, monkeypatch, run_core_calls):
+        """The golden model masks its pc to 32 bits and the pipeline does
+        not, so such an entry would fail a correct program."""
+        def golden_run(*args, **kwargs):
+            raise AssertionError("golden model ran")
+
+        monkeypatch.setattr(golden, "run", golden_run)
+        program = Program(progs.fib_program().image, entry, "x")
+        with pytest.raises(ValueError) as exc:
+            lockstep(program, 1000)
+        assert str(exc.value) == f"reset pc {entry:#x} is not a 32-bit address"
+        assert run_core_calls == []
+
 
 def test_an_undecodable_word_is_described_by_its_bits():
     bad = CommitRecord(0x2000, 0xFFFFFFFF, 0, 0)

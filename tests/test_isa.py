@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vercore import progs
 from vercore.isa import (ENCODINGS, LOADS, MEM_WIDTH, MULS, DecodedInstr,
                          Format, IllegalInstruction, InvalidOperandForFormat,
                          Mnemonic, OutOfRangeImmediate, decode, disassemble,
                          encode)
 
-from conftest import assemble_riscv, needs_clang
+from conftest import assemble_riscv, needs_clang, program_words
 
 # Reference words, one per mnemonic, each written from the RISC-V
 # Unprivileged spec's "RV32/64G Instruction Set Listings" and shown in its
@@ -421,6 +422,99 @@ class TestEncodeErrors:
             encode(Mnemonic.LUI, rd=1, imm=0x1234)
         with pytest.raises(InvalidOperandForFormat):
             encode(Mnemonic.ADD, rd=32, rs1=0, rs2=0)
+
+
+# The immediates encode accepts, from the spec's field widths: the
+# multiples of step in low..high, (low, high, step).  U takes its upper 20
+# bits as a signed or as an unsigned 32-bit value.
+_IMM_BOUNDS = {Format.I: (-2048, 2047, 1), Format.S: (-2048, 2047, 1),
+               Format.B: (-4096, 4094, 2),
+               Format.U: (-(1 << 31), (1 << 32) - 4096, 4096),
+               Format.J: (-(1 << 20), (1 << 20) - 2, 2)}
+_SHIFTS = (Mnemonic.SLLI, Mnemonic.SRLI, Mnemonic.SRAI)
+
+
+def _bound_cases():
+    """(mnemonic, imm, the exception encode raises or None) at each edge of
+    each mnemonic's immediate."""
+    for mn in _IMM_MNEMONICS:
+        low, high, step = _IMM_BOUNDS[ENCODINGS[mn].fmt]
+        yield mn, low, None
+        yield mn, high, None
+        yield mn, low - step, OutOfRangeImmediate
+        yield mn, high + step, OutOfRangeImmediate
+        if step > 1:
+            yield mn, low + 1, InvalidOperandForFormat
+    for mn in _SHIFTS:
+        yield mn, 0, None
+        yield mn, 31, None
+        yield mn, 32, OutOfRangeImmediate
+        yield mn, -1, OutOfRangeImmediate
+
+
+class TestEncodeBounds:
+    @pytest.mark.parametrize(
+        "mn,imm,error", list(_bound_cases()),
+        ids=[f"{mn.value}-{imm}" for mn, imm, _ in _bound_cases()])
+    def test_each_edge_of_each_immediate(self, mn, imm, error):
+        if error is not None:
+            with pytest.raises(error):
+                encode(mn, rd=1, rs1=2, rs2=3, imm=imm)
+            return
+        d = decode(encode(mn, rd=1, rs1=2, rs2=3, imm=imm))
+        assert d.mnemonic is mn and d.imm & 0xFFFFFFFF == imm & 0xFFFFFFFF
+
+    @pytest.mark.parametrize("field", ["rd", "rs1", "rs2"])
+    @pytest.mark.parametrize("mn", sorted(ENCODINGS, key=lambda m: m.value),
+                             ids=lambda m: m.value)
+    def test_every_register_is_checked(self, mn, field):
+        """Also one that the format lacks, and one of ecall and ebreak."""
+        for idx in (-1, 32):
+            with pytest.raises(InvalidOperandForFormat):
+                encode(mn, **{field: idx})
+
+    @pytest.mark.parametrize("mn,lacked", [
+        (Mnemonic.ADD, dict(imm=1 << 40)), (Mnemonic.MULHU, dict(imm=-7)),
+        (Mnemonic.ECALL, dict(rd=5, rs1=6, rs2=7, imm=1 << 40)),
+        (Mnemonic.EBREAK, dict(rd=5, rs1=6, rs2=7, imm=-3)),
+        (Mnemonic.ADDI, dict(rs2=31)), (Mnemonic.SLLI, dict(rs2=31)),
+        (Mnemonic.SW, dict(rd=31)), (Mnemonic.BEQ, dict(rd=31)),
+        (Mnemonic.LUI, dict(rs1=31, rs2=31)),
+        (Mnemonic.JAL, dict(rs1=31, rs2=31))],
+        ids=["add", "mulhu", "ecall", "ebreak", "addi", "slli", "sw", "beq",
+             "lui", "jal"])
+    def test_a_field_the_format_lacks_is_ignored(self, mn, lacked):
+        assert encode(mn, **lacked) == encode(mn)
+
+    @pytest.mark.parametrize("mn", [Mnemonic.FENCE, Mnemonic.FENCE_I])
+    def test_fence_places_the_reserved_rd_and_rs1(self, mn):
+        word = encode(mn, rd=3, rs1=5)
+        assert word == encode(mn) | 3 << 7 | 5 << 15
+        d = decode(word)
+        assert (d.mnemonic, d.rd, d.rs1) == (mn, 0, 0)
+
+
+def _real_words():
+    """Every word of the programs that progs builds for the models."""
+    programs = (progs.corpus(64) + [progs.benchmark_program()]
+                + progs.fault_programs() + progs.register_file_programs())
+    return [w for p in programs for w in program_words(p)]
+
+
+def test_real_programs_encode_their_decoded_words():
+    """encode(decode(w)) is w: the words that progs built, through encode,
+    come back from their decoded fields alone.  The few illegal words, which
+    fault programs hold on purpose, are skipped."""
+    decoded = []
+    for word in _real_words():
+        try:
+            decoded.append((word, decode(word)))
+        except IllegalInstruction:
+            pass
+    assert len(decoded) > 6000
+    mismatches = [(hex(w), d) for w, d in decoded
+                  if encode(d.mnemonic, d.rd, d.rs1, d.rs2, d.imm) != w]
+    assert mismatches == []
 
 
 class TestDisassemble:

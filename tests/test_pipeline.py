@@ -573,6 +573,20 @@ class TestReset:
             CoreState.reset(PipelineConfig(reset_pc=0x2002))
         assert str(exc.value) == "reset pc 0x00002002 is not word-aligned"
 
+    @pytest.mark.parametrize("pc,text", [
+        (-8, "-0x8"), (0x100002000, "0x100002000"), (-2, "-0x2"),
+        (1 << 32, "0x100000000")])
+    def test_reset_pc_outside_32_bits_is_refused(self, pc, text):
+        """Checked before alignment: an unaligned pc outside the range is
+        named for its range."""
+        with pytest.raises(ValueError) as exc:
+            CoreState.reset(PipelineConfig(reset_pc=pc))
+        assert str(exc.value) == f"reset pc {text} is not a 32-bit address"
+
+    def test_the_top_word_is_a_reset_pc(self):
+        assert CoreState.reset(PipelineConfig(reset_pc=0xFFFFFFFC)).pc_f \
+            == 0xFFFFFFFC
+
 
 class TestSignalSink:
     @pytest.mark.parametrize("words", [
